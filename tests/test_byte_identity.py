@@ -1,0 +1,61 @@
+"""Byte-identity pins: SHA-256 of the artifacts of two fixed sweeps and one simulate.
+
+Run-to-run determinism (acceptance criterion 8) cannot show that a refactor
+kept the outputs; these digests can. Sweep A is criterion 8's config. Sweep B
+covers the other branches: a non-empty input w, delta < 1, a Monte-Carlo omega
+estimate, reimitation and infected-only imitation. A change that alters any
+digest changes output bytes and must say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from bbnet.cli import main
+
+SWEEP_A = dict(
+    n_values=[60, 120], m_values=[2], nu_values=[0.3], delta_values=[1.0],
+    rho0=0.2, k_max=3, t_max=200, t_max_steps=50, stat_window=3, stat_tol=0.05,
+    n_seeds=3, master_seed=31, omega_method="enumerate", omega_max_len=18,
+)
+SWEEP_B = dict(
+    SWEEP_A, delta_values=[0.5], w="101", n_seeds=2, master_seed=7,
+    omega_method="monte-carlo", omega_samples=2000,
+    reimitation=True, imitate_infected_only=True,
+)
+
+PINS = {
+    "A": {
+        "records.csv": "e3f69ed48669c9909dc3df64e7e43a4ee59604d488d30f0b54affe8c91a84fe5",
+        "summary.json": "90ab9d110ae80ec81c06ab627e68fb65cf5b8307e0fca4a38ebad2382ca797d1",
+    },
+    "B": {
+        "records.csv": "2d2f2c829cb91160c8b83ff90cc021806f61287d62139ed9d32aa0c7cf7a5818",
+        "summary.json": "9e847b25bc9352c3a712be3e944bf979b5fb283e5e7d96af248a42d796651c44",
+    },
+}
+SIMULATE_B = "127f6538e6e00caa0c671dc7dcc3797e3185aac503ea96d611a2b2223d16af7b"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("name, cfg", [("A", SWEEP_A), ("B", SWEEP_B)])
+def test_sweep_artifacts_pinned(tmp_path, name, cfg):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert {f: sha256(out / f) for f in PINS[name]} == PINS[name]
+
+
+def test_simulate_trajectory_pinned(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(write_config(tmp_path, SWEEP_B)), "--out", str(out)]) == 0
+    assert sha256(out) == SIMULATE_B
