@@ -21,7 +21,6 @@ from .analysis import (
 )
 from .dynamics import (
     EpidemicParams,
-    NodeState,
     SimState,
     Trajectory,
     init_state,
@@ -53,14 +52,12 @@ from .machines import (
     Machine,
     MachineOutcome,
     OmegaEstimate,
-    ProgramEncoding,
     decode,
-    fitness,
     kraft_sum,
     omega_enumerate,
     omega_monte_carlo,
+    population_fitness,
     run,
-    sample_program,
     sample_programs,
 )
 from .rng import derive_seed, rng_from_seed

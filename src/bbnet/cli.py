@@ -12,18 +12,18 @@ import sys
 from pathlib import Path
 
 from .analysis import detect_stationarity
-from .dynamics import EpidemicParams, run_sim
 from .errors import ConfigError, ParameterError
 from .experiment import (
     ExperimentConfig,
     read_records_csv,
     run_sweep_to_dir,
+    simulate_cell,
     summarize,
     write_summary_json,
 )
 from .graph import NetworkParams, generate_ba, write_edge_list
-from .machines import omega_enumerate, omega_monte_carlo, sample_programs
-from .rng import derive_seed, rng_from_seed
+from .machines import omega_enumerate, omega_monte_carlo
+from .rng import rng_from_seed
 
 
 def _load_config(path: str | None, seed_override: int | None) -> ExperimentConfig:
@@ -61,10 +61,9 @@ def _cmd_omega(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """Run the first cell of the config (or of the flags) with seed index 0."""
     if args.config:
         cfg = _load_config(args.config, args.seed)
-        n, m = cfg.n_values[0], cfg.m_values[0]
-        nu, delta = cfg.nu_values[0], cfg.delta_values[0]
     else:
         cfg = ExperimentConfig(
             n_values=[args.n], m_values=[args.m],
@@ -73,17 +72,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             w=args.w, t_max_steps=args.steps, reimitation=args.reimitation,
             master_seed=args.seed if args.seed is not None else 0,
         )
-        n, m, nu, delta = args.n, args.m, args.nu, args.delta
-    seed = derive_seed(cfg.master_seed, 0, 0)
-    rng = rng_from_seed(seed)
-    g = generate_ba(NetworkParams(n=n, m=m, seed=seed), rng)
-    programs = [mach for _, mach in sample_programs(rng, n, cfg.k_max)]
-    params = EpidemicParams(
-        nu=nu, delta=delta, rho0=cfg.rho0,
-        reimitation=cfg.reimitation,
-        imitate_infected_only=cfg.imitate_infected_only,
-    )
-    traj = run_sim(g, programs, params, cfg.w, cfg.t_max, cfg.t_max_steps, rng)
+    _, _, traj = simulate_cell(cfg, 0, 0, cfg.t_max_steps)
     if args.out:
         with open(args.out, "w") as fh:
             traj.to_csv(fh)

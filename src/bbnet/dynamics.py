@@ -24,13 +24,12 @@ stream layout independent of the state, so a run is a pure function of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .errors import ParameterError
 from .graph import Graph
-from .machines import Machine, T_MAX_DEFAULT, population_fitness
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,6 @@ class EpidemicParams:
         return self.nu / self.delta if self.delta > 0 else float("inf")
 
 
-class NodeState(NamedTuple):
-    status: str  # "S" | "I"
-    own_fitness: int
-    carried_fitness: int
-
-
 @dataclass
 class SimState:
     """Population snapshot at step t (arrays indexed by node id)."""
@@ -80,13 +73,6 @@ class SimState:
 
     def displayed(self) -> np.ndarray:
         return np.where(self.infected, self.carried, self.own)
-
-    def node(self, i: int) -> NodeState:
-        return NodeState(
-            "I" if self.infected[i] else "S",
-            int(self.own[i]),
-            int(self.carried[i]),
-        )
 
     def check_invariants(self) -> None:
         assert self.infected_count == int(self.infected.sum())
@@ -134,25 +120,19 @@ class Trajectory:
 
 
 def init_state(
-    g: Graph,
-    programs: Sequence[Machine],
-    params: EpidemicParams,
-    w: str = "",
-    t_max: int = T_MAX_DEFAULT,
-    rng: np.random.Generator | None = None,
+    g: Graph, own: np.ndarray, params: EpidemicParams, rng: np.random.Generator
 ) -> SimState:
-    """Evaluate each node's own fitness and infect a random initial set.
+    """Give each node its own fitness and infect a random initial set.
 
-    Exactly max(1, round(rho0 * N)) nodes are infected, chosen uniformly
-    without replacement; an infected node initially carries its own value.
+    ``own[i]`` is node i's fitness. Exactly max(1, round(rho0 * N)) nodes are
+    infected, chosen uniformly without replacement; an infected node
+    initially carries its own value.
     """
     if g.n < 1:
         raise ParameterError("empty graph")
-    if len(programs) != g.n:
-        raise ParameterError(f"need {g.n} programs, got {len(programs)}")
-    if rng is None:
-        raise ParameterError("init_state requires a seeded Generator")
-    own = population_fitness(programs, w, t_max)
+    own = np.asarray(own, dtype=np.int64)
+    if len(own) != g.n:
+        raise ParameterError(f"need {g.n} fitness values, got {len(own)}")
     n_init = max(1, round(params.rho0 * g.n))
     infected = np.zeros(g.n, dtype=bool)
     infected[rng.choice(g.n, size=n_init, replace=False)] = True
@@ -278,12 +258,10 @@ def _record(state: SimState, global_best: int) -> tuple[float, float, int]:
 
 def run_sim(
     g: Graph,
-    programs: Sequence[Machine],
+    own: np.ndarray,
     params: EpidemicParams,
-    w: str = "",
-    t_max: int = T_MAX_DEFAULT,
-    t_max_steps: int = 1,
-    rng: np.random.Generator | None = None,
+    t_max_steps: int,
+    rng: np.random.Generator,
 ) -> Trajectory:
     """Initialize and run t_max_steps rounds, recording one row per step.
 
@@ -291,7 +269,7 @@ def run_sim(
     """
     if t_max_steps < 1:
         raise ParameterError(f"need t_max_steps >= 1, got {t_max_steps}")
-    state = init_state(g, programs, params, w, t_max, rng)
+    state = init_state(g, own, params, rng)
     global_best = int(state.own.max())
 
     inf = np.empty(t_max_steps + 1)

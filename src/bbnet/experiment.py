@@ -18,12 +18,15 @@ from pathlib import Path
 from statistics import median
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
 from .analysis import EmergenceReport, c_of_N, detect_stationarity, emergence_report
-from .dynamics import EpidemicParams, run_sim
+from .dynamics import EpidemicParams, Trajectory, run_sim
 from .errors import ConfigError, ParameterError
 from .graph import NetworkParams, generate_ba, write_edge_list
 from .machines import (
+    ENUM_LENGTH_GUARD,
     OmegaEstimate,
     omega_enumerate,
     omega_monte_carlo,
@@ -37,6 +40,16 @@ RECORD_COLUMNS = [
     "rho_theory", "tau_E", "omega_hat", "condition_met", "c_best",
     "c_bar_isolated", "eeac_proxy",
 ]
+
+_INT_FIELDS = (
+    "k_max", "t_max", "t_max_steps", "t0", "stat_window", "n_seeds",
+    "master_seed", "omega_max_len", "omega_samples",
+)
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
@@ -72,10 +85,21 @@ class ExperimentConfig:
             vals = getattr(self, name)
             if not isinstance(vals, (list, tuple)) or len(vals) == 0:
                 raise ConfigError(f"{name} must be a nonempty list")
+        for name in ("n_values", "m_values"):
+            if not all(_is_int(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be integers, got {getattr(self, name)}")
+        for name in _INT_FIELDS:
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if any(n < 2 for n in self.n_values):
             raise ConfigError("every N must be >= 2")
         if any(m < 1 for m in self.m_values):
             raise ConfigError("every m must be >= 1")
+        if max(self.m_values) >= min(self.n_values):
+            raise ConfigError(
+                "every m must be < every N (the seed clique has m + 1 nodes), "
+                f"got m={max(self.m_values)}, N={min(self.n_values)}"
+            )
         if any(not 0 <= nu <= 1 for nu in self.nu_values):
             raise ConfigError("every nu must lie in [0, 1]")
         if any(not 0 <= d <= 1 for d in self.delta_values):
@@ -94,6 +118,11 @@ class ExperimentConfig:
             raise ConfigError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
         if self.t0 < 0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
+        c_min = c_of_N(min(self.n_values), self.c_exponent)
+        if self.t0 >= c_min:
+            raise ConfigError(
+                f"t0 must be < c(N) for every N, got t0={self.t0}, c({min(self.n_values)})={c_min}"
+            )
         if self.stat_window < 2:
             raise ConfigError(f"stat_window must be >= 2, got {self.stat_window}")
         if not self.stat_tol > 0:
@@ -103,6 +132,11 @@ class ExperimentConfig:
         if self.omega_method not in ("enumerate", "monte-carlo"):
             raise ConfigError(
                 f"omega_method must be 'enumerate' or 'monte-carlo', got {self.omega_method!r}"
+            )
+        if self.omega_method == "enumerate" and not 0 <= self.omega_max_len <= ENUM_LENGTH_GUARD:
+            raise ConfigError(
+                f"omega_max_len must lie in [0, {ENUM_LENGTH_GUARD}] for enumeration, "
+                f"got {self.omega_max_len}"
             )
         if self.omega_samples < 1:
             raise ConfigError(f"omega_samples must be >= 1, got {self.omega_samples}")
@@ -194,31 +228,30 @@ def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
     )
 
 
-def run_cell_seed(
+def simulate_cell(
     config: ExperimentConfig,
     cell_index: int,
     seed_index: int,
-    omega: OmegaEstimate,
+    t_max_steps: int,
     graph_dir: str | Path | None = None,
-) -> RunRecord:
-    """Execute one grid cell with one derived seed.
+) -> tuple[np.ndarray, EpidemicParams, Trajectory]:
+    """One run of one grid cell: (own fitness, SIS params, trajectory).
 
-    With graph_dir set, the generated topology is exported as
-    graph_<cell>_<seed>.edges (one file per run; filenames are unique, so
-    parallel workers never collide).
+    The run's Generator is drawn in a fixed order: graph growth, program
+    bits, initial infected set, step uniforms. Scoring the programs draws
+    nothing. With graph_dir set, the topology is exported as
+    graph_<cell>_<seed>.edges (filenames are unique, so parallel workers
+    never collide).
     """
     n, m, nu, delta = config.cells()[cell_index]
     seed = derive_seed(config.master_seed, cell_index, seed_index)
     rng = rng_from_seed(seed)
-    started = time.perf_counter()
-
     g = generate_ba(NetworkParams(n=n, m=m, seed=seed), rng)
     if graph_dir is not None:
         path = Path(graph_dir) / f"graph_{cell_index}_{seed_index}.edges"
         with open(path, "w") as fh:
             write_edge_list(g, fh, m, seed)
-    programs = [mach for _, mach in sample_programs(rng, n, config.k_max)]
-    own = population_fitness(programs, config.w, config.t_max)
+    own = population_fitness(sample_programs(rng, n, config.k_max), config.w, config.t_max)
     params = EpidemicParams(
         nu=nu,
         delta=delta,
@@ -226,10 +259,23 @@ def run_cell_seed(
         reimitation=config.reimitation,
         imitate_infected_only=config.imitate_infected_only,
     )
+    return own, params, run_sim(g, own, params, t_max_steps, rng)
+
+
+def run_cell_seed(
+    config: ExperimentConfig,
+    cell_index: int,
+    seed_index: int,
+    omega: OmegaEstimate,
+    graph_dir: str | Path | None = None,
+) -> RunRecord:
+    """Execute one grid cell with one derived seed, for at least c(N) steps."""
+    n, m, nu, delta = config.cells()[cell_index]
+    started = time.perf_counter()
     horizon = max(config.t_max_steps, c_of_N(n, config.c_exponent))
-    traj = run_sim(g, programs, params, config.w, config.t_max, horizon, rng)
+    own, params, traj = simulate_cell(config, cell_index, seed_index, horizon, graph_dir)
     stat = detect_stationarity(traj.infected_density, config.stat_window, config.stat_tol)
-    lam = nu / delta if delta > 0 else float("inf")
+    lam = params.spreading_rate
     report = emergence_report(
         traj, omega, m, lam, n, config.c_exponent, config.t0, own, stat
     )
@@ -340,34 +386,37 @@ def read_records_csv(inp: TextIO) -> list[RunRecord]:
         parts = line.split(",")
         if len(parts) != len(RECORD_COLUMNS):
             raise ParameterError(f"row {i + 1} has {len(parts)} columns")
-        t_s = int(parts[7])
-        rho_hat = float(parts[8])
-        report = EmergenceReport(
-            tau_e=float(parts[10]),
-            omega_hat=float(parts[11]),
-            condition_met=parts[12] == "true",
-            c_of_n=int(parts[6]),
-            rho_theory=float(parts[9]),
-            rho_theory_raw=float(parts[9]),
-            eeac_proxy=float(parts[15]),
-            c_best=int(parts[13]),
-            c_bar_isolated=float(parts[14]),
-            t_s=None if t_s < 0 else t_s,
-            rho_hat=None if rho_hat != rho_hat else rho_hat,
-        )
-        records.append(
-            RunRecord(
-                cell_index=0,
-                seed_index=i,
-                n=int(parts[0]),
-                m=int(parts[1]),
-                nu=float(parts[2]),
-                delta=float(parts[3]),
-                lam=float(parts[4]),
-                c_exponent=float(parts[5]),
-                report=report,
+        try:
+            t_s = int(parts[7])
+            rho_hat = float(parts[8])
+            report = EmergenceReport(
+                tau_e=float(parts[10]),
+                omega_hat=float(parts[11]),
+                condition_met=parts[12] == "true",
+                c_of_n=int(parts[6]),
+                rho_theory=float(parts[9]),
+                rho_theory_raw=float(parts[9]),
+                eeac_proxy=float(parts[15]),
+                c_best=int(parts[13]),
+                c_bar_isolated=float(parts[14]),
+                t_s=None if t_s < 0 else t_s,
+                rho_hat=None if rho_hat != rho_hat else rho_hat,
             )
-        )
+            records.append(
+                RunRecord(
+                    cell_index=0,
+                    seed_index=i,
+                    n=int(parts[0]),
+                    m=int(parts[1]),
+                    nu=float(parts[2]),
+                    delta=float(parts[3]),
+                    lam=float(parts[4]),
+                    c_exponent=float(parts[5]),
+                    report=report,
+                )
+            )
+        except ValueError as exc:
+            raise ParameterError(f"row {i + 1}: {exc}") from None
     return records
 
 

@@ -57,16 +57,6 @@ def encoding_length(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class ProgramEncoding:
-    """The exact bit string a machine was decoded from."""
-
-    bits: str
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True)
 class Machine:
     """A k-state, 2-symbol machine; table[2*state + read_bit] = (write, move, next)."""
 
@@ -86,6 +76,8 @@ class Machine:
 
 @dataclass(frozen=True)
 class MachineOutcome:
+    """Result of one run; score is the busy-beaver score, 0 unless halted."""
+
     halted: bool
     steps: int
     score: int
@@ -117,14 +109,23 @@ class OmegaEstimate:
         }
 
 
+# Bits per Generator draw. Later draws from the same Generator (initial
+# infected set, step uniforms) depend on it, so changing it changes outputs.
+_BLOCK = 4096
+
+
 class _RandomBits:
-    """Iterator of fair coin bits drawn from a Generator in buffered blocks."""
+    """Iterator of fair coin bits drawn from a Generator in 4096-bit blocks.
+
+    The first block is drawn on construction, each later one only when a bit
+    past the end of the current block is requested.
+    """
 
     __slots__ = ("_rng", "_buf", "_i")
 
-    def __init__(self, rng: np.random.Generator, block: int = 4096):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._buf = rng.integers(0, 2, size=block, dtype=np.uint8)
+        self._buf = rng.integers(0, 2, size=_BLOCK, dtype=np.uint8)
         self._i = 0
 
     def __iter__(self) -> "_RandomBits":
@@ -132,15 +133,15 @@ class _RandomBits:
 
     def __next__(self) -> int:
         buf = self._buf
-        if self._i >= len(buf):
-            buf = self._buf = self._rng.integers(0, 2, size=len(buf), dtype=np.uint8)
+        if self._i >= _BLOCK:
+            buf = self._buf = self._rng.integers(0, 2, size=_BLOCK, dtype=np.uint8)
             self._i = 0
         b = int(buf[self._i])
         self._i += 1
         return b
 
 
-def _decode_core(bits: Iterator[int], k_max: int, record: list[int] | None) -> tuple[int, tuple[Entry, ...]]:
+def _decode_core(bits: Iterator[int], k_max: int) -> tuple[int, tuple[Entry, ...]]:
     def take() -> int:
         try:
             b = int(next(bits))
@@ -148,8 +149,6 @@ def _decode_core(bits: Iterator[int], k_max: int, record: list[int] | None) -> t
             raise IncompleteProgramError("bit stream ended mid-program") from None
         if b not in (0, 1):
             raise ParameterError(f"non-bit value {b!r} in program stream")
-        if record is not None:
-            record.append(b)
         return b
 
     ones = 0
@@ -182,31 +181,21 @@ def decode(bits: Iterable[int] | str, k_max: int = K_MAX_DEFAULT) -> Machine:
     """
     if isinstance(bits, str):
         bits = (int(c) for c in bits)
-    k, table = _decode_core(iter(bits), k_max, None)
+    k, table = _decode_core(iter(bits), k_max)
     return Machine(k, table)
-
-
-def sample_program(rng: np.random.Generator, k_max: int = K_MAX_DEFAULT) -> tuple[ProgramEncoding, Machine]:
-    """Draw fair coin bits until one complete program has been decoded.
-
-    The induced distribution assigns probability 2^-|p| to each encoding p.
-    """
-    record: list[int] = []
-    k, table = _decode_core(_RandomBits(rng, block=128), k_max, record)
-    return ProgramEncoding("".join(map(str, record))), Machine(k, table)
 
 
 def sample_programs(
     rng: np.random.Generator, count: int, k_max: int = K_MAX_DEFAULT
-) -> list[tuple[ProgramEncoding, Machine]]:
-    """Sample ``count`` programs from one shared bit stream (deterministic)."""
+) -> list[Machine]:
+    """Decode ``count`` programs in turn from one fair-coin bit stream.
+
+    Each program p is drawn with probability 2^-|p|. The stream is the
+    Generator's 4096-bit blocks, concatenated; the blocks drawn are exactly
+    those that the bits consumed reach into.
+    """
     stream = _RandomBits(rng)
-    out = []
-    for _ in range(count):
-        record: list[int] = []
-        k, table = _decode_core(stream, k_max, record)
-        out.append((ProgramEncoding("".join(map(str, record))), Machine(k, table)))
-    return out
+    return [Machine(*_decode_core(stream, k_max)) for _ in range(count)]
 
 
 def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOutcome:
@@ -252,21 +241,16 @@ def _cached_outcome(k: int, table: tuple[Entry, ...], w: str, t_max: int) -> Mac
     return run(Machine(k, table), w, t_max)
 
 
-def run_cached(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOutcome:
-    """Memoized run(); identical machines recur constantly when sampling."""
-    return _cached_outcome(machine.k, machine.table, w, t_max)
-
-
-def fitness(outcome: MachineOutcome) -> int:
-    """Busy-beaver score of a halting run; non-halters score 0."""
-    return outcome.score if outcome.halted else 0
-
-
 def population_fitness(
     machines: Sequence[Machine], w: str = "", t_max: int = T_MAX_DEFAULT
 ) -> np.ndarray:
-    """Fitness of each machine on input w under the step budget."""
-    return np.array([fitness(run_cached(m, w, t_max)) for m in machines], dtype=np.int64)
+    """Busy-beaver score of each machine on input w under the step budget.
+
+    Memoized: identical machines recur constantly when sampling.
+    """
+    return np.array(
+        [_cached_outcome(m.k, m.table, w, t_max).score for m in machines], dtype=np.int64
+    )
 
 
 def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
@@ -372,31 +356,9 @@ def omega_monte_carlo(
     stream = _RandomBits(rng)
     hits = 0
     for _ in range(n_samples):
-        k, table = _decode_core(stream, k_max, None)
+        k, table = _decode_core(stream, k_max)
         if _cached_outcome(k, table, w, t_max).halted:
             hits += 1
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)
-
-
-def machine_to_line(machine: Machine) -> str:
-    """Dump format: "k|w0 m0 n0|w1 m1 n1|..." with next state as int or "H"."""
-    cells = [str(machine.k)]
-    for write, move, nxt in machine.table:
-        cells.append(f"{write} {move} {'H' if nxt == HALT else nxt}")
-    return "|".join(cells)
-
-
-def machine_from_line(line: str) -> Machine:
-    """Inverse of machine_to_line."""
-    parts = line.strip().split("|")
-    k = int(parts[0])
-    if len(parts) != 2 * k + 1:
-        raise ParameterError(f"expected {2 * k} entries for k={k}, got {len(parts) - 1}")
-    table: list[Entry] = []
-    for cell in parts[1:]:
-        w_s, m_s, n_s = cell.split()
-        nxt = HALT if n_s == "H" else int(n_s)
-        table.append((int(w_s), int(m_s), nxt))
-    return Machine(k, tuple(table))

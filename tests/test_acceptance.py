@@ -26,7 +26,8 @@ from bbnet.machines import (
     next_state_bits,
     omega_enumerate,
     omega_monte_carlo,
-    run_cached,
+    population_fitness,
+    run,
     sample_programs,
 )
 from bbnet.dynamics import SimState, init_state
@@ -65,11 +66,8 @@ def test_criterion_2_prevalence_shape():
         for s in range(n_seeds):
             rng = rng_from_seed(10_000 * s + int(nu * 1000))
             g = generate_ba(NetworkParams(n=n, m=m, seed=s), rng)
-            progs = [mach for _, mach in sample_programs(rng, n)]
-            traj = run_sim(
-                g, progs, EpidemicParams(nu=nu, delta=1.0, rho0=0.2),
-                "", 100, 1200, rng,
-            )
+            own = population_fitness(sample_programs(rng, n), "", 100)
+            traj = run_sim(g, own, EpidemicParams(nu=nu, delta=1.0, rho0=0.2), 1200, rng)
             stat = detect_stationarity(traj.infected_density, window=100, tol=0.002)
             assert stat.fired, f"nu={nu} seed={s}: no stationarity within 1200 steps"
             vals.append(stat.rho_hat)
@@ -165,7 +163,7 @@ def test_criterion_5_dynamics_oracle_and_busy_beaver():
     for k, t_int, _, _ in iter_encodings(2, 18):
         if k != 2:
             continue
-        out = run_cached(Machine(2, _table_from_int(2, t_int)), "", 100)
+        out = run(Machine(2, _table_from_int(2, t_int)), "", 100)
         if out.halted:
             best = max(best, out.score)
     assert best == 4, f"two-state busy beaver brute force gave {best}"
@@ -233,9 +231,9 @@ def test_criterion_7_limit_case_protocol_recovery():
         rng = rng_from_seed(9000 + seed)
         g = generate_ba(NetworkParams(n=500, m=3, seed=seed), rng)
         d_est = approx_diameter(g)
-        progs = [mach for _, mach in sample_programs(rng, 500)]
+        own = population_fitness(sample_programs(rng, 500), "", 500)
         params = EpidemicParams(nu=1.0, delta=0.0, rho0=1.0, reimitation=True)
-        state = init_state(g, progs, params, "", 500, rng)
+        state = init_state(g, own, params, rng)
         best = int(state.own.max())
         for _ in range(d_est):
             state = step(state, g, params, rng)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bbnet import experiment
 from bbnet.cli import main
 from bbnet.graph import read_edge_list
 from bbnet.machines import omega_enumerate
@@ -136,6 +137,33 @@ class TestSweepReport:
         bad.write_text("{broken")
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n_values=[1e2]), dict(m_values=[True]), dict(m_values=[40]), dict(t0=7),
+         dict(omega_max_len=27)],
+        ids=["float-N", "bool-m", "m-ge-N", "t0-ge-c", "enum-guard"],
+    )
+    def test_bad_config_exit_2_before_omega(self, tmp_path, monkeypatch, capsys, overrides):
+        def no_omega(config):
+            raise AssertionError("omega estimated for an invalid config")
+
+        monkeypatch.setattr(experiment, "estimate_omega", no_omega)
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_bad_row_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        d = tmp_path / "out"
+        main(["sweep", "--config", str(cfg), "--out", str(d)])
+        lines = (d / "records.csv").read_text().splitlines()
+        lines[1] = lines[1].replace(lines[1].split(",")[0], "forty", 1)
+        (d / "records.csv").write_text("\n".join(lines) + "\n")
+        assert main(["report", "--records", str(d / "records.csv"), "--out", str(tmp_path / "r")]) == 2
+        assert "row 1" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -17,11 +17,13 @@ from bbnet.dynamics import (
 )
 from bbnet.errors import ParameterError
 from bbnet.graph import Graph, NetworkParams, approx_diameter, generate_ba
-from bbnet.machines import decode, sample_programs
+from bbnet.machines import population_fitness, sample_programs
 from bbnet.rng import rng_from_seed
 
-HALTER = decode("0111111")  # own fitness 1
-SPINNER = decode("0100100")  # own fitness 0
+
+def sampled_fitness(rng, n, t_max):
+    """Own fitness of n programs drawn from rng, as a sweep run computes it."""
+    return population_fitness(sample_programs(rng, n), "", t_max)
 
 
 def path_graph(n):
@@ -83,36 +85,28 @@ class TestInit:
     def test_all_infected(self):
         g = path_graph(10)
         rng = rng_from_seed(0)
-        s = init_state(g, [HALTER] * 10, EpidemicParams(nu=0.5, delta=0.5, rho0=1.0), "", 10, rng)
+        s = init_state(g, np.ones(10, dtype=np.int64), EpidemicParams(nu=0.5, delta=0.5, rho0=1.0), rng)
         assert s.infected_count == 10
         s.check_invariants()
 
     def test_floor_guard_one_infected(self):
         g = path_graph(100)
         rng = rng_from_seed(1)
-        s = init_state(g, [HALTER] * 100, EpidemicParams(nu=0.5, delta=0.5, rho0=1e-9), "", 10, rng)
+        s = init_state(g, np.ones(100, dtype=np.int64), EpidemicParams(nu=0.5, delta=0.5, rho0=1e-9), rng)
         assert s.infected_count == 1
 
     def test_exact_count(self):
         g = generate_ba(NetworkParams(n=2000, m=2, seed=3))
         rng = rng_from_seed(2)
-        progs = [m for _, m in sample_programs(rng, 2000)]
-        s = init_state(g, progs, EpidemicParams(nu=0.5, delta=0.5, rho0=0.01), "", 100, rng)
+        own = sampled_fitness(rng, 2000, 100)
+        s = init_state(g, own, EpidemicParams(nu=0.5, delta=0.5, rho0=0.01), rng)
         assert s.infected_count == 20
         s.check_invariants()
 
-    def test_own_fitness_from_programs(self):
-        g = path_graph(4)
-        rng = rng_from_seed(3)
-        s = init_state(
-            g, [HALTER, SPINNER, HALTER, SPINNER],
-            EpidemicParams(nu=0.5, delta=0.5, rho0=0.5), "", 100, rng,
-        )
-        assert s.own.tolist() == [1, 0, 1, 0]
-
     def test_program_count_mismatch(self):
         with pytest.raises(ParameterError):
-            init_state(path_graph(3), [HALTER], EpidemicParams(nu=0.5, delta=0.5), "", 10, rng_from_seed(0))
+            init_state(path_graph(3), np.ones(1, dtype=np.int64), EpidemicParams(nu=0.5, delta=0.5),
+                       rng_from_seed(0))
 
 
 class TestStep:
@@ -234,9 +228,9 @@ class TestStepCrossCheck:
     def test_displayed_never_exceeds_global_best(self):
         master = rng_from_seed(424)
         g = generate_ba(NetworkParams(n=200, m=2, seed=9))
-        progs = [m for _, m in sample_programs(master, 200)]
+        own = sampled_fitness(master, 200, 200)
         params = EpidemicParams(nu=0.6, delta=0.3, rho0=0.3, reimitation=True)
-        state = init_state(g, progs, params, "", 200, master)
+        state = init_state(g, own, params, master)
         best = int(state.own.max())
         for _ in range(30):
             state = step(state, g, params, master)
@@ -248,17 +242,17 @@ class TestRunSim:
     def test_full_cure_first_step(self):
         g = path_graph(20)
         rng = rng_from_seed(7)
-        traj = run_sim(g, [HALTER] * 20, EpidemicParams(nu=0.0, delta=1.0, rho0=0.5),
-                       "", 10, 5, rng)
+        traj = run_sim(g, np.ones(20, dtype=np.int64), EpidemicParams(nu=0.0, delta=1.0, rho0=0.5),
+                       5, rng)
         assert traj.infected_density[0] == 0.5
         assert traj.infected_density[1] == 0.0
 
     def test_determinism(self):
         g = generate_ba(NetworkParams(n=300, m=2, seed=17))
-        progs = [m for _, m in sample_programs(rng_from_seed(17), 300)]
+        own = sampled_fitness(rng_from_seed(17), 300, 100)
         params = EpidemicParams(nu=0.3, delta=0.6, rho0=0.2)
-        t1 = run_sim(g, progs, params, "", 100, 50, rng_from_seed(18))
-        t2 = run_sim(g, progs, params, "", 100, 50, rng_from_seed(18))
+        t1 = run_sim(g, own, params, 50, rng_from_seed(18))
+        t2 = run_sim(g, own, params, 50, rng_from_seed(18))
         assert np.array_equal(t1.infected_density, t2.infected_density)
         assert np.array_equal(t1.max_displayed, t2.max_displayed)
 
@@ -270,7 +264,7 @@ class TestRunSim:
         total = 0.0
         n_seeds = 200
         for s in range(n_seeds):
-            traj = run_sim(g, [HALTER] * 200, params, "", 10, t_check, rng_from_seed(800 + s))
+            traj = run_sim(g, np.ones(200, dtype=np.int64), params, t_check, rng_from_seed(800 + s))
             total += traj.infected_density[t_check]
         mean_obs = total / n_seeds
         expected = 0.5 * (1 - params.delta) ** t_check
@@ -280,9 +274,9 @@ class TestRunSim:
 
     def test_max_displayed_monotone_no_cure(self):
         g = generate_ba(NetworkParams(n=150, m=2, seed=4))
-        progs = [m for _, m in sample_programs(rng_from_seed(4), 150)]
+        own = sampled_fitness(rng_from_seed(4), 150, 200)
         params = EpidemicParams(nu=1.0, delta=0.0, rho0=0.05, reimitation=True)
-        traj = run_sim(g, progs, params, "", 200, 30, rng_from_seed(5))
+        traj = run_sim(g, own, params, 30, rng_from_seed(5))
         assert (np.diff(traj.max_displayed) >= 0).all()
 
     def test_full_diffusion_within_diameter_steps(self):
@@ -290,9 +284,9 @@ class TestRunSim:
         g = generate_ba(NetworkParams(n=120, m=2, seed=21))
         d = approx_diameter(g)
         rng = rng_from_seed(22)
-        progs = [m for _, m in sample_programs(rng, 120)]
+        own = sampled_fitness(rng, 120, 200)
         params = EpidemicParams(nu=1.0, delta=0.0, rho0=1.0, reimitation=True)
-        state = init_state(g, progs, params, "", 200, rng)
+        state = init_state(g, own, params, rng)
         best = int(state.own.max())
         for _ in range(d):
             state = step(state, g, params, rng)
@@ -302,9 +296,8 @@ class TestRunSim:
         from bbnet.analysis import detect_stationarity
 
         g = generate_ba(NetworkParams(n=2000, m=3, seed=6))
-        progs = [m for _, m in sample_programs(rng_from_seed(6), 2000)]
-        traj = run_sim(g, progs, EpidemicParams(nu=0.2, delta=1.0, rho0=0.2),
-                       "", 100, 800, rng_from_seed(7))
+        own = sampled_fitness(rng_from_seed(6), 2000, 100)
+        traj = run_sim(g, own, EpidemicParams(nu=0.2, delta=1.0, rho0=0.2), 800, rng_from_seed(7))
         stat = detect_stationarity(traj.infected_density, window=100, tol=0.005)
         assert stat.fired and stat.t_s <= 800
 
@@ -312,8 +305,8 @@ class TestRunSim:
 class TestTrajectoryCsv:
     def test_round_trip_and_format(self):
         g = path_graph(10)
-        traj = run_sim(g, [HALTER] * 10, EpidemicParams(nu=0.0, delta=1.0, rho0=0.5),
-                       "", 10, 3, rng_from_seed(9))
+        traj = run_sim(g, np.ones(10, dtype=np.int64), EpidemicParams(nu=0.0, delta=1.0, rho0=0.5),
+                       3, rng_from_seed(9))
         buf = io.StringIO()
         traj.to_csv(buf)
         lines = buf.getvalue().splitlines()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bbnet.errors import ConfigError
+from bbnet.errors import ConfigError, ParameterError
 from bbnet.experiment import (
     RECORD_COLUMNS,
     ExperimentConfig,
@@ -75,6 +75,23 @@ class TestConfig:
             tiny_config(omega_method="guess")
         with pytest.raises(ConfigError):
             tiny_config(w="21")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_values=[1e2]),
+            dict(m_values=[True]),
+            dict(k_max=2.0),
+            dict(n_seeds=True),
+            dict(m_values=[50]),  # m >= N: the seed clique needs m + 1 nodes
+            dict(t0=8),  # c(50) = 8
+            dict(omega_max_len=27),  # above the enumeration guard
+        ],
+        ids=["float-N", "bool-m", "float-field", "bool-field", "m-ge-N", "t0-ge-c", "enum-guard"],
+    )
+    def test_rejected_before_any_run(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides)
 
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -168,6 +185,17 @@ class TestRecordsCsv:
         back = read_records_csv(io.StringIO(buf.getvalue()))
         assert back[0].report.t_s is None
         assert back[0].report.rho_hat is None
+
+    def test_non_numeric_field_names_the_row(self):
+        records, _ = run_experiment(tiny_config(n_seeds=2))
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[2].split(",")
+        row[10] = "fast"  # tau_E
+        lines[2] = ",".join(row)
+        with pytest.raises(ParameterError, match="row 2"):
+            read_records_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_shuffled_records_same_summary(self):
         cfg = tiny_config(n_values=[30, 60], n_seeds=3)

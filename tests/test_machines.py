@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,17 +12,13 @@ from bbnet.machines import (
     Machine,
     decode,
     encoding_length,
-    fitness,
     iter_encodings,
     kraft_sum,
-    machine_from_line,
-    machine_to_line,
     next_state_bits,
     omega_enumerate,
     omega_monte_carlo,
+    population_fitness,
     run,
-    run_cached,
-    sample_program,
     sample_programs,
     _table_from_int,
 )
@@ -117,20 +114,33 @@ class TestSampling:
     def test_probability_of_k1_is_half(self):
         rng = rng_from_seed(202)
         progs = sample_programs(rng, 100_000)
-        freq = sum(1 for _, m in progs if m.k == 1) / len(progs)
+        freq = sum(1 for m in progs if m.k == 1) / len(progs)
         assert abs(freq - 0.5) < 0.005  # ~3 binomial stderr
 
-    def test_sampled_encodings_have_formula_length(self):
-        rng = rng_from_seed(77)
-        for _ in range(200):
-            enc, m = sample_program(rng)
-            assert len(enc) == encoding_length(m.k)
-            assert decode(enc.bits) == m
+    def test_stream_is_sequential_decode_of_4096_bit_blocks(self):
+        # The Generator stream contract: programs are decoded in turn from
+        # 4096-bit integers(0, 2, uint8) blocks, and exactly the blocks the
+        # consumed bits reach into are drawn. Later draws from the same
+        # Generator (infected set, step uniforms) depend on it.
+        # 717 programs from seed 77 end exactly on the third block boundary,
+        # so a fourth block must not be drawn; 1500 end mid-block.
+        for count in (717, 1500):
+            rng = rng_from_seed(77)
+            machines = sample_programs(rng, count)
+            used = sum(encoding_length(m.k) for m in machines)
+            n_blocks = -(-used // 4096)
+
+            oracle = rng_from_seed(77)
+            bits = np.concatenate(
+                [oracle.integers(0, 2, size=4096, dtype=np.uint8) for _ in range(n_blocks)]
+            )
+            stream = iter(bits.tolist())
+            assert [decode(stream) for _ in range(count)] == machines
+            assert len(list(stream)) == n_blocks * 4096 - used
+            assert rng.random() == oracle.random()
 
     def test_deterministic_given_seed(self):
-        a = [enc.bits for enc, _ in sample_programs(rng_from_seed(5), 50)]
-        b = [enc.bits for enc, _ in sample_programs(rng_from_seed(5), 50)]
-        assert a == b
+        assert sample_programs(rng_from_seed(5), 50) == sample_programs(rng_from_seed(5), 50)
 
 
 class TestRun:
@@ -153,7 +163,7 @@ class TestRun:
     def test_budget_monotonicity(self):
         rng = rng_from_seed(40)
         checked = 0
-        for _, m in sample_programs(rng, 300):
+        for m in sample_programs(rng, 300):
             out = run(m, "", 60)
             if out.halted:
                 assert run(m, "", 600) == out
@@ -162,7 +172,7 @@ class TestRun:
 
     def test_determinism(self):
         rng = rng_from_seed(41)
-        for _, m in sample_programs(rng, 50):
+        for m in sample_programs(rng, 50):
             assert run(m, "", 200) == run(m, "", 200)
 
     def test_rejects_bad_budget_and_input(self):
@@ -175,24 +185,30 @@ class TestRun:
 
 class TestFitness:
     def test_halted_scores(self):
-        assert fitness(run(decode(HALTER_BITS), "", 10)) == 1
+        assert run(decode(HALTER_BITS), "", 10).score == 1
 
     def test_non_halter_scores_zero(self):
-        assert fitness(run(decode(SPINNER_BITS), "", 50)) == 0
+        assert run(decode(SPINNER_BITS), "", 50).score == 0
 
     def test_population_max_matches_recomputation(self):
-        rng = rng_from_seed(8)
-        machines = [m for _, m in sample_programs(rng, 2000)]
-        scores = [fitness(run_cached(m, "", 300)) for m in machines]
-        recomputed = max(fitness(run(m, "", 300)) for m in machines)
-        assert max(scores) == recomputed
+        machines = sample_programs(rng_from_seed(8), 2000)
+        recomputed = max(run(m, "", 300).score for m in machines)
+        assert population_fitness(machines, "", 300).max() == recomputed
+
+    def test_own_fitness_from_programs(self):
+        # the memoized population path against the plain interpreter, element-wise
+        machines = [decode(HALTER_BITS), decode(SPINNER_BITS)] + sample_programs(rng_from_seed(3), 300)
+        for w in ("", "101"):
+            own = population_fitness(machines, w, 100)
+            assert own.dtype == np.int64
+            assert own.tolist() == [run(m, w, 100).score for m in machines]
 
     def test_busy_beaver_two_states(self):
         best = 0
         for k, t_int, _, _ in iter_encodings(2, 18):
             if k != 2:
                 continue
-            out = run_cached(Machine(2, _table_from_int(2, t_int)), "", 100)
+            out = run(Machine(2, _table_from_int(2, t_int)), "", 100)
             if out.halted:
                 best = max(best, out.score)
         assert best == 4
@@ -240,21 +256,3 @@ class TestOmega:
         assert rec["stderr"] == 0.0
         assert rec["params"]["max_len"] == 7
 
-
-class TestDumpFormat:
-    def test_round_trip(self):
-        rng = rng_from_seed(123)
-        for _, m in sample_programs(rng, 100):
-            assert machine_from_line(machine_to_line(m)) == m
-
-    def test_line_shape(self):
-        line = machine_to_line(decode(HALTER_BITS))
-        assert line == "1|1 1 H|1 1 H"
-
-    def test_malformed_line_rejected(self):
-        with pytest.raises(ParameterError):
-            machine_from_line("1|1 1 H")  # entry count off
-        with pytest.raises(ParameterError):
-            machine_from_line("1|1 1 5|1 1 H")  # next state out of range
-        with pytest.raises(ParameterError):
-            machine_from_line("1|2 1 H|1 1 H")  # non-bit write field
