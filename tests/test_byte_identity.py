@@ -3,8 +3,10 @@
 Run-to-run determinism (acceptance criterion 8) cannot show that a refactor
 kept the outputs; these digests can. Sweep A is criterion 8's config. Sweep B
 covers the other branches: a non-empty input w, delta < 1, a Monte-Carlo omega
-estimate, reimitation and infected-only imitation. A change that alters any
-digest changes output bytes and must say why.
+estimate, reimitation and infected-only imitation. Sweep C samples 2000
+programs with k_max=6 per run, so its programs reach past the first 4096-bit
+block of the Generator's bit stream. A change that alters any digest changes
+output bytes and must say why.
 """
 
 import hashlib
@@ -24,6 +26,11 @@ SWEEP_B = dict(
     omega_method="monte-carlo", omega_samples=2000,
     reimitation=True, imitate_infected_only=True,
 )
+SWEEP_C = dict(
+    n_values=[2000], m_values=[3], nu_values=[0.25], delta_values=[1.0],
+    rho0=0.2, k_max=6, t_max=200, t_max_steps=50, stat_window=3, stat_tol=0.05,
+    n_seeds=2, master_seed=5, omega_method="monte-carlo", omega_samples=2000,
+)
 
 PINS = {
     "A": {
@@ -33,6 +40,10 @@ PINS = {
     "B": {
         "records.csv": "2d2f2c829cb91160c8b83ff90cc021806f61287d62139ed9d32aa0c7cf7a5818",
         "summary.json": "9e847b25bc9352c3a712be3e944bf979b5fb283e5e7d96af248a42d796651c44",
+    },
+    "C": {
+        "records.csv": "403824170c2c20be18fa011e51a55859bf2321e17b0599b50234c2b8fb574315",
+        "summary.json": "bb349360756a11a6901e37783cb3bf4f745f3f196f2d1feea1089cfa18c64f2d",
     },
 }
 SIMULATE_B = "127f6538e6e00caa0c671dc7dcc3797e3185aac503ea96d611a2b2223d16af7b"
@@ -48,7 +59,7 @@ def write_config(tmp_path, cfg):
     return path
 
 
-@pytest.mark.parametrize("name, cfg", [("A", SWEEP_A), ("B", SWEEP_B)])
+@pytest.mark.parametrize("name, cfg", [("A", SWEEP_A), ("B", SWEEP_B), ("C", SWEEP_C)])
 def test_sweep_artifacts_pinned(tmp_path, name, cfg):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
