@@ -17,6 +17,12 @@ code is complete: summing 2^-|p| over all programs gives exactly 1, and fair
 coin flips fed to the decoder sample programs with probability 2^-|p|.
 The total encoding length is k + 2k * (2 + b).
 
+One reader parses programs from a string of '0'/'1': ``decode`` reads one
+from a given string, while ``sample_programs`` and ``omega_monte_carlo`` read
+them in turn from a Generator's 4096-bit blocks. ``_table_from_int`` is the
+only code that turns table bits into entries, for the reader and for exact
+enumeration alike.
+
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
 score: the number of 1-cells on the tape at halt, 0 for non-halters.
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import math
 
@@ -46,14 +52,26 @@ ENUM_LENGTH_GUARD = 26
 Entry = tuple[int, int, int]  # (write bit, move bit, next state or HALT)
 
 
-def next_state_bits(k: int) -> int:
-    """ceil(log2(k + 1)): width of the next-state field for a k-state table."""
-    return int(k).bit_length()
+def table_bits(k: int) -> int:
+    """Table bits of a k-state program: 2k entries of 2 + ceil(log2(k + 1)) bits."""
+    return 2 * k * (2 + int(k).bit_length())
 
 
 def encoding_length(k: int) -> int:
-    """Total bits of a k-state program: k header bits + 2k entries."""
-    return k + 2 * k * (2 + next_state_bits(k))
+    """Total bits of a k-state program: k header bits + the table."""
+    return k + table_bits(k)
+
+
+def _check_k_max(k_max: int) -> None:
+    if k_max < 1:
+        raise ParameterError(f"need k_max >= 1, got {k_max}")
+
+
+def _check_input(w: str, t_max: int) -> None:
+    if t_max < 1:
+        raise ParameterError(f"need t_max >= 1, got {t_max}")
+    if not set(w) <= {"0", "1"}:
+        raise ParameterError(f"input w must be a bit string, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +82,8 @@ class Machine:
     table: tuple[Entry, ...]
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ParameterError(f"need k >= 1, got {self.k}")
         if len(self.table) != 2 * self.k:
             raise ParameterError(
                 f"table needs {2 * self.k} entries for k={self.k}, got {len(self.table)}"
@@ -114,75 +134,54 @@ class OmegaEstimate:
 _BLOCK = 4096
 
 
-class _RandomBits:
-    """Iterator of fair coin bits drawn from a Generator in 4096-bit blocks.
+def _draw_block(rng: np.random.Generator) -> str:
+    return (rng.integers(0, 2, size=_BLOCK, dtype=np.uint8) + 48).tobytes().decode("ascii")
 
-    The first block is drawn on construction, each later one only when a bit
-    past the end of the current block is requested.
+
+class _ProgramReader:
+    """Reads programs in turn from a string of '0'/'1'.
+
+    With a Generator the string is its 4096-bit blocks, concatenated: the
+    first block is drawn on construction, each later one only when a program
+    reaches past the bits drawn so far. Consumed bits are dropped, so the
+    reader holds about one block.
     """
 
-    __slots__ = ("_rng", "_buf", "_i")
+    __slots__ = ("_bits", "_i", "_rng")
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, bits: str = "", rng: np.random.Generator | None = None):
         self._rng = rng
-        self._buf = rng.integers(0, 2, size=_BLOCK, dtype=np.uint8)
+        self._bits = bits if rng is None else _draw_block(rng)
         self._i = 0
 
-    def __iter__(self) -> "_RandomBits":
-        return self
-
-    def __next__(self) -> int:
-        buf = self._buf
-        if self._i >= _BLOCK:
-            buf = self._buf = self._rng.integers(0, 2, size=_BLOCK, dtype=np.uint8)
+    def next(self, k_max: int) -> tuple[int, int]:
+        """(k, table bits as an MSB-first integer) of the next program."""
+        while True:
+            bits, i = self._bits, self._i
+            z = bits.find("0", i, i + k_max)
+            # the header is k bits long: k - 1 ones and a zero, or k_max ones
+            k = z + 1 - i if z >= 0 else k_max
+            end = i + k + table_bits(k)
+            if end <= len(bits):
+                self._i = end
+                return k, int(bits[i + k:end], 2)
+            if self._rng is None:
+                raise IncompleteProgramError("bit stream ended mid-program")
+            self._bits = bits[i:] + _draw_block(self._rng)
             self._i = 0
-        b = int(buf[self._i])
-        self._i += 1
-        return b
 
 
-def _decode_core(bits: Iterator[int], k_max: int) -> tuple[int, tuple[Entry, ...]]:
-    def take() -> int:
-        try:
-            b = int(next(bits))
-        except StopIteration:
-            raise IncompleteProgramError("bit stream ended mid-program") from None
-        if b not in (0, 1):
-            raise ParameterError(f"non-bit value {b!r} in program stream")
-        return b
+def decode(bits: str, k_max: int = K_MAX_DEFAULT) -> Machine:
+    """Decode one program from the front of a string of '0'/'1'.
 
-    ones = 0
-    while ones < k_max:
-        if take() == 1:
-            ones += 1
-        else:
-            break
-    k = ones + 1 if ones < k_max else k_max
-
-    b_width = next_state_bits(k)
-    table: list[Entry] = []
-    for _ in range(2 * k):
-        write = take()
-        move = take()
-        v = 0
-        for _ in range(b_width):
-            v = (v << 1) | take()
-        nxt = v % (k + 1)
-        table.append((write, move, HALT if nxt == k else nxt))
-    return k, tuple(table)
-
-
-def decode(bits: Iterable[int] | str, k_max: int = K_MAX_DEFAULT) -> Machine:
-    """Decode one program from the front of a bit stream.
-
-    Accepts a string of '0'/'1', any iterable of ints, or an iterator (in
-    which case exactly the encoding is consumed and the rest is left
-    untouched). Raises IncompleteProgramError if the stream runs out.
+    Bits after the encoding are ignored. Raises IncompleteProgramError if the
+    string ends mid-program.
     """
-    if isinstance(bits, str):
-        bits = (int(c) for c in bits)
-    k, table = _decode_core(iter(bits), k_max)
-    return Machine(k, table)
+    _check_k_max(k_max)
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise ParameterError(f"decode takes a string of '0'/'1', got {bits!r}")
+    k, t_int = _ProgramReader(bits).next(k_max)
+    return Machine(k, _table_from_int(k, t_int))
 
 
 def sample_programs(
@@ -194,8 +193,10 @@ def sample_programs(
     Generator's 4096-bit blocks, concatenated; the blocks drawn are exactly
     those that the bits consumed reach into.
     """
-    stream = _RandomBits(rng)
-    return [Machine(*_decode_core(stream, k_max)) for _ in range(count)]
+    _check_k_max(k_max)
+    reader = _ProgramReader(rng=rng)
+    drawn = [reader.next(k_max) for _ in range(count)]
+    return [Machine(k, _table_from_int(k, t_int)) for k, t_int in drawn]
 
 
 def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOutcome:
@@ -206,19 +207,14 @@ def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOut
     t_max steps elapse. The halting transition itself writes, moves, and
     counts as a step.
     """
-    if t_max < 1:
-        raise ParameterError(f"need t_max >= 1, got {t_max}")
-    k = machine.k
+    _check_input(w, t_max)
     write = tuple(e[0] for e in machine.table)
     delta = tuple(1 if e[1] else -1 for e in machine.table)
     nxt = tuple(e[2] for e in machine.table)
 
     origin = t_max + 1
     tape = bytearray(2 * t_max + len(w) + 3)
-    for i, c in enumerate(w):
-        if c not in "01":
-            raise ParameterError(f"input w must be a bit string, got {w!r}")
-        tape[origin + i] = ord(c) - 48
+    tape[origin:origin + len(w)] = bytes(int(c) for c in w)
 
     pos = origin
     state = 0
@@ -254,10 +250,10 @@ def population_fitness(
 
 
 def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
-    """Table decoded from an integer holding the 2k(2+b) table bits, MSB first."""
-    b_width = next_state_bits(k)
+    """Table decoded from an integer holding the table bits, MSB first."""
+    b_width = k.bit_length()
     ew = 2 + b_width
-    total = 2 * k * ew
+    total = table_bits(k)
     table: list[Entry] = []
     for i in range(2 * k):
         chunk = (t_int >> (total - (i + 1) * ew)) & ((1 << ew) - 1)
@@ -269,20 +265,27 @@ def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
     return tuple(table)
 
 
-def _header_variants(k: int, k_max: int) -> int:
-    # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
-    return 2 if k == k_max else 1
+def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
+    """(k, encoding length, header variants) of each state count with |p| <= max_len."""
+    for k in range(1, k_max + 1):
+        length = encoding_length(k)
+        if length <= max_len:
+            # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
+            yield k, length, 2 if k == k_max else 1
+
+
+def _check_enum_guard(max_len: int, force: bool) -> None:
+    if max_len > ENUM_LENGTH_GUARD and not force:
+        raise ParameterError(
+            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused by default "
+            f"(got max_len={max_len}); pass force=True to override"
+        )
 
 
 def iter_encodings(k_max: int, max_len: int) -> Iterator[tuple[int, int, int, int]]:
     """Yield (k, table_int, encoding_length, header_variants) for |p| <= max_len."""
-    for k in range(1, k_max + 1):
-        length = encoding_length(k)
-        if length > max_len:
-            continue
-        n_table_bits = 2 * k * (2 + next_state_bits(k))
-        variants = _header_variants(k, k_max)
-        for t_int in range(1 << n_table_bits):
+    for k, length, variants in _state_counts(k_max, max_len):
+        for t_int in range(1 << table_bits(k)):
             yield k, t_int, length, variants
 
 
@@ -300,15 +303,11 @@ def omega_enumerate(
     error). A lower bound on the full halting probability when max_len cuts
     the enumeration short.
     """
-    if max_len < 7:
-        if max_len < 0:
-            raise ParameterError(f"need max_len >= 0, got {max_len}")
-        return OmegaEstimate("enumeration", 0.0, 0.0, l_max=max_len, numerator=0, t_max=t_max)
-    if max_len > ENUM_LENGTH_GUARD and not force:
-        raise ParameterError(
-            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused by default "
-            f"(got max_len={max_len}); pass force=True to override"
-        )
+    if max_len < 0:
+        raise ParameterError(f"need max_len >= 0, got {max_len}")
+    _check_enum_guard(max_len, force)
+    _check_k_max(k_max)
+    _check_input(w, t_max)
     numerator = 0
     for k, t_int, length, variants in iter_encodings(k_max, max_len):
         out = _cached_outcome(k, _table_from_int(k, t_int), w, t_max)
@@ -325,19 +324,10 @@ def kraft_sum(k_max: int, max_len: int | None = None, force: bool = False) -> Fr
     """
     if max_len is None:
         max_len = encoding_length(k_max)
-    if max_len > ENUM_LENGTH_GUARD and not force:
-        raise ParameterError(
-            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused by default; "
-            "pass force=True to override"
-        )
+    _check_enum_guard(max_len, force)
     total = Fraction(0)
-    for k in range(1, k_max + 1):
-        length = encoding_length(k)
-        if length > max_len:
-            continue
-        n_table_bits = 2 * k * (2 + next_state_bits(k))
-        count = _header_variants(k, k_max) << n_table_bits
-        total += Fraction(count, 1 << length)
+    for k, length, variants in _state_counts(k_max, max_len):
+        total += Fraction(variants << table_bits(k), 1 << length)
     return total
 
 
@@ -348,17 +338,21 @@ def omega_monte_carlo(
     rng: np.random.Generator | None = None,
     k_max: int = K_MAX_DEFAULT,
 ) -> OmegaEstimate:
-    """Fraction of sampled programs that halt within t_max on w."""
+    """Fraction of sampled programs that halt within t_max on w.
+
+    Programs are read from the Generator's bit stream as in sample_programs.
+    """
     if n_samples < 1:
         raise ParameterError(f"need n_samples >= 1, got {n_samples}")
     if rng is None:
         raise ParameterError("omega_monte_carlo requires a seeded Generator")
-    stream = _RandomBits(rng)
+    _check_k_max(k_max)
+    _check_input(w, t_max)
+    reader = _ProgramReader(rng=rng)
     hits = 0
     for _ in range(n_samples):
-        k, table = _decode_core(stream, k_max)
-        if _cached_outcome(k, table, w, t_max).halted:
-            hits += 1
+        k, t_int = reader.next(k_max)
+        hits += _cached_outcome(k, _table_from_int(k, t_int), w, t_max).halted
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)

@@ -23,12 +23,12 @@ from bbnet.machines import (
     _table_from_int,
     iter_encodings,
     kraft_sum,
-    next_state_bits,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
     run,
     sample_programs,
+    table_bits,
 )
 from bbnet.dynamics import SimState, init_state
 from bbnet.rng import rng_from_seed
@@ -118,7 +118,7 @@ def test_criterion_4_omega_oracle_equivalence():
 
     encodings = set()
     for k, t_int, _, _ in iter_encodings(k_max, 18):
-        bits = format(t_int, f"0{2 * k * (2 + next_state_bits(k))}b")
+        bits = format(t_int, f"0{table_bits(k)}b")
         encodings.add("1" * (k - 1) + "0" + bits)
         if k == k_max:
             encodings.add("1" * k + bits)

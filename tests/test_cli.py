@@ -75,6 +75,22 @@ class TestOmega:
     def test_guard_exit_2(self, capsys):
         assert main(["omega", "--method", "enumerate", "--max-len", "30"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "monte-carlo", "--k-max", "0"],
+            ["--method", "enumerate", "--k-max", "0"],
+            ["--method", "enumerate", "--max-len", "5", "--t-max", "0"],
+            ["--method", "enumerate", "--max-len", "5", "--w", "2"],
+        ],
+        ids=["mc-k-max-0", "enum-k-max-0", "short-t-max-0", "short-w-2"],
+    )
+    def test_bad_estimator_argument_exit_2(self, capsys, flags):
+        assert main(["omega", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestSimulate:
     def test_nu_zero_first_row(self, tmp_path, capsys):

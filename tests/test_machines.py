@@ -14,12 +14,12 @@ from bbnet.machines import (
     encoding_length,
     iter_encodings,
     kraft_sum,
-    next_state_bits,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
     run,
     sample_programs,
+    table_bits,
     _table_from_int,
 )
 from bbnet.rng import rng_from_seed
@@ -34,14 +34,31 @@ def all_encodings(k_max, max_len):
     """Bit strings of every valid encoding with |p| <= max_len."""
     out = []
     for k, t_int, length, _ in iter_encodings(k_max, max_len):
-        n_table_bits = 2 * k * (2 + next_state_bits(k))
-        table_bits = format(t_int, f"0{n_table_bits}b")
-        if k < k_max:
-            out.append("1" * (k - 1) + "0" + table_bits)
-        else:
-            out.append("1" * (k - 1) + "0" + table_bits)
-            out.append("1" * k + table_bits)
+        table = format(t_int, f"0{table_bits(k)}b")
+        out.append("1" * (k - 1) + "0" + table)
+        if k == k_max:
+            out.append("1" * k + table)
     return out
+
+
+def reference_decode(bits, k_max):
+    """Slow oracle written from the format spec: one program from a bit iterator."""
+    ones = 0
+    while ones < k_max and next(bits) == 1:
+        ones += 1
+    k = ones + 1 if ones < k_max else k_max
+    b = 0
+    while (1 << b) < k + 1:  # b = ceil(log2(k + 1))
+        b += 1
+    table = []
+    for _ in range(2 * k):
+        write, move = next(bits), next(bits)
+        v = 0
+        for _ in range(b):
+            v = 2 * v + next(bits)
+        nxt = v % (k + 1)
+        table.append((write, move, HALT if nxt == k else nxt))
+    return Machine(k, tuple(table))
 
 
 class TestEncoding:
@@ -65,15 +82,13 @@ class TestEncoding:
         assert decode("10" + table, k_max=2).k == 2
         assert decode("11" + table, k_max=2).k == 2
 
-    def test_consumes_exactly_the_encoding(self):
-        tail = [1, 0, 1, 1]
-        it = iter([int(c) for c in HALTER_BITS] + tail)
-        decode(it)
-        assert list(it) == tail
-
     def test_incomplete_stream(self):
         with pytest.raises(IncompleteProgramError):
             decode("011")
+
+    def test_non_bit_rejected(self):
+        with pytest.raises(ParameterError):
+            decode("0121111")
 
     def test_prefix_free_k_le_2(self):
         encs = set(all_encodings(k_max=6, max_len=18))
@@ -99,15 +114,30 @@ class TestEncoding:
         m = decode(bits)
         assert 1 <= m.k <= 6
         assert len(m.table) == 2 * m.k
+        for k_max in (6, 2):
+            assert decode(bits, k_max) == reference_decode(map(int, bits), k_max)
 
-    def test_table_from_int_matches_decode(self):
-        # table-int construction must be bit-for-bit the decoder's reading
-        for k, k_max in ((1, 6), (2, 6), (2, 2), (3, 6)):
-            n_table_bits = 2 * k * (2 + next_state_bits(k))
-            for t_int in (0, 1, (1 << n_table_bits) - 1, 0b1011 % (1 << n_table_bits)):
-                header = "1" * (k - 1) + "0"
-                bits = header + format(t_int, f"0{n_table_bits}b")
-                assert decode(bits, k_max).table == _table_from_int(k, t_int)
+
+class TestArguments:
+    def test_machine_needs_a_state(self):
+        with pytest.raises(ParameterError):
+            Machine(0, ())
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rng: sample_programs(rng, 5, k_max=0),
+            lambda rng: omega_monte_carlo(10, "", 100, rng, k_max=0),
+            lambda rng: omega_monte_carlo(10, "", 0, rng),
+            lambda rng: omega_monte_carlo(10, "2", 100, rng),
+        ],
+        ids=["sample-k-max-0", "mc-k-max-0", "mc-t-max-0", "mc-w-2"],
+    )
+    def test_rejected_before_drawing(self, call):
+        rng = rng_from_seed(1)
+        with pytest.raises(ParameterError):
+            call(rng)
+        assert rng.random() == rng_from_seed(1).random()
 
 
 class TestSampling:
@@ -135,7 +165,7 @@ class TestSampling:
                 [oracle.integers(0, 2, size=4096, dtype=np.uint8) for _ in range(n_blocks)]
             )
             stream = iter(bits.tolist())
-            assert [decode(stream) for _ in range(count)] == machines
+            assert [reference_decode(stream, 6) for _ in range(count)] == machines
             assert len(list(stream)) == n_blocks * 4096 - used
             assert rng.random() == oracle.random()
 
