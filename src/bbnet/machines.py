@@ -26,6 +26,22 @@ enumeration alike.
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
 score: the number of 1-cells on the tape at halt, 0 for non-halters.
+
+Most machines never halt, and ``run`` proves many of them so before they
+spend the budget, with two exact checks (Marxen & Buntrock, "Attacking the
+Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
+
+* HALT unreachable: no path of transitions from state 0 leads to HALT, so
+  no run can take one. Checked before the first step.
+* Blank-tape runaway: from the current state, the read-0 transitions
+  repeat without reaching HALT and all move one way, and every cell from
+  the head onward in that direction holds 0 (the tape itself is read, so
+  the 1s of w count). The head then reads only 0s, writes behind itself
+  and follows that chain forever. Checked before the first step and every
+  ``_CHECK_EVERY`` steps after it.
+
+Both are proofs, never guesses, so a proven non-halter reports exactly
+what the budget would have: ``halted=False, steps=t_max, score=0``.
 """
 
 from __future__ import annotations
@@ -193,10 +209,50 @@ def sample_programs(
     Generator's 4096-bit blocks, concatenated; the blocks drawn are exactly
     those that the bits consumed reach into.
     """
+    if count < 1:
+        raise ParameterError(f"need count >= 1, got {count}")
     _check_k_max(k_max)
     reader = _ProgramReader(rng=rng)
     drawn = [reader.next(k_max) for _ in range(count)]
     return [Machine(k, _table_from_int(k, t_int)) for k, t_int in drawn]
+
+
+def _halt_reachable(table: tuple[Entry, ...]) -> bool:
+    """Whether some path of transitions from state 0 reaches HALT."""
+    seen, todo = {0}, [0]
+    while todo:
+        s = todo.pop()
+        for _, _, nxt in table[2 * s:2 * s + 2]:
+            if nxt == HALT:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
+
+
+def _runs_away(table: tuple[Entry, ...], state: int, tape: bytearray, pos: int) -> bool:
+    """Whether the machine, in ``state`` at ``tape[pos]``, moves one way over blanks forever.
+
+    True when the read-0 transitions from ``state`` repeat without reaching
+    HALT, all move the same way, and every cell from the head onward in
+    that direction holds 0.
+    """
+    seen, moves = set(), set()
+    while state != HALT and state not in seen:
+        seen.add(state)
+        _, move, state = table[2 * state]
+        moves.add(move)
+    if state == HALT or len(moves) != 1:
+        return False
+    if moves.pop():
+        return tape.find(1, pos) < 0
+    return tape.rfind(1, 0, pos + 1) < 0
+
+
+# Steps between two runaway checks. A proven runaway still costs up to this
+# many steps, and each check reads the tape once.
+_CHECK_EVERY = 64
 
 
 def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOutcome:
@@ -205,12 +261,17 @@ def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOut
     The tape holds w from cell 0 rightward (everything else 0); the head
     starts at cell 0 in state 0. Runs until the halt transition fires or
     t_max steps elapse. The halting transition itself writes, moves, and
-    counts as a step.
+    counts as a step. A machine proven never to halt (see the module
+    docstring) returns at once with the outcome of a spent budget.
     """
     _check_input(w, t_max)
-    write = tuple(e[0] for e in machine.table)
-    delta = tuple(1 if e[1] else -1 for e in machine.table)
-    nxt = tuple(e[2] for e in machine.table)
+    never = MachineOutcome(halted=False, steps=t_max, score=0)
+    table = machine.table
+    if not _halt_reachable(table):
+        return never
+    write = tuple(e[0] for e in table)
+    delta = tuple(1 if e[1] else -1 for e in table)
+    nxt = tuple(e[2] for e in table)
 
     origin = t_max + 1
     tape = bytearray(2 * t_max + len(w) + 3)
@@ -218,18 +279,18 @@ def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOut
 
     pos = origin
     state = 0
-    steps_done = 0
-    for step in range(1, t_max + 1):
-        idx = 2 * state + tape[pos]
-        tape[pos] = write[idx]
-        pos += delta[idx]
-        state = nxt[idx]
-        if state < 0:
-            steps_done = step
-            break
-    else:
-        return MachineOutcome(halted=False, steps=t_max, score=0)
-    return MachineOutcome(halted=True, steps=steps_done, score=tape.count(1))
+    done = 0
+    while done < t_max and not _runs_away(table, state, tape, pos):
+        stop = min(done + _CHECK_EVERY, t_max)
+        for step in range(done + 1, stop + 1):
+            idx = 2 * state + tape[pos]
+            tape[pos] = write[idx]
+            pos += delta[idx]
+            state = nxt[idx]
+            if state < 0:
+                return MachineOutcome(halted=True, steps=step, score=tape.count(1))
+        done = stop
+    return never
 
 
 @lru_cache(maxsize=1 << 18)
@@ -322,6 +383,7 @@ def kraft_sum(k_max: int, max_len: int | None = None, force: bool = False) -> Fr
 
     With max_len covering every state count up to k_max this is exactly 1.
     """
+    _check_k_max(k_max)
     if max_len is None:
         max_len = encoding_length(k_max)
     _check_enum_guard(max_len, force)

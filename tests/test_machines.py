@@ -10,6 +10,7 @@ from bbnet.errors import IncompleteProgramError, ParameterError
 from bbnet.machines import (
     HALT,
     Machine,
+    MachineOutcome,
     decode,
     encoding_length,
     iter_encodings,
@@ -20,6 +21,8 @@ from bbnet.machines import (
     run,
     sample_programs,
     table_bits,
+    _halt_reachable,
+    _runs_away,
     _table_from_int,
 )
 from bbnet.rng import rng_from_seed
@@ -59,6 +62,19 @@ def reference_decode(bits, k_max):
         nxt = v % (k + 1)
         table.append((write, move, HALT if nxt == k else nxt))
     return Machine(k, tuple(table))
+
+
+def reference_run(machine, w, t_max):
+    """Slow oracle written from the spec: the plain step loop, with no deciders."""
+    tape = {i: int(c) for i, c in enumerate(w)}
+    pos, state = 0, 0
+    for step in range(1, t_max + 1):
+        write, move, state = machine.table[2 * state + tape.get(pos, 0)]
+        tape[pos] = write
+        pos += 1 if move else -1
+        if state == HALT:
+            return MachineOutcome(halted=True, steps=step, score=sum(tape.values()))
+    return MachineOutcome(halted=False, steps=t_max, score=0)
 
 
 class TestEncoding:
@@ -127,11 +143,13 @@ class TestArguments:
         "call",
         [
             lambda rng: sample_programs(rng, 5, k_max=0),
+            lambda rng: sample_programs(rng, 0),
+            lambda rng: sample_programs(rng, -3),
             lambda rng: omega_monte_carlo(10, "", 100, rng, k_max=0),
             lambda rng: omega_monte_carlo(10, "", 0, rng),
             lambda rng: omega_monte_carlo(10, "2", 100, rng),
         ],
-        ids=["sample-k-max-0", "mc-k-max-0", "mc-t-max-0", "mc-w-2"],
+        ids=["sample-k-max-0", "sample-count-0", "sample-count-negative", "mc-k-max-0", "mc-t-max-0", "mc-w-2"],
     )
     def test_rejected_before_drawing(self, call):
         rng = rng_from_seed(1)
@@ -213,6 +231,80 @@ class TestRun:
             run(m, "2", 10)
 
 
+# Named machines for the deciders; table[2*state + read] = (write, move, next).
+# Bounces between cells 0 and 1 on blank tape; only state 2 can halt, and no
+# transition from states 0 or 1 leads there.
+HALT_UNREACHABLE = Machine(3, ((0, 1, 1), (0, 1, 0), (0, 0, 0), (1, 1, 1),
+                               (1, 1, HALT), (1, 1, HALT)))
+# Writes 1s rightward over blank tape; halts on the first 1 it reads.
+RIGHT_WRITER = Machine(1, ((1, 1, 0), (1, 1, HALT)))
+# Writes a 1, steps right, steps back, clears that 1 and from step 3 on
+# moves left over blank tape in state 1 forever.
+LATE_LEFT_RUNAWAY = Machine(2, ((1, 1, 1), (1, 1, HALT), (0, 0, 1), (0, 0, 1)))
+# Writes 1s leftward over blank tape; halts on the first 1 it reads.
+LEFT_WRITER = Machine(1, ((1, 0, 0), (1, 0, HALT)))
+
+
+class TestDeciders:
+    """``run`` against ``reference_run``, which never proves anything."""
+
+    def test_every_k_le_2_program(self):
+        tables = {(k, _table_from_int(k, t_int)) for k, t_int, _, _ in iter_encodings(2, 18)}
+        assert len(tables) == 8**2 + 12**4  # the next-state field is read mod k + 1
+        for k, table in tables:
+            m = Machine(k, table)
+            for w in ("", "101"):
+                for t_max in (1000, 37):
+                    assert run(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
+
+    def test_sampled_k_le_6_programs(self):
+        machines = set(sample_programs(rng_from_seed(3), 20_000, k_max=6))
+        for m in machines:
+            for w in ("", "101"):
+                assert run(m, w, 1000) == reference_run(m, w, 1000), (m, w)
+
+    def test_halt_unreachable(self):
+        m = HALT_UNREACHABLE
+        assert not _halt_reachable(m.table)
+        # the bounce is not a runaway, so only reachability proves it
+        assert not _runs_away(m.table, 0, bytearray(4), 1)
+        for t_max in (1, 64, 1000):
+            assert run(m, "", t_max) == reference_run(m, "", t_max)
+
+    def test_runaway_from_blank_tape_at_step_0(self):
+        m = RIGHT_WRITER
+        assert _halt_reachable(m.table)
+        assert _runs_away(m.table, 0, bytearray(5), 2)
+        assert run(m, "", 1000) == reference_run(m, "", 1000)
+
+    def test_runaway_only_after_several_steps(self):
+        m = LATE_LEFT_RUNAWAY
+        assert _halt_reachable(m.table)
+        # step 0: the read-0 chain from state 0 moves right, then left
+        assert not _runs_away(m.table, 0, bytearray(5), 2)
+        # step 3: state 1 at cell -1 of a blank tape
+        assert _runs_away(m.table, 1, bytearray(5), 1)
+        for t_max in (3, 64, 65, 1000):
+            assert run(m, "", t_max) == reference_run(m, "", t_max)
+
+    def test_left_runaway_with_input_to_its_right(self):
+        m = LEFT_WRITER
+        # w = "0101" on cells 0..3, head on cell 0: its 1s lie to the right
+        assert _runs_away(m.table, 0, bytearray([0, 0, 0, 1, 0, 1]), 2)
+        assert not _runs_away(m.table, 0, bytearray([0, 1, 0, 1, 0, 1]), 2)
+        assert run(m, "0101", 1000) == reference_run(m, "0101", 1000)
+
+    def test_right_blank_chain_meets_a_1_from_w(self):
+        # the 1 lies beyond the first periodic check, so the check at step
+        # 64 must read it from the tape
+        w = "0" * 100 + "1"
+        m = RIGHT_WRITER
+        assert not _runs_away(m.table, 0, bytearray(int(c) for c in "0" + w), 1)
+        assert run(m, w, 1000) == MachineOutcome(halted=True, steps=101, score=101)
+        assert run(m, w, 1000) == reference_run(m, w, 1000)
+        assert run(m, w, 100) == MachineOutcome(halted=False, steps=100, score=0)
+
+
 class TestFitness:
     def test_halted_scores(self):
         assert run(decode(HALTER_BITS), "", 10).score == 1
@@ -266,6 +358,10 @@ class TestOmega:
     def test_kraft_sum_is_exactly_one(self):
         assert kraft_sum(2) == Fraction(1)
         assert kraft_sum(1) == Fraction(1)
+
+    def test_kraft_sum_rejects_k_max_below_1(self):
+        with pytest.raises(ParameterError):
+            kraft_sum(0)
 
     def test_monte_carlo_matches_enumeration(self):
         # K_max=2 enumeration at 18 bits covers the whole code
