@@ -149,7 +149,8 @@ class TestArguments:
             lambda rng: omega_monte_carlo(10, "", 0, rng),
             lambda rng: omega_monte_carlo(10, "2", 100, rng),
         ],
-        ids=["sample-k-max-0", "sample-count-0", "sample-count-negative", "mc-k-max-0", "mc-t-max-0", "mc-w-2"],
+        ids=["sample-k-max-0", "sample-count-0", "sample-count-negative",
+             "mc-k-max-0", "mc-t-max-0", "mc-w-2"],
     )
     def test_rejected_before_drawing(self, call):
         rng = rng_from_seed(1)
@@ -250,7 +251,8 @@ class TestDeciders:
 
     def test_every_k_le_2_program(self):
         tables = {(k, _table_from_int(k, t_int)) for k, t_int, _, _ in iter_encodings(2, 18)}
-        assert len(tables) == 8**2 + 12**4  # the next-state field is read mod k + 1
+        # distinct entries: 2 writes x 2 moves x (k + 1) next states
+        assert len(tables) == 8**2 + 12**4
         for k, table in tables:
             m = Machine(k, table)
             for w in ("", "101"):
