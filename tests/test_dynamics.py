@@ -47,8 +47,8 @@ def make_state(infected, own, carried=None):
     )
 
 
-def random_state(rng, n, max_fitness=9):
-    infected = rng.random(n) < 0.4
+def random_state(rng, n, max_fitness=9, p_infected=0.4):
+    infected = rng.random(n) < p_infected
     own = rng.integers(0, max_fitness + 1, size=n)
     carried = own.copy()
     boost = infected & (rng.random(n) < 0.5)
@@ -64,6 +64,29 @@ def random_connected_graph(rng, n):
         if u != v:
             edges.add((max(u, v), min(u, v)))
     return Graph.from_edges(n, list(edges))
+
+
+def graph_with_isolated_nodes(rng, n):
+    """Random graph whose isolated nodes may sit at any id, the first and last included."""
+    isolated = rng.random(n) < 0.3
+    if rng.random() < 0.5:
+        isolated[0] = True
+    if rng.random() < 0.5:
+        isolated[-1] = True
+    live = np.flatnonzero(~isolated)
+    edges = set()
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        if len(live) < 2:
+            break
+        u, v = rng.choice(live, size=2, replace=False)
+        edges.add((int(min(u, v)), int(max(u, v))))
+    return Graph.from_edges(n, list(edges))
+
+
+FLAG_COMBOS = [
+    dict(reimitation=r, imitate_infected_only=i) for r in (False, True) for i in (False, True)
+]
+FLAG_IDS = ["plain", "infected-only", "reimitation", "reimitation-infected-only"]
 
 
 class TestParams:
@@ -166,6 +189,17 @@ class TestStep:
         )
         assert nxt.carried[1] == 6
 
+    def test_infected_only_variant_with_negative_fitness(self):
+        # the susceptible neighbour is masked out, not replaced by a value
+        # that beats the infected neighbour's -5
+        g = path_graph(3)
+        state = make_state([True, False, False], [-5, -3, -4])
+        nxt = _apply_rules(
+            state, g, EpidemicParams(nu=1.0, delta=0.0, imitate_infected_only=True),
+            np.zeros((3, 3)),
+        )
+        assert nxt.carried.tolist() == [-5, -5, -4]
+
     def test_cure_resets_to_own(self):
         g = path_graph(2)
         state = make_state([True, False], [1, 2], [9, 2])
@@ -224,6 +258,66 @@ class TestStepCrossCheck:
         cured = _apply_rules(state, g, EpidemicParams(nu=0.0, delta=1.0), u)
         assert cured.carried[3] == 4
         cured.check_invariants()
+
+    def test_trailing_isolated_node_keeps_the_last_half_edge(self):
+        # node 3 has no edges and sits after node 2, whose last neighbour
+        # (node 1, displaying 7) is the last half-edge of the graph
+        g = Graph.from_edges(4, [(0, 2), (1, 2)])
+        state = make_state([True, True, False, False], [1, 7, 0, 0])
+        params = EpidemicParams(nu=1.0, delta=0.0)
+        u = np.zeros((4, 3))
+        vec = _apply_rules(state, g, params, u)
+        ref = _step_reference(state, g, params, u)
+        assert ref.carried[2] == 7
+        assert vec.carried[2] == 7
+        assert np.array_equal(vec.infected, ref.infected)
+        assert np.array_equal(vec.carried, ref.carried)
+
+    @pytest.mark.parametrize("flags", FLAG_COMBOS, ids=FLAG_IDS)
+    def test_matches_reference_with_isolated_nodes(self, flags):
+        master = rng_from_seed(2718)
+        for _ in range(150):
+            n = int(master.integers(1, 30))
+            g = graph_with_isolated_nodes(master, n)
+            state = random_state(master, n, p_infected=float(master.random()))
+            params = EpidemicParams(
+                nu=float(master.choice([0.0, 1.0, master.random()])),
+                delta=float(master.choice([0.0, 1.0, master.random()])),
+                **flags,
+            )
+            u = master.random((n, 3))
+            vec = _apply_rules(state, g, params, u)
+            ref = _step_reference(state, g, params, u)
+            assert np.array_equal(vec.infected, ref.infected)
+            assert np.array_equal(vec.carried, ref.carried)
+            vec.check_invariants()
+
+    @pytest.mark.parametrize(
+        "params",
+        [EpidemicParams(nu=0.3, delta=0.4, rho0=0.3, **f) for f in FLAG_COMBOS]
+        + [
+            EpidemicParams(nu=0.0, delta=0.3, rho0=0.5, reimitation=True),
+            EpidemicParams(nu=0.5, delta=1.0, rho0=0.3, reimitation=True),
+            EpidemicParams(nu=0.5, delta=0.2, rho0=1.0, reimitation=True,
+                           imitate_infected_only=True),
+        ],
+        ids=FLAG_IDS + ["nu=0", "delta=1", "rho0=1"],
+    )
+    def test_steps_match_reference_on_ba_graph(self, params):
+        # step draws its uniforms from one Generator; the reference is fed
+        # the same uniforms from a twin, and both follow their own states
+        # spread-out fitness values, so that a wrong maximum rarely ties the right one
+        g = generate_ba(NetworkParams(n=1000, m=3, seed=12))
+        own = rng_from_seed(12).integers(0, 10**6, size=g.n)
+        state = init_state(g, own, params, rng_from_seed(13))
+        ref = state
+        rng, twin = rng_from_seed(14), rng_from_seed(14)
+        for _ in range(30):
+            state = step(state, g, params, rng)
+            ref = _step_reference(ref, g, params, twin.random((g.n, 3)))
+            assert np.array_equal(state.infected, ref.infected)
+            assert np.array_equal(state.carried, ref.carried)
+            assert state.infected_count == ref.infected_count
 
     def test_displayed_never_exceeds_global_best(self):
         master = rng_from_seed(424)
