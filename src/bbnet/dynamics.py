@@ -21,8 +21,7 @@ stream layout independent of the state, so a run is a pure function of
 (seed, inputs).
 
 A step reads only the adjacency rows it needs. Infected-neighbour counts are
-pushed from the infected rows (from the susceptible rows, subtracted from the
-degree, when those are fewer) with one ``bincount``. The neighbourhood
+pushed from the infected rows with one ``bincount``. The neighbourhood
 maximum is taken only over the rows of nodes that imitate this step: the
 newly infected and, with ``reimitation``, the re-imitating. Rows may be
 empty anywhere; ``_step_reference`` is the per-node oracle.
@@ -188,13 +187,7 @@ def _apply_rules(
 ) -> SimState:
     """One synchronous update given the (n, 3) uniform matrix."""
     infected = state.infected
-
-    # Push from the smaller side, since the cost follows the rows gathered:
-    # infected neighbours directly, or the degree minus the susceptible ones.
-    if 2 * state.infected_count <= g.n:
-        n_inf = _neighbor_count(g, np.flatnonzero(infected))
-    else:
-        n_inf = g.degrees - _neighbor_count(g, np.flatnonzero(~infected))
+    n_inf = _neighbor_count(g, np.flatnonzero(infected))
     # (1 - nu)**k looked up per node from a table of every count present:
     # the same bits as raising per node, at a fraction of the cost.
     survive = (1.0 - params.nu) ** np.arange(int(n_inf.max(initial=0)) + 1)
