@@ -18,7 +18,8 @@ snapshot, giving one communication round:
 Every node consumes exactly three uniforms per step, in node-id order and
 then rule order (a, b, c), whether or not each rule applies. That keeps the
 stream layout independent of the state, so a run is a pure function of
-(seed, inputs).
+(seed, inputs). A susceptible node carries its own value, so ``carried``
+is what every node displays.
 
 A step reads only the adjacency rows it needs. Infected-neighbour counts are
 pushed from the infected rows with one ``bincount``. The neighbourhood
@@ -74,11 +75,8 @@ class SimState:
     t: int
     infected: np.ndarray  # bool
     own: np.ndarray  # int64, fixed at init
-    carried: np.ndarray  # int64, meaningful while infected
+    carried: np.ndarray  # int64, the displayed value: own while susceptible
     infected_count: int
-
-    def displayed(self) -> np.ndarray:
-        return np.where(self.infected, self.carried, self.own)
 
     def check_invariants(self) -> None:
         assert self.infected_count == int(self.infected.sum())
@@ -196,21 +194,21 @@ def _apply_rules(
     cured = infected & (u[:, 1] < params.delta)
     carried = np.where(cured, state.own, state.carried)
 
-    # Neighbour maxima only over the rows that imitate. A newly infected
-    # node has an infected neighbour, so its row is not empty, and masking
-    # the susceptible with the int64 minimum leaves a real value to copy.
-    displayed = state.displayed()
+    # Neighbour maxima only over the rows that imitate, of the values
+    # displayed at time t (state.carried). A newly infected node has an
+    # infected neighbour, so its row is not empty, and masking the
+    # susceptible with the int64 minimum leaves a real value to copy.
     new_rows = np.flatnonzero(new_inf)
     if len(new_rows):
-        source = displayed
+        source = state.carried
         if params.imitate_infected_only:
-            source = np.where(infected, displayed, np.iinfo(np.int64).min)
+            source = np.where(infected, source, np.iinfo(np.int64).min)
         carried[new_rows] = _neighbor_max(g, new_rows, source)
     if params.reimitation:
         upd = infected & ~cured & (u[:, 2] < params.nu) & (g.degrees > 0)
         upd_rows = np.flatnonzero(upd)
         if len(upd_rows):
-            nbr_max = _neighbor_max(g, upd_rows, displayed)
+            nbr_max = _neighbor_max(g, upd_rows, state.carried)
             carried[upd_rows] = np.maximum(carried[upd_rows], nbr_max)
 
     now_infected = (infected & ~cured) | new_inf
@@ -242,8 +240,8 @@ def _step_reference(
     time-t snapshot and node i uses only u[i], the order cannot matter.
     """
     n = g.n
-    displayed = state.displayed()
     infected = state.infected
+    displayed = np.where(infected, state.carried, state.own)
     new_infected = infected.copy()
     carried = state.carried.copy()
 
@@ -277,7 +275,7 @@ def _step_reference(
 
 
 def _record(state: SimState, global_best: int) -> tuple[float, float, int]:
-    displayed = state.displayed()
+    displayed = state.carried
     n = len(displayed)
     return (
         state.infected_count / n,

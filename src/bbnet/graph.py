@@ -108,18 +108,6 @@ class Graph:
                     out.append((u, int(v)))
         return out
 
-    def check_invariants(self) -> None:
-        """Raises AssertionError if the graph is not simple and symmetric."""
-        seen = set()
-        for u in range(self.n):
-            nbrs = self.neighbors(u)
-            assert np.all(np.diff(nbrs) > 0), f"unsorted or duplicate neighbors at {u}"
-            assert u not in nbrs, f"self-loop at {u}"
-            for v in nbrs:
-                seen.add((u, int(v)))
-        for u, v in seen:
-            assert (v, u) in seen, f"asymmetric edge ({u},{v})"
-
 
 @dataclass(frozen=True)
 class DegreeFit:
@@ -176,11 +164,6 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
         pool.extend([new] * m)
 
     return Graph._from_half_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-
-
-def expected_edge_count(params: NetworkParams) -> int:
-    """Edge count forced by the construction: m0(m0-1)/2 + m(n-m0)."""
-    return params.m0 * (params.m0 - 1) // 2 + params.m * (params.n - params.m0)
 
 
 def degree_ccdf(g: Graph) -> list[tuple[int, float]]:

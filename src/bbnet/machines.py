@@ -19,9 +19,11 @@ The total encoding length is k + 2k * (2 + b).
 
 One reader parses programs from a string of '0'/'1': ``decode`` reads one
 from a given string, while ``sample_programs`` and ``omega_monte_carlo`` read
-them in turn from a Generator's 4096-bit blocks. ``_table_from_int`` is the
-only code that turns table bits into entries, for the reader and for exact
-enumeration alike.
+them in turn from a Generator's 4096-bit blocks, as (k, table bits as an
+integer) pairs. ``population_fitness`` and ``omega_monte_carlo`` each memoize
+outcomes per call on that pair, and only a miss turns the table bits into
+entries (``_table_from_int``). Exact enumeration runs each distinct table
+once, weighted by how many encodings decode to it.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
+import itertools
 import math
 
 import numpy as np
@@ -202,8 +204,8 @@ def decode(bits: str, k_max: int = K_MAX_DEFAULT) -> Machine:
 
 def sample_programs(
     rng: np.random.Generator, count: int, k_max: int = K_MAX_DEFAULT
-) -> list[Machine]:
-    """Decode ``count`` programs in turn from one fair-coin bit stream.
+) -> list[tuple[int, int]]:
+    """Read ``count`` programs in turn from one fair-coin bit stream, as (k, table_int).
 
     Each program p is drawn with probability 2^-|p|. The stream is the
     Generator's 4096-bit blocks, concatenated; the blocks drawn are exactly
@@ -213,8 +215,7 @@ def sample_programs(
         raise ParameterError(f"need count >= 1, got {count}")
     _check_k_max(k_max)
     reader = _ProgramReader(rng=rng)
-    drawn = [reader.next(k_max) for _ in range(count)]
-    return [Machine(k, _table_from_int(k, t_int)) for k, t_int in drawn]
+    return [reader.next(k_max) for _ in range(count)]
 
 
 def _halt_reachable(table: tuple[Entry, ...]) -> bool:
@@ -293,21 +294,26 @@ def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOut
     return never
 
 
-@lru_cache(maxsize=1 << 18)
-def _cached_outcome(k: int, table: tuple[Entry, ...], w: str, t_max: int) -> MachineOutcome:
-    return run(Machine(k, table), w, t_max)
+def _cached_outcome(memo: dict, k: int, t_int: int, w: str, t_max: int) -> MachineOutcome:
+    """Outcome of program (k, t_int) from ``memo``, which one call owns; run on a miss."""
+    out = memo.get((k, t_int))
+    if out is None:
+        if k < 1 or not 0 <= t_int < 1 << table_bits(k):
+            raise ParameterError(f"malformed program (k={k}, table_int={t_int})")
+        out = memo[k, t_int] = run(Machine(k, _table_from_int(k, t_int)), w, t_max)
+    return out
 
 
 def population_fitness(
-    machines: Sequence[Machine], w: str = "", t_max: int = T_MAX_DEFAULT
+    programs: Sequence[tuple[int, int]], w: str = "", t_max: int = T_MAX_DEFAULT
 ) -> np.ndarray:
-    """Busy-beaver score of each machine on input w under the step budget.
+    """Busy-beaver score of each (k, table_int) program on input w under the step budget.
 
-    Memoized: identical machines recur constantly when sampling.
+    Memoized within the call: identical programs recur constantly when sampling.
     """
-    return np.array(
-        [_cached_outcome(m.k, m.table, w, t_max).score for m in machines], dtype=np.int64
-    )
+    memo: dict = {}
+    scores = [_cached_outcome(memo, k, t_int, w, t_max).score for k, t_int in programs]
+    return np.array(scores, dtype=np.int64)
 
 
 def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
@@ -343,11 +349,17 @@ def _check_enum_guard(max_len: int, force: bool) -> None:
         )
 
 
-def iter_encodings(k_max: int, max_len: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (k, table_int, encoding_length, header_variants) for |p| <= max_len."""
-    for k, length, variants in _state_counts(k_max, max_len):
-        for t_int in range(1 << table_bits(k)):
-            yield k, t_int, length, variants
+def _distinct_tables(k: int) -> Iterator[tuple[tuple[Entry, ...], int]]:
+    """Each distinct k-state table once, with how many table encodings decode to it.
+
+    A next-state field value v means state v mod (k + 1), so an entry weighs
+    as many field values as give its next state.
+    """
+    fields = 1 << k.bit_length()
+    options = [((write, move, HALT if nxt == k else nxt), len(range(nxt, fields, k + 1)))
+               for write, move, nxt in itertools.product((0, 1), (0, 1), range(k + 1))]
+    for choice in itertools.product(options, repeat=2 * k):
+        yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
 
 
 def omega_enumerate(
@@ -361,8 +373,8 @@ def omega_enumerate(
 
     Sums 2^-|p| over every valid encoding whose machine halts within t_max
     on w, accumulated as an integer numerator over 2^max_len (no float
-    error). A lower bound on the full halting probability when max_len cuts
-    the enumeration short.
+    error); a distinct table runs once for all encodings of it. A lower
+    bound on the full halting probability when max_len cuts it short.
     """
     if max_len < 0:
         raise ParameterError(f"need max_len >= 0, got {max_len}")
@@ -370,10 +382,10 @@ def omega_enumerate(
     _check_k_max(k_max)
     _check_input(w, t_max)
     numerator = 0
-    for k, t_int, length, variants in iter_encodings(k_max, max_len):
-        out = _cached_outcome(k, _table_from_int(k, t_int), w, t_max)
-        if out.halted:
-            numerator += variants << (max_len - length)
+    for k, length, variants in _state_counts(k_max, max_len):
+        for table, weight in _distinct_tables(k):
+            if run(Machine(k, table), w, t_max).halted:
+                numerator += variants * weight << (max_len - length)
     value = numerator / (1 << max_len)
     return OmegaEstimate("enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=t_max)
 
@@ -411,10 +423,11 @@ def omega_monte_carlo(
     _check_k_max(k_max)
     _check_input(w, t_max)
     reader = _ProgramReader(rng=rng)
+    memo: dict = {}
     hits = 0
     for _ in range(n_samples):
         k, t_int = reader.next(k_max)
-        hits += _cached_outcome(k, _table_from_int(k, t_int), w, t_max).halted
+        hits += _cached_outcome(memo, k, t_int, w, t_max).halted
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)

@@ -1,4 +1,7 @@
-"""Shared test plumbing: collect acceptance-criterion verdicts for the summary."""
+"""Shared test plumbing: acceptance-criterion verdicts for the summary, and
+every raw program encoding."""
+
+from bbnet.machines import encoding_length, table_bits
 
 _criterion_results: list[tuple[int, str, str]] = []
 
@@ -14,3 +17,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for number, description, status in sorted(_criterion_results):
         terminalreporter.write_line(f"criterion {number}: {status} - {description}")
+
+
+def iter_encodings(k_max, max_len):
+    """Yield (k, table_int, encoding_length, header_variants) of every raw
+    encoding with |p| <= max_len: each table integer of each state count,
+    one by one, with no two decoding to the same table merged."""
+    for k in range(1, k_max + 1):
+        length = encoding_length(k)
+        if length <= max_len:
+            # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
+            for t_int in range(1 << table_bits(k)):
+                yield k, t_int, length, 2 if k == k_max else 1

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import iter_encodings, record_criterion
 
 from bbnet.analysis import detect_stationarity, theoretical_prevalence
 from bbnet.dynamics import EpidemicParams, run_sim, step
@@ -21,7 +21,6 @@ from bbnet.graph import Graph, NetworkParams, approx_diameter, degree_ccdf, fit_
 from bbnet.machines import (
     Machine,
     _table_from_int,
-    iter_encodings,
     kraft_sum,
     omega_enumerate,
     omega_monte_carlo,
@@ -237,7 +236,7 @@ def test_criterion_7_limit_case_protocol_recovery():
         best = int(state.own.max())
         for _ in range(d_est):
             state = step(state, g, params, rng)
-        assert (state.displayed() == best).all(), f"seed {seed}: diffusion incomplete"
+        assert (state.carried == best).all(), f"seed {seed}: diffusion incomplete"
     record_criterion(7, "limit case nu=1, delta=0 recovers full imitation within diameter steps")
 
 

@@ -328,7 +328,7 @@ class TestStepCrossCheck:
         best = int(state.own.max())
         for _ in range(30):
             state = step(state, g, params, master)
-            assert int(state.displayed().max()) <= best
+            assert int(state.carried.max()) <= best
             assert state.infected_count + int((~state.infected).sum()) == 200
 
 
@@ -384,7 +384,7 @@ class TestRunSim:
         best = int(state.own.max())
         for _ in range(d):
             state = step(state, g, params, rng)
-        assert (state.displayed() == best).all()
+        assert (state.carried == best).all()
 
     def test_stationarity_plateau_on_ba(self):
         from bbnet.analysis import detect_stationarity

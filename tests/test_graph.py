@@ -12,7 +12,6 @@ from bbnet.graph import (
     NetworkParams,
     approx_diameter,
     degree_ccdf,
-    expected_edge_count,
     fit_power_law,
     generate_ba,
     read_edge_list,
@@ -26,6 +25,24 @@ def path_graph(n):
 
 def star_graph(n):
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def expected_edge_count(params):
+    """Edge count forced by the construction: m0(m0-1)/2 + m(n-m0)."""
+    return params.m0 * (params.m0 - 1) // 2 + params.m * (params.n - params.m0)
+
+
+def check_invariants(g):
+    """Raises AssertionError if the graph is not simple and symmetric."""
+    seen = set()
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        assert np.all(np.diff(nbrs) > 0), f"unsorted or duplicate neighbors at {u}"
+        assert u not in nbrs, f"self-loop at {u}"
+        for v in nbrs:
+            seen.add((u, int(v)))
+    for u, v in seen:
+        assert (v, u) in seen, f"asymmetric edge ({u},{v})"
 
 
 class TestParams:
@@ -79,7 +96,7 @@ class TestGenerate:
             return
         p = NetworkParams(n=n, m=m, m0=m0, seed=seed)
         g = generate_ba(p)
-        g.check_invariants()
+        check_invariants(g)
         assert g.num_edges == expected_edge_count(p)
         assert int(g.degrees.sum()) == 2 * g.num_edges
         assert int(g.degrees.min()) >= m

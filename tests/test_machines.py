@@ -1,11 +1,13 @@
 """Program encoding, machine execution, and halting-mass estimators."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import iter_encodings
 from bbnet.errors import IncompleteProgramError, ParameterError
 from bbnet.machines import (
     HALT,
@@ -13,7 +15,6 @@ from bbnet.machines import (
     MachineOutcome,
     decode,
     encoding_length,
-    iter_encodings,
     kraft_sum,
     omega_enumerate,
     omega_monte_carlo,
@@ -21,6 +22,7 @@ from bbnet.machines import (
     run,
     sample_programs,
     table_bits,
+    _distinct_tables,
     _halt_reachable,
     _runs_away,
     _table_from_int,
@@ -31,6 +33,15 @@ from bbnet.rng import rng_from_seed
 HALTER_BITS = "0111111"
 # k=1, both entries (write 1, move left, v=0 -> state 0): provably loops
 SPINNER_BITS = "0100100"
+# the same two programs as (k, table_int)
+HALTER = (1, 0b111111)
+SPINNER = (1, 0b100100)
+
+
+def as_machine(program):
+    """The Machine of a (k, table_int) program."""
+    k, t_int = program
+    return Machine(k, _table_from_int(k, t_int))
 
 
 def all_encodings(k_max, max_len):
@@ -140,6 +151,14 @@ class TestArguments:
             Machine(0, ())
 
     @pytest.mark.parametrize(
+        "program", [(0, 0), (2, -1), (2, 1 << 16)], ids=["k-0", "table-negative", "table-too-wide"]
+    )
+    def test_malformed_program_rejected(self, program):
+        # a k=2 table has 16 bits; wider integers must not be masked into range
+        with pytest.raises(ParameterError):
+            population_fitness([HALTER, program], "", 10)
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda rng: sample_programs(rng, 5, k_max=0),
@@ -163,7 +182,7 @@ class TestSampling:
     def test_probability_of_k1_is_half(self):
         rng = rng_from_seed(202)
         progs = sample_programs(rng, 100_000)
-        freq = sum(1 for m in progs if m.k == 1) / len(progs)
+        freq = sum(1 for k, _ in progs if k == 1) / len(progs)
         assert abs(freq - 0.5) < 0.005  # ~3 binomial stderr
 
     def test_stream_is_sequential_decode_of_4096_bit_blocks(self):
@@ -175,8 +194,8 @@ class TestSampling:
         # so a fourth block must not be drawn; 1500 end mid-block.
         for count in (717, 1500):
             rng = rng_from_seed(77)
-            machines = sample_programs(rng, count)
-            used = sum(encoding_length(m.k) for m in machines)
+            programs = sample_programs(rng, count)
+            used = sum(encoding_length(k) for k, _ in programs)
             n_blocks = -(-used // 4096)
 
             oracle = rng_from_seed(77)
@@ -184,7 +203,8 @@ class TestSampling:
                 [oracle.integers(0, 2, size=4096, dtype=np.uint8) for _ in range(n_blocks)]
             )
             stream = iter(bits.tolist())
-            assert [reference_decode(stream, 6) for _ in range(count)] == machines
+            decoded = [reference_decode(stream, 6) for _ in range(count)]
+            assert decoded == [as_machine(p) for p in programs]
             assert len(list(stream)) == n_blocks * 4096 - used
             assert rng.random() == oracle.random()
 
@@ -212,7 +232,7 @@ class TestRun:
     def test_budget_monotonicity(self):
         rng = rng_from_seed(40)
         checked = 0
-        for m in sample_programs(rng, 300):
+        for m in map(as_machine, sample_programs(rng, 300)):
             out = run(m, "", 60)
             if out.halted:
                 assert run(m, "", 600) == out
@@ -221,7 +241,7 @@ class TestRun:
 
     def test_determinism(self):
         rng = rng_from_seed(41)
-        for m in sample_programs(rng, 50):
+        for m in map(as_machine, sample_programs(rng, 50)):
             assert run(m, "", 200) == run(m, "", 200)
 
     def test_rejects_bad_budget_and_input(self):
@@ -250,9 +270,9 @@ class TestDeciders:
     """``run`` against ``reference_run``, which never proves anything."""
 
     def test_every_k_le_2_program(self):
-        tables = {(k, _table_from_int(k, t_int)) for k, t_int, _, _ in iter_encodings(2, 18)}
+        tables = [(k, table) for k in (1, 2) for table, _ in _distinct_tables(k)]
         # distinct entries: 2 writes x 2 moves x (k + 1) next states
-        assert len(tables) == 8**2 + 12**4
+        assert len(set(tables)) == len(tables) == 8**2 + 12**4
         for k, table in tables:
             m = Machine(k, table)
             for w in ("", "101"):
@@ -260,8 +280,7 @@ class TestDeciders:
                     assert run(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
 
     def test_sampled_k_le_6_programs(self):
-        machines = set(sample_programs(rng_from_seed(3), 20_000, k_max=6))
-        for m in machines:
+        for m in map(as_machine, set(sample_programs(rng_from_seed(3), 20_000, k_max=6))):
             for w in ("", "101"):
                 assert run(m, w, 1000) == reference_run(m, w, 1000), (m, w)
 
@@ -315,17 +334,33 @@ class TestFitness:
         assert run(decode(SPINNER_BITS), "", 50).score == 0
 
     def test_population_max_matches_recomputation(self):
-        machines = sample_programs(rng_from_seed(8), 2000)
-        recomputed = max(run(m, "", 300).score for m in machines)
-        assert population_fitness(machines, "", 300).max() == recomputed
+        programs = sample_programs(rng_from_seed(8), 2000)
+        recomputed = max(run(as_machine(p), "", 300).score for p in programs)
+        assert population_fitness(programs, "", 300).max() == recomputed
 
     def test_own_fitness_from_programs(self):
         # the memoized population path against the plain interpreter, element-wise
-        machines = [decode(HALTER_BITS), decode(SPINNER_BITS)] + sample_programs(rng_from_seed(3), 300)
+        assert [as_machine(HALTER), as_machine(SPINNER)] == [decode(HALTER_BITS), decode(SPINNER_BITS)]
+        programs = [HALTER, SPINNER] + sample_programs(rng_from_seed(3), 300)
         for w in ("", "101"):
-            own = population_fitness(machines, w, 100)
+            own = population_fitness(programs, w, 100)
             assert own.dtype == np.int64
-            assert own.tolist() == [run(m, w, 100).score for m in machines]
+            assert own.tolist() == [run(as_machine(p), w, 100).score for p in programs]
+
+    def test_memo_is_per_call(self):
+        # k=2 entries are write, move and a 2-bit next-state field v; v = 0
+        # and v = 3 both mean state 0. Only the first entry differs here.
+        # On "101" the machine halts at step 2 with score 3; on "" it runs
+        # away to the right.
+        table_int = 0b1100_1101_1010_1100
+        twin = table_int | 0b0011 << 12
+        assert _table_from_int(2, table_int) == _table_from_int(2, twin)
+        programs = [(2, table_int), (2, twin)] + sample_programs(rng_from_seed(9), 300, k_max=2)
+        programs += programs[:50]
+        for w, t_max in (("", 5), ("101", 100), ("", 100)):
+            own = population_fitness(programs, w, t_max)
+            assert own.tolist() == [run(as_machine(p), w, t_max).score for p in programs], (w, t_max)
+        assert population_fitness(programs[:2], "101", 100).tolist() == [3, 3]
 
     def test_busy_beaver_two_states(self):
         best = 0
@@ -377,6 +412,30 @@ class TestOmega:
         assert enum.value == 0.5
         mc = omega_monte_carlo(20_000, "", 50, rng_from_seed(21), k_max=1)
         assert abs(mc.value - 0.5) <= 3 * mc.stderr
+
+    def test_distinct_tables_match_every_encoding(self):
+        # the weights count every table encoding of each k exactly once
+        for k in (1, 2):
+            decoded = Counter(_table_from_int(k, t_int) for t_int in range(1 << table_bits(k)))
+            weights = dict(_distinct_tables(k))
+            assert weights == decoded
+            assert sum(weights.values()) == 2 ** table_bits(k)
+        # the weighted numerator against one run per raw encoding
+        for w in ("", "101"):
+            for t_max in (37, 1000):
+                halted = {
+                    (k, t_int): run(as_machine((k, t_int)), w, t_max).halted
+                    for k, t_int, _, _ in iter_encodings(2, 18)
+                }
+                for max_len in (7, 18):
+                    for k_max in (1, 2, 6):
+                        expected = sum(
+                            variants << (max_len - length)
+                            for k, t_int, length, variants in iter_encodings(k_max, max_len)
+                            if halted[k, t_int]
+                        )
+                        est = omega_enumerate(max_len, w, t_max, k_max)
+                        assert est.numerator == expected, (max_len, k_max, w, t_max)
 
     def test_estimate_record_shape(self):
         rec = omega_enumerate(7, "", 10).to_record()
