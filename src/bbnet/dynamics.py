@@ -21,11 +21,12 @@ stream layout independent of the state, so a run is a pure function of
 (seed, inputs). A susceptible node carries its own value, so ``carried``
 is what every node displays.
 
-A step reads only the adjacency rows it needs. Infected-neighbour counts are
-pushed from the infected rows with one ``bincount``. The neighbourhood
-maximum is taken only over the rows of nodes that imitate this step: the
-newly infected and, with ``reimitation``, the re-imitating. Rows may be
-empty anywhere; ``_step_reference`` is the per-node oracle.
+A step reads only the adjacency rows it needs, each fetched with
+``Graph.gather``. Infected-neighbour counts are pushed from the infected
+rows with one ``bincount``. The neighbourhood maximum is taken only over the
+rows of nodes that imitate this step: the newly infected and, with
+``reimitation``, the re-imitating. Rows may be empty anywhere;
+``_step_reference`` is the per-node oracle.
 """
 
 from __future__ import annotations
@@ -149,35 +150,20 @@ def init_state(
     )
 
 
-def _row_slots(g: Graph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Half-edge slots of ``rows``, row after row, and where each row starts.
-
-    ``g.indices[slots]`` lists the neighbours of ``rows[0]``, then of
-    ``rows[1]``, and so on; row k starts at ``slots[offsets[k]]``. An empty
-    row adds no slot.
-    """
-    starts = g.indptr[rows]
-    lengths = g.indptr[rows + 1] - starts
-    offsets = np.cumsum(lengths) - lengths
-    slots = np.repeat(starts - offsets, lengths)
-    slots += np.arange(len(slots))
-    return slots, offsets
-
-
 def _neighbor_count(g: Graph, rows: np.ndarray) -> np.ndarray:
     """For every node, how many of its neighbours are in ``rows``."""
-    slots, _ = _row_slots(g, rows)
-    return np.bincount(g.indices[slots], minlength=g.n)
+    nbrs, _ = g.gather(rows)
+    return np.bincount(nbrs, minlength=g.n)
 
 
 def _neighbor_max(g: Graph, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Largest ``values[j]`` over the neighbours j of each of ``rows``.
 
     Every row must be non-empty: ``reduceat`` reads an empty row as the
-    first slot of the next one.
+    first neighbour of the next one.
     """
-    slots, offsets = _row_slots(g, rows)
-    return np.maximum.reduceat(values[g.indices[slots]], offsets)
+    nbrs, offsets = g.gather(rows)
+    return np.maximum.reduceat(values[nbrs], offsets)
 
 
 def _apply_rules(

@@ -52,6 +52,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Full description of one sweep; every field is echoed into summary.json."""
@@ -88,9 +92,15 @@ class ExperimentConfig:
         for name in ("n_values", "m_values"):
             if not all(_is_int(v) for v in getattr(self, name)):
                 raise ConfigError(f"{name} entries must be integers, got {getattr(self, name)}")
+        for name in ("nu_values", "delta_values"):
+            if not all(_is_real(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be numbers, got {getattr(self, name)}")
         for name in _INT_FIELDS:
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("rho0", "c_exponent", "stat_tol"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if any(n < 2 for n in self.n_values):
             raise ConfigError("every N must be >= 2")
         if any(m < 1 for m in self.m_values):
@@ -112,7 +122,7 @@ class ExperimentConfig:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if any(ch not in "01" for ch in self.w):
+        if not isinstance(self.w, str) or any(ch not in "01" for ch in self.w):
             raise ConfigError(f"w must be a bit string, got {self.w!r}")
         if self.t_max_steps < 1:
             raise ConfigError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
@@ -293,13 +303,6 @@ def run_cell_seed(
     )
 
 
-def _run_task(args: tuple[dict, int, int, OmegaEstimate, str | None]) -> RunRecord:
-    config_dict, cell_index, seed_index, omega, graph_dir = args
-    return run_cell_seed(
-        ExperimentConfig.from_dict(config_dict), cell_index, seed_index, omega, graph_dir
-    )
-
-
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
@@ -307,18 +310,14 @@ def run_experiment(
 ) -> tuple[list[RunRecord], dict]:
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
     omega = estimate_omega(config)
-    tasks = [
-        (ci, si)
-        for ci in range(len(config.cells()))
-        for si in range(config.n_seeds)
-    ]
+    cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
+    args = (itertools.repeat(config), cells, seeds,
+            itertools.repeat(omega), itertools.repeat(graph_dir))
     if workers > 1:
-        gd = None if graph_dir is None else str(graph_dir)
-        payload = [(config.to_dict(), ci, si, omega, gd) for ci, si in tasks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_task, payload))
+            records = list(pool.map(run_cell_seed, *args))
     else:
-        records = [run_cell_seed(config, ci, si, omega, graph_dir) for ci, si in tasks]
+        records = list(map(run_cell_seed, *args))
     records.sort(key=lambda r: (r.cell_index, r.seed_index))
     return records, summarize(records, config)
 

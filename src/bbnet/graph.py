@@ -4,12 +4,12 @@ Graphs are grown by preferential attachment: a complete seed clique on m0
 nodes, then each new node attaches to m distinct existing nodes chosen with
 probability proportional to current degree. The grown graph is immutable and
 stored in CSR form (indptr/indices) so simulation code can share it read-only
-across runs.
+across runs. Only this module reads the CSR arrays; the dynamics step and the
+diameter's frontier BFS walk rows through one primitive, ``Graph.gather``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -62,20 +62,23 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; rejects self-loops and duplicates."""
-        pairs = set()
-        us, vs = [], []
-        for u, v in edges:
-            if u == v:
-                raise ParameterError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u},{v}) outside 0..{n - 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in pairs:
-                raise ParameterError(f"duplicate edge {key}")
-            pairs.add(key)
-            us.append(u)
-            vs.append(v)
-        return cls._from_half_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        e = e.reshape(0, 2) if e.shape == (0,) else e
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ParameterError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        u, v = e.T
+        if (u == v).any():
+            raise ParameterError(f"self-loop at node {u[u == v][0]}")
+        outside = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
+        if len(outside):
+            raise ParameterError(f"edge ({u[outside[0]]},{v[outside[0]]}) outside 0..{n - 1}")
+        g = cls._from_half_edges(n, u, v)
+        # A duplicate edge is the same neighbour twice in one sorted row.
+        rows = g._row_ids()
+        dup = np.flatnonzero((np.diff(g.indices) == 0) & (np.diff(rows) == 0))
+        if len(dup):
+            raise ParameterError(f"duplicate edge ({rows[dup[0]]}, {g.indices[dup[0]]})")
+        return g
 
     @classmethod
     def _from_half_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
@@ -99,14 +102,29 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbours of ``rows``, row after row, and where each row starts.
+
+        ``nbrs`` lists the neighbours of ``rows[0]``, then of ``rows[1]``,
+        and so on; the neighbours of ``rows[k]`` start at ``nbrs[offsets[k]]``.
+        An empty row adds nothing.
+        """
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        offsets = np.cumsum(lengths) - lengths
+        slots = np.repeat(starts - offsets, lengths)
+        slots += np.arange(len(slots))
+        return self.indices[slots], offsets
+
+    def _row_ids(self) -> np.ndarray:
+        """The row of every half-edge slot of ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+
     def edges(self) -> list[tuple[int, int]]:
-        """Edges as (u, v) with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+        """Edges as (u, v) with u < v, in lexicographic order (the CSR rows' order)."""
+        rows = self._row_ids()
+        upper = rows < self.indices
+        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
 @dataclass(frozen=True)
@@ -200,17 +218,16 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
 
 
 def _bfs_distances(g: Graph, src: int) -> np.ndarray:
+    """Hops from ``src`` to every node (-1 if unreachable), one frontier per level."""
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[src] = 0
-    q = deque([src])
-    indptr, indices = g.indptr, g.indices
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                q.append(int(v))
+    frontier = np.array([src], dtype=np.int64)
+    depth = 0
+    while len(frontier):
+        depth += 1
+        nbrs, _ = g.gather(frontier)
+        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        dist[frontier] = depth
     return dist
 
 
@@ -236,22 +253,21 @@ def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
 
     Rows have u < v and are sorted lexicographically.
     """
-    out.write(f"{g.n} {m} {seed}\n")
-    for u, v in g.edges():
-        out.write(f"{u} {v}\n")
+    rows = "".join(f"{u} {v}\n" for u, v in g.edges())
+    out.write(f"{g.n} {m} {seed}\n{rows}")
 
 
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
-    """Parse the edge-list format written by write_edge_list."""
+    """Parse the edge-list format written by write_edge_list; blank lines are skipped."""
     header = inp.readline().split()
     if len(header) != 3:
         raise ParameterError("edge-list header must be 'N m seed'")
     n, m, seed = int(header[0]), int(header[1]), int(header[2])
-    edges = []
-    for line in inp:
-        line = line.strip()
-        if not line:
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+    body = inp.read()
+    try:
+        # An all-blank body would make loadtxt warn, so it is read as no edges.
+        edges = (np.loadtxt(body.splitlines(), dtype=np.int64, comments=None, ndmin=2)
+                 if body.strip() else [])
+    except ValueError as exc:
+        raise ParameterError(f"malformed edge-list row: {exc}") from None
     return Graph.from_edges(n, edges), NetworkParams(n=n, m=m, seed=seed)

@@ -63,8 +63,8 @@ HALT = -1
 K_MAX_DEFAULT = 6
 T_MAX_DEFAULT = 10_000
 
-# Enumeration above this encoding length is refused unless forced (the next
-# state count would add tens of millions of tables).
+# Enumeration above this encoding length is refused (the next state count
+# would add tens of millions of tables).
 ENUM_LENGTH_GUARD = 26
 
 Entry = tuple[int, int, int]  # (write bit, move bit, next state or HALT)
@@ -341,11 +341,10 @@ def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
             yield k, length, 2 if k == k_max else 1
 
 
-def _check_enum_guard(max_len: int, force: bool) -> None:
-    if max_len > ENUM_LENGTH_GUARD and not force:
+def _check_enum_guard(max_len: int) -> None:
+    if max_len > ENUM_LENGTH_GUARD:
         raise ParameterError(
-            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused by default "
-            f"(got max_len={max_len}); pass force=True to override"
+            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused (got max_len={max_len})"
         )
 
 
@@ -367,7 +366,6 @@ def omega_enumerate(
     w: str = "",
     t_max: int = T_MAX_DEFAULT,
     k_max: int = K_MAX_DEFAULT,
-    force: bool = False,
 ) -> OmegaEstimate:
     """Exact halting mass of all programs with |p| <= max_len.
 
@@ -378,7 +376,7 @@ def omega_enumerate(
     """
     if max_len < 0:
         raise ParameterError(f"need max_len >= 0, got {max_len}")
-    _check_enum_guard(max_len, force)
+    _check_enum_guard(max_len)
     _check_k_max(k_max)
     _check_input(w, t_max)
     numerator = 0
@@ -390,7 +388,7 @@ def omega_enumerate(
     return OmegaEstimate("enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=t_max)
 
 
-def kraft_sum(k_max: int, max_len: int | None = None, force: bool = False) -> Fraction:
+def kraft_sum(k_max: int, max_len: int | None = None) -> Fraction:
     """Sum of 2^-|p| over all enumerable encodings, as an exact fraction.
 
     With max_len covering every state count up to k_max this is exactly 1.
@@ -398,7 +396,7 @@ def kraft_sum(k_max: int, max_len: int | None = None, force: bool = False) -> Fr
     _check_k_max(k_max)
     if max_len is None:
         max_len = encoding_length(k_max)
-    _check_enum_guard(max_len, force)
+    _check_enum_guard(max_len)
     total = Fraction(0)
     for k, length, variants in _state_counts(k_max, max_len):
         total += Fraction(variants << table_bits(k), 1 << length)

@@ -157,8 +157,11 @@ class TestSweepReport:
     @pytest.mark.parametrize(
         "overrides",
         [dict(n_values=[1e2]), dict(m_values=[True]), dict(m_values=[40]), dict(t0=7),
-         dict(omega_max_len=27)],
-        ids=["float-N", "bool-m", "m-ge-N", "t0-ge-c", "enum-guard"],
+         dict(omega_max_len=27), dict(w=["01"]), dict(w=["0", "1"]), dict(rho0=True),
+         dict(c_exponent=True), dict(stat_tol=True), dict(nu_values=[True]),
+         dict(delta_values=[True])],
+        ids=["float-N", "bool-m", "m-ge-N", "t0-ge-c", "enum-guard", "w-list", "w-list-of-bits",
+             "bool-rho0", "bool-c_exponent", "bool-stat_tol", "bool-nu", "bool-delta"],
     )
     def test_bad_config_exit_2_before_omega(self, tmp_path, monkeypatch, capsys, overrides):
         def no_omega(config):

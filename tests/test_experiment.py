@@ -86,8 +86,32 @@ class TestConfig:
             dict(m_values=[50]),  # m >= N: the seed clique needs m + 1 nodes
             dict(t0=8),  # c(50) = 8
             dict(omega_max_len=27),  # above the enumeration guard
+            dict(w=["01"]),
+            dict(w=["0", "1"]),
+            dict(rho0=True),
+            dict(c_exponent=True),
+            dict(stat_tol=True),
+            dict(nu_values=[True]),
+            dict(delta_values=[0.5, True]),
+            dict(n_values=[1]),
+            dict(m_values=[0]),
+            dict(nu_values=[1.5]),
+            dict(delta_values=[-0.1]),
+            dict(rho0=1.5),
+            dict(c_exponent=0.0),
+            dict(k_max=0),
+            dict(t_max=0),
+            dict(t_max_steps=0),
+            dict(stat_window=1),
+            dict(stat_tol=0.0),
+            dict(n_seeds=0),
+            dict(omega_samples=0),
         ],
-        ids=["float-N", "bool-m", "float-field", "bool-field", "m-ge-N", "t0-ge-c", "enum-guard"],
+        ids=["float-N", "bool-m", "float-field", "bool-field", "m-ge-N", "t0-ge-c", "enum-guard",
+             "w-list", "w-list-of-bits", "bool-rho0", "bool-c_exponent", "bool-stat_tol",
+             "bool-nu", "bool-delta", "N-lt-2", "m-lt-1", "nu-gt-1", "delta-lt-0", "rho0-gt-1",
+             "c_exponent-0", "k_max-0", "t_max-0", "t_max_steps-0", "stat_window-1",
+             "stat_tol-0", "n_seeds-0", "omega_samples-0"],
     )
     def test_rejected_before_any_run(self, overrides):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 """Graph construction, degree statistics, and edge-list round trips."""
 
 import io
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from bbnet.errors import DisconnectedGraphError, FitError, ParameterError
 from bbnet.graph import (
     Graph,
     NetworkParams,
+    _bfs_distances,
     approx_diameter,
     degree_ccdf,
     fit_power_law,
@@ -43,6 +46,70 @@ def check_invariants(g):
             seen.add((u, int(v)))
     for u, v in seen:
         assert (v, u) in seen, f"asymmetric edge ({u},{v})"
+
+
+def bfs_oracle(g, src):
+    """Per-node queue BFS over the neighbour lists."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[src] = 0
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        for v in g.neighbors(u):
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                q.append(int(v))
+    return dist
+
+
+def diameter_oracle(g):
+    """approx_diameter's double sweep on bfs_oracle; None when disconnected."""
+    d0 = bfs_oracle(g, 0)
+    if (d0 < 0).any():
+        return None
+    d1 = bfs_oracle(g, int(np.argmax(d0)))
+    d2 = bfs_oracle(g, int(np.argmax(d1)))
+    return int(max(d1.max(), d2.max()))
+
+
+def edges_oracle(g):
+    """Per-row walk keeping u < v."""
+    return [(u, int(v)) for u in range(g.n) for v in g.neighbors(u) if u < v]
+
+
+def from_edges_oracle(n, edges):
+    """Per-edge checks with a set of seen pairs; None when the list is rejected."""
+    seen = set()
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        if u == v or not (0 <= u < n and 0 <= v < n) or key in seen:
+            return None
+        seen.add(key)
+    return sorted(seen)
+
+
+def random_edge_list(rng, n, p):
+    """Each pair joined with probability p, in shuffled order and orientation:
+    sparse p leaves isolated nodes and several components."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    rng.shuffle(pairs)
+    return [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+
+
+def oracle_graphs():
+    """Seeded BA graphs over several (n, m, m0), then random graphs with
+    isolated nodes and several components."""
+    for n, m, m0 in [(2, 1, 2), (3, 2, 3), (12, 1, 2), (60, 2, 3), (80, 3, 6), (150, 2, 2),
+                     (3000, 2, 3), (4000, 3, 4)]:
+        for seed in (0, 1):
+            yield f"ba-{n}-{m}-{m0}-{seed}", generate_ba(NetworkParams(n=n, m=m, m0=m0, seed=seed))
+    rng = np.random.default_rng(2024)
+    for n, p in [(1, 0.0), (5, 0.0), (30, 0.04), (60, 0.03), (120, 0.02), (200, 0.05)]:
+        for rep in range(3):
+            yield f"random-{n}-{p}-{rep}", Graph.from_edges(n, random_edge_list(rng, n, p))
+
+
+ORACLE_GRAPHS = list(oracle_graphs())
 
 
 class TestParams:
@@ -210,3 +277,95 @@ class TestEdgeList:
             Graph.from_edges(3, [(0, 0)])
         with pytest.raises(ParameterError):
             Graph.from_edges(3, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0 1\n2\n",
+            "0 1\n1 2 3\n",
+            "0 1 2\n1 2 3\n",
+            "0 1\n1 2.0\n",
+            "0 one\n",
+            "0 1\n# a comment\n",
+            "0 1\n-1 2\n",
+            "0 1\n2 4\n",
+            "0 1\n2 2\n",
+            "0 1\n1 2\n1 0\n",
+        ],
+        ids=["one-token", "three-tokens-one-row", "three-tokens-every-row", "float", "word",
+             "comment", "negative-id", "id-ge-n", "self-loop", "reversed-duplicate"],
+    )
+    def test_malformed_body_rejected(self, body):
+        with pytest.raises(ParameterError):
+            read_edge_list(io.StringIO("4 1 0\n" + body))
+
+    @pytest.mark.parametrize(
+        "body,edges",
+        [
+            ("\n0 1\n\n\n1 2\n\n", [(0, 1), (1, 2)]),
+            ("0\t1\n  1    2  \n2 \t 3\n", [(0, 1), (1, 2), (2, 3)]),
+            ("", []),
+            ("\n  \n", []),
+        ],
+        ids=["blank-lines", "tabs-and-spaces", "header-only", "blank-body"],
+    )
+    def test_whitespace_variants_read(self, body, edges):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, params = read_edge_list(io.StringIO("4 1 0\n" + body))
+        assert (g.n, params.m, params.seed) == (4, 1, 0)
+        assert g.edges() == edges
+
+
+class TestArrayPathsMatchLoops:
+    """The CSR array paths against the per-node and per-edge loops they replaced."""
+
+    @pytest.mark.parametrize("name,g", ORACLE_GRAPHS, ids=[name for name, _ in ORACLE_GRAPHS])
+    def test_bfs_edges_and_diameter(self, name, g):
+        sources = range(g.n) if g.n <= 300 else np.random.default_rng(g.n).choice(g.n, 12)
+        for src in sources:
+            assert np.array_equal(_bfs_distances(g, int(src)), bfs_oracle(g, int(src)))
+        assert g.edges() == edges_oracle(g)
+        expected = diameter_oracle(g)
+        if expected is None:
+            with pytest.raises(DisconnectedGraphError):
+                approx_diameter(g)
+        else:
+            assert approx_diameter(g) == expected
+
+    def test_gather_lists_rows_in_order(self):
+        g = Graph.from_edges(7, [(0, 3), (3, 4), (4, 1), (0, 1), (1, 3)])  # 2, 5, 6 isolated
+        rows = np.array([2, 1, 5, 3, 6, 0, 1])
+        nbrs, offsets = g.gather(rows)
+        assert nbrs.tolist() == [x for r in rows for x in g.neighbors(r).tolist()]
+        assert offsets.tolist() == [0, 0, 3, 3, 6, 6, 8]
+        nbrs, offsets = g.gather(np.array([], dtype=np.int64))
+        assert len(nbrs) == len(offsets) == 0
+
+    def test_from_edges_verdict(self):
+        rng = np.random.default_rng(7)
+        flaws = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 25))
+            edges = random_edge_list(rng, n, 0.2)
+            flaw = trial % 5
+            if flaw == 1:
+                node = int(rng.integers(0, n))
+                edges.insert(int(rng.integers(0, len(edges) + 1)), (node, node))
+            elif flaw == 2 and edges:
+                u, v = edges[int(rng.integers(0, len(edges)))]
+                edges.append((v, u) if rng.random() < 0.5 else (u, v))
+            elif flaw == 3:
+                edges.append((int(rng.integers(0, n)), n + int(rng.integers(0, 3))))
+            elif flaw == 4:
+                edges.insert(0, (-1 - int(rng.integers(0, 3)), int(rng.integers(0, n))))
+            expected = from_edges_oracle(n, edges)
+            flaws += expected is None
+            if expected is None:
+                with pytest.raises(ParameterError):
+                    Graph.from_edges(n, edges)
+            else:
+                g = Graph.from_edges(n, edges)
+                assert g.edges() == expected
+                check_invariants(g)
+        assert 150 <= flaws <= 240  # both verdicts are well exercised
