@@ -107,22 +107,6 @@ class Trajectory:
                 f"{self.best_carrier_density[t]:.9f},{int(self.max_displayed[t])}\n"
             )
 
-    @classmethod
-    def from_csv(cls, inp: TextIO) -> "Trajectory":
-        header = inp.readline().strip()
-        if header != "t,infected_density,best_carrier_density,max_displayed":
-            raise ParameterError(f"unexpected trajectory header: {header!r}")
-        inf, best, mx = [], [], []
-        for line in inp:
-            line = line.strip()
-            if not line:
-                continue
-            _, a, b, c = line.split(",")
-            inf.append(float(a))
-            best.append(float(b))
-            mx.append(int(c))
-        return cls(np.array(inf), np.array(best), np.array(mx, dtype=np.int64))
-
 
 def init_state(
     g: Graph, own: np.ndarray, params: EpidemicParams, rng: np.random.Generator

@@ -101,6 +101,9 @@ class ExperimentConfig:
         for name in ("rho0", "c_exponent", "stat_tol"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("reimitation", "imitate_infected_only"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if any(n < 2 for n in self.n_values):
             raise ConfigError("every N must be >= 2")
         if any(m < 1 for m in self.m_values):

@@ -43,6 +43,10 @@ class NetworkParams:
             raise ParameterError(
                 f"need m <= m0 <= n, got m={self.m}, m0={self.m0}, n={self.n}"
             )
+        if self.m0 < 2:
+            raise ParameterError(
+                f"need m0 >= 2 (a one-node seed has no degree to attach to), got m0={self.m0}"
+            )
 
 
 class Graph:
@@ -146,42 +150,99 @@ class DegreeFit:
             raise FitError(f"fitted exponent must exceed 1, got {self.gamma_hat}")
 
 
+# Nodes in the first segment of BA growth, and the fewest after a duplicate pick.
+_SEGMENT = 64
+
+
+def _pool_nodes(q: np.ndarray, picks: np.ndarray, m0: int, start: int,
+                raw: np.ndarray) -> np.ndarray:
+    """Node ids at the BA pool positions ``q``.
+
+    The pool is the edge-list multiset of Batagelj & Brandes ("Efficient
+    generation of large random networks", PRE 71, 2005): m0 - 1 entries for
+    each seed node, then a block of 2m entries for each new node j, which are
+    j's m picks in the order it accepted them and then j itself m times. A pick
+    of a node before ``start`` is read from ``picks`` (row j - m0). A pick of a
+    node j >= ``start`` is still the pool position it drew,
+    ``raw[(j - start) * m + o]``, and is resolved in turn; each such hop lands
+    on an earlier position, so every chain ends.
+    """
+    m = picks.shape[1]
+    base = m0 * (m0 - 1)
+    q = q.copy()
+    node = np.empty_like(q)
+    todo = np.arange(len(q))
+    while len(todo):
+        p = q[todo]
+        j, o = np.divmod(p - base, 2 * m)
+        j += m0
+        in_seed = p < base
+        is_self = ~in_seed & (o >= m)
+        node[todo[in_seed]] = p[in_seed] // (m0 - 1)
+        node[todo[is_self]] = j[is_self]
+        pick = ~(in_seed | is_self)
+        done = pick & (j < start)
+        node[todo[done]] = picks[j[done] - m0, o[done]]
+        chain = pick & (j >= start)
+        q[todo[chain]] = raw[(j[chain] - start) * m + o[chain]]
+        todo = todo[chain]
+    return node
+
+
 def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -> Graph:
     """Grow a Barabasi-Albert graph.
 
-    Starts from a complete graph on m0 nodes; each subsequent node picks m
-    distinct targets by sampling uniformly from a flat multiset in which
+    Starts from a complete graph on m0 >= 2 nodes; each subsequent node picks
+    m distinct targets by sampling uniformly from a flat multiset in which
     every node id is repeated once per unit of degree (duplicates within one
     node's picks are rejected and redrawn). Deterministic given the seed.
+
+    Node i draws from a pool of m0(m0-1) + 2m(i-m0) entries whatever it picks,
+    so the first m draws of a whole segment of nodes are taken in one
+    ``rng.integers`` call over those bounds and resolved to node ids by index
+    arithmetic (``_pool_nodes``). At the first node of a segment whose picks
+    repeat a node, the Generator is rewound to the segment's start, the draws
+    up to and including that node's first m are taken again, and the node
+    finishes with one draw at a time. The graph and the Generator's final
+    state are the same as drawing one pick at a time.
     """
     if rng is None:
         rng = rng_from_seed(params.seed)
     n, m, m0 = params.n, params.m, params.m0
-
-    us: list[int] = []
-    vs: list[int] = []
-    for i in range(m0):
-        for j in range(i + 1, m0):
-            us.append(i)
-            vs.append(j)
-    # One entry per unit of degree keeps picks exactly degree-proportional.
-    pool: list[int] = [i for i in range(m0) for _ in range(m0 - 1)]
-
-    for new in range(m0, n):
-        chosen: list[int] = []
-        taken: set[int] = set()
+    base = m0 * (m0 - 1)
+    picks = np.empty((n - m0, m), dtype=np.int64)
+    start, length = m0, _SEGMENT
+    while start < n:
+        stop = min(start + length, n)
+        saved = rng.bit_generator.state
+        bounds = np.repeat(base + 2 * m * np.arange(start - m0, stop - m0, dtype=np.int64), m)
+        raw = rng.integers(0, bounds)
+        seg = _pool_nodes(raw, picks, m0, start, raw).reshape(-1, m)
+        ordered = np.sort(seg, axis=1)
+        dup = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if not len(dup):
+            picks[start - m0:stop - m0] = seg
+            start, length = stop, 2 * length
+            continue
+        d = start + int(dup[0])
+        picks[start - m0:d - m0] = seg[:d - start]
+        rng.bit_generator.state = saved
+        rng.integers(0, bounds[:(d - start + 1) * m])
+        chosen = list(dict.fromkeys(seg[d - start].tolist()))
         while len(chosen) < m:
-            t = pool[int(rng.integers(0, len(pool)))]
-            if t not in taken:
-                taken.add(t)
+            q = rng.integers(0, bounds[(d - start) * m], size=1)
+            t = int(_pool_nodes(q, picks, m0, d, raw)[0])
+            if t not in chosen:
                 chosen.append(t)
-        for t in chosen:
-            us.append(t)
-            vs.append(new)
-        pool.extend(chosen)
-        pool.extend([new] * m)
+        picks[d - m0] = chosen
+        start, length = d + 1, max(_SEGMENT, length // 2)
 
-    return Graph._from_half_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+    u, v = np.triu_indices(m0, 1)
+    return Graph._from_half_edges(
+        n,
+        np.concatenate([u, picks.ravel()]),
+        np.concatenate([v, np.repeat(np.arange(m0, n, dtype=np.int64), m)]),
+    )
 
 
 def degree_ccdf(g: Graph) -> list[tuple[int, float]]:

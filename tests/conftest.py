@@ -1,6 +1,10 @@
-"""Shared test plumbing: acceptance-criterion verdicts for the summary, and
-every raw program encoding."""
+"""Shared test plumbing: acceptance-criterion verdicts for the summary, every
+raw program encoding, and a reader for trajectory CSVs."""
 
+import numpy as np
+
+from bbnet.dynamics import Trajectory
+from bbnet.errors import ParameterError
 from bbnet.machines import encoding_length, table_bits
 
 _criterion_results: list[tuple[int, str, str]] = []
@@ -29,3 +33,20 @@ def iter_encodings(k_max, max_len):
             # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
             for t_int in range(1 << table_bits(k)):
                 yield k, t_int, length, 2 if k == k_max else 1
+
+
+def trajectory_from_csv(inp):
+    """Parse the CSV that ``Trajectory.to_csv`` writes; blank lines are skipped."""
+    header = inp.readline().strip()
+    if header != "t,infected_density,best_carrier_density,max_displayed":
+        raise ParameterError(f"unexpected trajectory header: {header!r}")
+    inf, best, mx = [], [], []
+    for line in inp:
+        line = line.strip()
+        if not line:
+            continue
+        _, a, b, c = line.split(",")
+        inf.append(float(a))
+        best.append(float(b))
+        mx.append(int(c))
+    return Trajectory(np.array(inf), np.array(best), np.array(mx, dtype=np.int64))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import trajectory_from_csv
 
 from bbnet.analysis import (
     c_of_N,
@@ -128,12 +129,10 @@ class TestTauE:
     def test_serialization_invariance(self):
         import io
 
-        from bbnet.dynamics import Trajectory as T
-
         traj = make_traj(np.linspace(0.123456789, 0.2, 50))
         buf = io.StringIO()
         traj.to_csv(buf)
-        back = T.from_csv(io.StringIO(buf.getvalue()))
+        back = trajectory_from_csv(io.StringIO(buf.getvalue()))
         assert measure_tau_E(back, 1, 40) == pytest.approx(
             measure_tau_E(traj, 1, 40), abs=1e-9
         )

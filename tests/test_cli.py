@@ -53,6 +53,10 @@ class TestGenGraph:
         assert main(["gen-graph", "--n", "1", "--m", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_one_node_seed_exit_2(self, capsys):
+        assert main(["gen-graph", "--n", "10", "--m", "1", "--m0", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestOmega:
     def test_enumerate_matches_module(self, capsys):

@@ -4,11 +4,11 @@ import io
 
 import numpy as np
 import pytest
+from conftest import trajectory_from_csv
 
 from bbnet.dynamics import (
     EpidemicParams,
     SimState,
-    Trajectory,
     _apply_rules,
     _step_reference,
     init_state,
@@ -406,6 +406,6 @@ class TestTrajectoryCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,infected_density,best_carrier_density,max_displayed"
         assert lines[2].startswith("1,0.000000000,")
-        back = Trajectory.from_csv(io.StringIO(buf.getvalue()))
+        back = trajectory_from_csv(io.StringIO(buf.getvalue()))
         assert np.allclose(back.infected_density, traj.infected_density, atol=1e-9)
         assert np.array_equal(back.max_displayed, traj.max_displayed)

@@ -106,12 +106,15 @@ class TestConfig:
             dict(stat_tol=0.0),
             dict(n_seeds=0),
             dict(omega_samples=0),
+            dict(reimitation=1),
+            dict(imitate_infected_only="yes"),
         ],
         ids=["float-N", "bool-m", "float-field", "bool-field", "m-ge-N", "t0-ge-c", "enum-guard",
              "w-list", "w-list-of-bits", "bool-rho0", "bool-c_exponent", "bool-stat_tol",
              "bool-nu", "bool-delta", "N-lt-2", "m-lt-1", "nu-gt-1", "delta-lt-0", "rho0-gt-1",
              "c_exponent-0", "k_max-0", "t_max-0", "t_max_steps-0", "stat_window-1",
-             "stat_tol-0", "n_seeds-0", "omega_samples-0"],
+             "stat_tol-0", "n_seeds-0", "omega_samples-0", "int-reimitation",
+             "str-imitate_infected_only"],
     )
     def test_rejected_before_any_run(self, overrides):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bbnet.graph
 from bbnet.errors import DisconnectedGraphError, FitError, ParameterError
 from bbnet.graph import (
     Graph,
@@ -20,6 +21,7 @@ from bbnet.graph import (
     read_edge_list,
     write_edge_list,
 )
+from bbnet.rng import rng_from_seed
 
 
 def path_graph(n):
@@ -46,6 +48,40 @@ def check_invariants(g):
             seen.add((u, int(v)))
     for u, v in seen:
         assert (v, u) in seen, f"asymmetric edge ({u},{v})"
+
+
+def _generate_ba_reference(params, rng):
+    """BA growth one pick at a time: a Python list pool with one entry per unit
+    of degree, one ``rng.integers(0, len(pool))`` call per draw."""
+    n, m, m0 = params.n, params.m, params.m0
+    us, vs = [], []
+    for i in range(m0):
+        for j in range(i + 1, m0):
+            us.append(i)
+            vs.append(j)
+    pool = [i for i in range(m0) for _ in range(m0 - 1)]
+    for new in range(m0, n):
+        chosen, taken = [], set()
+        while len(chosen) < m:
+            t = pool[int(rng.integers(0, len(pool)))]
+            if t not in taken:
+                taken.add(t)
+                chosen.append(t)
+        for t in chosen:
+            us.append(t)
+            vs.append(new)
+        pool.extend(chosen)
+        pool.extend([new] * m)
+    return Graph._from_half_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+
+
+def assert_ba_matches_reference(params):
+    """Same CSR arrays and the same final Generator state as the per-pick loop."""
+    rng, ref_rng = rng_from_seed(params.seed), rng_from_seed(params.seed)
+    g, ref = generate_ba(params, rng), _generate_ba_reference(params, ref_rng)
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert np.array_equal(g.indices, ref.indices)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def bfs_oracle(g, src):
@@ -124,6 +160,7 @@ class TestParams:
             dict(n=10, m=0),
             dict(n=10, m=5, m0=4),
             dict(n=3, m=2, m0=5),
+            dict(n=10, m=1, m0=1),
         ],
     )
     def test_invalid(self, kwargs):
@@ -186,6 +223,73 @@ class TestGenerate:
             g = generate_ba(NetworkParams(n=100_000, m=m, seed=m))
             fit = fit_power_law(degree_ccdf(g), k_min=2 * m)
             assert 2.6 <= fit.gamma_hat <= 3.4
+
+
+# (n, m, m0): n = m0 and n = m0 + 1, m = 1, m0 = m, m0 > m + 1, and small
+# pools where m is close to m0, so that many nodes draw again.
+BA_ORACLE_CASES = [
+    (2, 1, 2), (3, 1, 2), (5, 2, 5), (6, 2, 5), (3, 2, 2), (4, 3, 3),
+    (60, 1, 2), (400, 1, 5), (200, 2, 7), (60, 2, 2), (300, 4, 4),
+    (500, 5, 6), (1000, 6, 6), (2000, 2, 3),
+]
+
+
+class TestSegmentGrowthMatchesLoop:
+    """generate_ba's segment draws against the per-pick loop they replaced."""
+
+    @pytest.mark.parametrize("top", [10, 1000, 1_000_000])
+    def test_array_bounds_draw_like_scalar_calls(self, top):
+        for seed in range(3):
+            for m in (1, 2, 3):
+                highs = np.repeat(np.linspace(2, top, 301).astype(np.int64), m)
+                rng, ref_rng = rng_from_seed(seed), rng_from_seed(seed)
+                batch = rng.integers(0, highs)
+                one_by_one = [int(ref_rng.integers(0, int(h))) for h in highs]
+                assert batch.tolist() == one_by_one, (
+                    "rng.integers(0, highs) no longer gives the scalar draws one bound at a "
+                    "time; generate_ba's segment draws rely on it"
+                )
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (
+                    "rng.integers(0, highs) leaves another Generator state than the scalar draws"
+                )
+
+    @pytest.mark.parametrize("n,m,m0", BA_ORACLE_CASES,
+                             ids=[f"{n}-{m}-{m0}" for n, m, m0 in BA_ORACLE_CASES])
+    def test_grid(self, n, m, m0):
+        for seed in range(3):
+            assert_ba_matches_reference(NetworkParams(n=n, m=m, m0=m0, seed=seed))
+
+    def test_long_graph_redraws_at_segment_edges(self, monkeypatch):
+        # A segment call resolves the segment's own draws; a node's
+        # one-at-a-time finish resolves single draws from that node on.
+        segments, redrawn = [], []
+        resolve = bbnet.graph._pool_nodes
+
+        def spy(q, picks, m0, start, raw):
+            if q is raw:
+                segments.append((start, start + len(raw) // picks.shape[1] - 1))
+            elif not redrawn or redrawn[-1][0] != start:
+                redrawn.append((start, segments[-1]))
+            return resolve(q, picks, m0, start, raw)
+
+        monkeypatch.setattr(bbnet.graph, "_pool_nodes", spy)
+        assert_ba_matches_reference(NetworkParams(n=20_000, m=3, m0=4, seed=9))
+        assert len(segments) > 50
+        assert any(d == first for d, (first, _) in redrawn)
+        assert any(d == last for d, (_, last) in redrawn)
+
+    @given(
+        n=st.integers(2, 250),
+        m=st.integers(1, 5),
+        extra=st.integers(0, 4),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property(self, n, m, extra, seed):
+        m0 = max(2, m) + extra
+        if m0 > n:
+            return
+        assert_ba_matches_reference(NetworkParams(n=n, m=m, m0=m0, seed=seed))
 
 
 class TestCcdf:
