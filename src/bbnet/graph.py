@@ -88,12 +88,14 @@ class Graph:
     def _from_half_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
         a = np.concatenate([u, v])
         b = np.concatenate([v, u])
-        order = np.lexsort((b, a))
-        indices = b[order]
+        # Sorting a * n + b orders the half-edges by row, then by neighbour,
+        # in one pass; it fits int64 while n * n < 2**63 (n < 3.03e9).
+        key = a * np.int64(n) + b
+        key.sort()
         degrees = np.bincount(a, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        return cls(n, indptr, indices.astype(np.int64))
+        return cls(n, indptr, key % n)
 
     @property
     def degrees(self) -> np.ndarray:

@@ -22,15 +22,16 @@ from a given string, while ``sample_programs`` and ``omega_monte_carlo`` read
 them in turn from a Generator's 4096-bit blocks, as (k, table bits as an
 integer) pairs. ``population_fitness`` and ``omega_monte_carlo`` each memoize
 outcomes per call on that pair, and only a miss turns the table bits into
-entries (``_table_from_int``). Exact enumeration runs each distinct table
-once, weighted by how many encodings decode to it.
+interpreter rows (``_rows_from_int``). Exact enumeration runs each distinct
+table once, weighted by how many encodings decode to it. Each of the three
+checks w and t_max once (``_Input``) before any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
 score: the number of 1-cells on the tape at halt, 0 for non-halters.
 
 Most machines never halt, and ``run`` proves many of them so before they
-spend the budget, with two exact checks (Marxen & Buntrock, "Attacking the
+spend the budget, with four exact checks (Marxen & Buntrock, "Attacking the
 Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
 
 * HALT unreachable: no path of transitions from state 0 leads to HALT, so
@@ -41,9 +42,25 @@ Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
   the 1s of w count). The head then reads only 0s, writes behind itself
   and follows that chain forever. Checked before the first step and every
   ``_CHECK_EVERY`` steps after it.
+* Cycler: the configuration (state, head cell and whole tape) at step t2
+  equals the one at an earlier step t1. The machine is deterministic, so it
+  repeats steps t1..t2 forever, and none of them halted.
+* Translated cycler: steps t1 < t2 both break a record on the same side
+  (the head stands on a cell never visited before, right of all others or
+  left of all others), in the same state, with nothing but 0s from the
+  head onward in that direction (cells never visited hold w, so its 1s
+  count). Let d be the distance from t1's head cell to t2's, and let t1's
+  window reach from its head cell back to the farthest cell the head
+  visited between t1 and t2. If the window d cells on holds the same at
+  t2, then steps t2..2*t2-t1 read what steps t1..t2 read, d cells on: they
+  never reach behind the window, and ahead of it lie only 0s at both
+  steps. They end in the same state with the same window another d cells
+  on, so by induction the machine repeats the shifted period forever.
 
-Both are proofs, never guesses, so a proven non-halter reports exactly
-what the budget would have: ``halted=False, steps=t_max, score=0``.
+The last two are checked at the runaway's checks after step 0, on a replay
+of the steps since the previous check (``_CycleWatch``). All four are
+proofs, never guesses, so a proven non-halter reports exactly what the
+budget would have: ``halted=False, steps=t_max, score=0``.
 """
 
 from __future__ import annotations
@@ -52,6 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import functools
 import itertools
 import math
 
@@ -83,13 +101,6 @@ def encoding_length(k: int) -> int:
 def _check_k_max(k_max: int) -> None:
     if k_max < 1:
         raise ParameterError(f"need k_max >= 1, got {k_max}")
-
-
-def _check_input(w: str, t_max: int) -> None:
-    if t_max < 1:
-        raise ParameterError(f"need t_max >= 1, got {t_max}")
-    if not set(w) <= {"0", "1"}:
-        raise ParameterError(f"input w must be a bit string, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -218,13 +229,84 @@ def sample_programs(
     return [reader.next(k_max) for _ in range(count)]
 
 
-def _halt_reachable(table: tuple[Entry, ...]) -> bool:
+# An entry as the interpreter reads it: (write bit, head move -1 or +1, row of
+# the next state, 2 * state; negative is HALT). The interpreter's "state" is
+# that row, so rows[state + read_bit] is the entry to apply.
+Row = tuple[int, int, int]
+
+
+def _row(entry: Entry) -> Row:
+    write, move, nxt = entry
+    return write, 2 * move - 1, 2 * nxt
+
+
+@functools.cache
+def _field_codes(k: int) -> tuple[range, int, list[Entry], list[Row]]:
+    """Where the 2k table fields of a k-state program sit, and what each field value means.
+
+    Returns the fields' right shifts (first entry first), the field mask, and
+    every field value decoded as an ``Entry`` and as an interpreter ``Row``.
+    """
+    b_width = k.bit_length()
+    ew = 2 + b_width
+    entries = []
+    for code in range(1 << ew):
+        nxt = (code & ((1 << b_width) - 1)) % (k + 1)
+        entries.append((code >> (1 + b_width), (code >> b_width) & 1, HALT if nxt == k else nxt))
+    return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, entries, [_row(e) for e in entries]
+
+
+def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
+    """Table decoded from an integer holding the table bits, MSB first."""
+    shifts, mask, entries, _ = _field_codes(k)
+    return tuple([entries[t_int >> s & mask] for s in shifts])
+
+
+def _rows_from_int(k: int, t_int: int) -> tuple[Row, ...]:
+    """The interpreter rows of the table held in ``t_int``, as ``_table_from_int`` decodes it."""
+    shifts, mask, _, rows = _field_codes(k)
+    return tuple([rows[t_int >> s & mask] for s in shifts])
+
+
+class _Input:
+    """Input w under a step budget, checked once and shared by every run of a population.
+
+    Holds the initial tape (w from cell ``origin`` rightward, with room for
+    ``t_max`` moves either way), the tape cell of w's last 1, and the
+    outcomes that runs return, so that no run builds one of its own.
+    """
+
+    __slots__ = ("t_max", "tape", "origin", "last1", "never", "_halted")
+
+    def __init__(self, w: str, t_max: int):
+        if t_max < 1:
+            raise ParameterError(f"need t_max >= 1, got {t_max}")
+        if not set(w) <= {"0", "1"}:
+            raise ParameterError(f"input w must be a bit string, got {w!r}")
+        self.t_max = t_max
+        self.origin = origin = t_max + 1
+        tape = bytearray(2 * t_max + len(w) + 3)
+        tape[origin:origin + len(w)] = bytes(int(c) for c in w)
+        self.tape = bytes(tape)
+        self.last1 = origin + w.rfind("1") if "1" in w else -1
+        self.never = MachineOutcome(halted=False, steps=t_max, score=0)
+        self._halted: dict[tuple[int, int], MachineOutcome] = {}
+
+    def halted(self, steps: int, score: int) -> MachineOutcome:
+        """The outcome of a run that halted at step ``steps`` with ``score`` 1s on the tape."""
+        out = self._halted.get((steps, score))
+        if out is None:
+            out = self._halted[steps, score] = MachineOutcome(halted=True, steps=steps, score=score)
+        return out
+
+
+def _halt_reachable(rows: Sequence[Row]) -> bool:
     """Whether some path of transitions from state 0 reaches HALT."""
     seen, todo = {0}, [0]
     while todo:
         s = todo.pop()
-        for _, _, nxt in table[2 * s:2 * s + 2]:
-            if nxt == HALT:
+        for _, _, nxt in rows[s:s + 2]:
+            if nxt < 0:
                 return True
             if nxt not in seen:
                 seen.add(nxt)
@@ -232,31 +314,115 @@ def _halt_reachable(table: tuple[Entry, ...]) -> bool:
     return False
 
 
-def _runs_away(table: tuple[Entry, ...], state: int, tape: bytearray, pos: int) -> bool:
-    """Whether the machine, in ``state`` at ``tape[pos]``, moves one way over blanks forever.
+def _runs_away(rows: Sequence[Row], state: int, tape: bytearray, pos: int) -> bool:
+    """Whether the machine, in row ``state`` at ``tape[pos]``, moves one way over blanks forever.
 
     True when the read-0 transitions from ``state`` repeat without reaching
     HALT, all move the same way, and every cell from the head onward in
     that direction holds 0.
     """
     seen, moves = set(), set()
-    while state != HALT and state not in seen:
+    while state >= 0 and state not in seen:
         seen.add(state)
-        _, move, state = table[2 * state]
+        _, move, state = rows[state]
         moves.add(move)
-    if state == HALT or len(moves) != 1:
+    if state < 0 or len(moves) != 1:
         return False
-    if moves.pop():
+    if moves.pop() > 0:
         return tape.find(1, pos) < 0
     return tape.rfind(1, 0, pos + 1) < 0
 
 
-# Steps between two runaway checks. A proven runaway still costs up to this
-# many steps, and each check reads the tape once.
+class _CycleWatch:
+    """Follows ``run`` one check behind, re-running its steps with the bookkeeping of two proofs.
+
+    ``run`` keeps no history. At each check the watch replays the steps
+    since the previous one on its own tape and reports whether either proof
+    holds (see the module docstring). References are retaken at steps 1, 2,
+    4, 8, ... (Brent's cycle finding), so the work per replayed step is
+    bounded:
+
+    * cycler: the configuration at the last reference step;
+    * translated cycler: per side, the first record-breaking configuration
+      after that step with nothing but 0s ahead, and the farthest the head
+      has gone back from it since.
+    """
+
+    __slots__ = ("rows", "tape", "last1", "head", "cycle", "right", "left", "armed")
+
+    def __init__(self, rows: Sequence[Row], inp: _Input):
+        self.rows = rows
+        self.tape = bytearray(inp.tape)
+        self.last1 = inp.last1
+        # (state, pos, step, lowest and highest cell visited, next reference step)
+        self.head = (0, inp.origin, 0, inp.origin, inp.origin, 1)
+        self.cycle = (0, inp.origin, inp.tape)  # (state, pos, tape)
+        # per side (state, pos, tape, farthest cell back since); state -1: none yet
+        self.right = self.left = (-1, 0, b"", 0)
+        self.armed = (True, True)  # per side, whether the next record becomes the reference
+
+    def proves(self, stop: int) -> bool:
+        """Replay up to step ``stop``, which ``run`` reached without halting; True on a proof."""
+        rows, tape, last1 = self.rows, self.tape, self.last1
+        state, pos, t, lo, hi, next_ref = self.head
+        c_state, c_pos, c_tape = self.cycle
+        r_state, r_pos, r_tape, r_back = self.right
+        l_state, l_pos, l_tape, l_back = self.left
+        r_armed, l_armed = self.armed
+        proven = False
+        while t < stop:
+            write, move, state = rows[state + tape[pos]]
+            tape[pos] = write
+            pos += move
+            t += 1
+            if pos < r_back:
+                r_back = pos
+            if pos > l_back:
+                l_back = pos
+            if pos > hi:
+                hi = pos
+                # a right record; with a 1 of w ahead it proves nothing
+                if pos > last1:
+                    d = pos - r_pos
+                    if state == r_state and r_tape[r_back:r_pos + 1] == tape[r_back + d:pos + 1]:
+                        proven = True
+                        break
+                    if r_armed:
+                        r_state, r_pos, r_tape, r_back = state, pos, bytes(tape), pos
+                        r_armed = False
+            elif pos < lo:
+                # a left record: w starts at the first head cell, so only 0s lie ahead
+                lo = pos
+                d = pos - l_pos
+                if state == l_state and l_tape[l_pos:l_back + 1] == tape[pos:l_back + d + 1]:
+                    proven = True
+                    break
+                if l_armed:
+                    l_state, l_pos, l_tape, l_back = state, pos, bytes(tape), pos
+                    l_armed = False
+            elif state == c_state and pos == c_pos and tape == c_tape:
+                proven = True
+                break
+            if t == next_ref:
+                c_state, c_pos, c_tape = state, pos, bytes(tape)
+                r_armed = l_armed = True
+                next_ref *= 2
+        self.head = state, pos, t, lo, hi, next_ref
+        self.cycle = c_state, c_pos, c_tape
+        self.right = r_state, r_pos, r_tape, r_back
+        self.left = l_state, l_pos, l_tape, l_back
+        self.armed = r_armed, l_armed
+        return proven
+
+
+# Steps between two checks. A proven non-halter still costs up to this many
+# steps past the point its proof needs; each runaway check reads the tape once.
 _CHECK_EVERY = 64
 
 
-def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOutcome:
+def run(
+    machine: Machine | Sequence[Row], w: str | _Input = "", t_max: int = T_MAX_DEFAULT
+) -> MachineOutcome:
     """Execute on a two-way-infinite binary tape.
 
     The tape holds w from cell 0 rightward (everything else 0); the head
@@ -264,43 +430,47 @@ def run(machine: Machine, w: str = "", t_max: int = T_MAX_DEFAULT) -> MachineOut
     t_max steps elapse. The halting transition itself writes, moves, and
     counts as a step. A machine proven never to halt (see the module
     docstring) returns at once with the outcome of a spent budget.
+
+    The memoized paths call it as ``run(rows, inp)``, with a program's
+    ``_rows_from_int`` and the ``_Input`` they checked once; ``inp`` then
+    carries t_max.
     """
-    _check_input(w, t_max)
-    never = MachineOutcome(halted=False, steps=t_max, score=0)
-    table = machine.table
-    if not _halt_reachable(table):
-        return never
-    write = tuple(e[0] for e in table)
-    delta = tuple(1 if e[1] else -1 for e in table)
-    nxt = tuple(e[2] for e in table)
-
-    origin = t_max + 1
-    tape = bytearray(2 * t_max + len(w) + 3)
-    tape[origin:origin + len(w)] = bytes(int(c) for c in w)
-
-    pos = origin
+    if isinstance(machine, Machine):
+        w = _Input(w, t_max)
+        machine = tuple(map(_row, machine.table))
+    rows, inp = machine, w
+    if not _halt_reachable(rows):
+        return inp.never
+    t_max = inp.t_max
+    tape = bytearray(inp.tape)
+    pos = inp.origin
     state = 0
     done = 0
-    while done < t_max and not _runs_away(table, state, tape, pos):
+    watch = None
+    while done < t_max and not _runs_away(rows, state, tape, pos):
+        if done:
+            if watch is None:
+                watch = _CycleWatch(rows, inp)
+            if watch.proves(done):
+                break
         stop = min(done + _CHECK_EVERY, t_max)
         for step in range(done + 1, stop + 1):
-            idx = 2 * state + tape[pos]
-            tape[pos] = write[idx]
-            pos += delta[idx]
-            state = nxt[idx]
+            write, move, state = rows[state + tape[pos]]
+            tape[pos] = write
+            pos += move
             if state < 0:
-                return MachineOutcome(halted=True, steps=step, score=tape.count(1))
+                return inp.halted(step, tape.count(1))
         done = stop
-    return never
+    return inp.never
 
 
-def _cached_outcome(memo: dict, k: int, t_int: int, w: str, t_max: int) -> MachineOutcome:
+def _cached_outcome(memo: dict, k: int, t_int: int, inp: _Input) -> MachineOutcome:
     """Outcome of program (k, t_int) from ``memo``, which one call owns; run on a miss."""
     out = memo.get((k, t_int))
     if out is None:
         if k < 1 or not 0 <= t_int < 1 << table_bits(k):
             raise ParameterError(f"malformed program (k={k}, table_int={t_int})")
-        out = memo[k, t_int] = run(Machine(k, _table_from_int(k, t_int)), w, t_max)
+        out = memo[k, t_int] = run(_rows_from_int(k, t_int), inp)
     return out
 
 
@@ -311,25 +481,10 @@ def population_fitness(
 
     Memoized within the call: identical programs recur constantly when sampling.
     """
+    inp = _Input(w, t_max)
     memo: dict = {}
-    scores = [_cached_outcome(memo, k, t_int, w, t_max).score for k, t_int in programs]
+    scores = [_cached_outcome(memo, k, t_int, inp).score for k, t_int in programs]
     return np.array(scores, dtype=np.int64)
-
-
-def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
-    """Table decoded from an integer holding the table bits, MSB first."""
-    b_width = k.bit_length()
-    ew = 2 + b_width
-    total = table_bits(k)
-    table: list[Entry] = []
-    for i in range(2 * k):
-        chunk = (t_int >> (total - (i + 1) * ew)) & ((1 << ew) - 1)
-        write = chunk >> (1 + b_width)
-        move = (chunk >> b_width) & 1
-        v = chunk & ((1 << b_width) - 1)
-        nxt = v % (k + 1)
-        table.append((write, move, HALT if nxt == k else nxt))
-    return tuple(table)
 
 
 def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
@@ -348,14 +503,14 @@ def _check_enum_guard(max_len: int) -> None:
         )
 
 
-def _distinct_tables(k: int) -> Iterator[tuple[tuple[Entry, ...], int]]:
-    """Each distinct k-state table once, with how many table encodings decode to it.
+def _distinct_tables(k: int) -> Iterator[tuple[tuple[Row, ...], int]]:
+    """Each distinct k-state table once, as interpreter rows, with how many encodings decode to it.
 
     A next-state field value v means state v mod (k + 1), so an entry weighs
     as many field values as give its next state.
     """
     fields = 1 << k.bit_length()
-    options = [((write, move, HALT if nxt == k else nxt), len(range(nxt, fields, k + 1)))
+    options = [(_row((write, move, HALT if nxt == k else nxt)), len(range(nxt, fields, k + 1)))
                for write, move, nxt in itertools.product((0, 1), (0, 1), range(k + 1))]
     for choice in itertools.product(options, repeat=2 * k):
         yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
@@ -378,11 +533,11 @@ def omega_enumerate(
         raise ParameterError(f"need max_len >= 0, got {max_len}")
     _check_enum_guard(max_len)
     _check_k_max(k_max)
-    _check_input(w, t_max)
+    inp = _Input(w, t_max)
     numerator = 0
     for k, length, variants in _state_counts(k_max, max_len):
-        for table, weight in _distinct_tables(k):
-            if run(Machine(k, table), w, t_max).halted:
+        for rows, weight in _distinct_tables(k):
+            if run(rows, inp).halted:
                 numerator += variants * weight << (max_len - length)
     value = numerator / (1 << max_len)
     return OmegaEstimate("enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=t_max)
@@ -419,13 +574,13 @@ def omega_monte_carlo(
     if rng is None:
         raise ParameterError("omega_monte_carlo requires a seeded Generator")
     _check_k_max(k_max)
-    _check_input(w, t_max)
+    inp = _Input(w, t_max)
     reader = _ProgramReader(rng=rng)
     memo: dict = {}
     hits = 0
     for _ in range(n_samples):
         k, t_int = reader.next(k_max)
-        hits += _cached_outcome(memo, k, t_int, w, t_max).halted
+        hits += _cached_outcome(memo, k, t_int, inp).halted
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)

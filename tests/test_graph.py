@@ -72,7 +72,16 @@ def _generate_ba_reference(params, rng):
             vs.append(new)
         pool.extend(chosen)
         pool.extend([new] * m)
-    return Graph._from_half_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+    return lexsort_half_edges(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+
+
+def lexsort_half_edges(n, u, v):
+    """The CSR arrays of edges (u[i], v[i]) by a two-key lexsort of both half-edges."""
+    a = np.concatenate([u, v])
+    b = np.concatenate([v, u])
+    indices = b[np.lexsort((b, a))]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(a, minlength=n))])
+    return Graph(n, indptr.astype(np.int64), indices.astype(np.int64))
 
 
 def assert_ba_matches_reference(params):
@@ -436,6 +445,26 @@ class TestArrayPathsMatchLoops:
                 approx_diameter(g)
         else:
             assert approx_diameter(g) == expected
+
+    def test_half_edge_sort_matches_lexsort(self):
+        # the keyed sort of _from_half_edges against a two-key lexsort, on
+        # edge lists with repeated pairs, both orientations, isolated nodes
+        # and no edges at all
+        rng = np.random.default_rng(11)
+        cases = [(1, [], []), (5, [], []), (2, [0], [1])]
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            e = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+            cases.append((n, e[:, 0], e[:, 1]))
+        for name, g in ORACLE_GRAPHS:
+            u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+            cases.append((g.n, u, v))
+        for n, u, v in cases:
+            u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+            got, expected = Graph._from_half_edges(n, u, v), lexsort_half_edges(n, u, v)
+            assert np.array_equal(got.indptr, expected.indptr)
+            assert np.array_equal(got.indices, expected.indices)
+            assert got.indices.dtype == np.int64
 
     def test_gather_lists_rows_in_order(self):
         g = Graph.from_edges(7, [(0, 3), (3, 4), (4, 1), (0, 1), (1, 3)])  # 2, 5, 6 isolated

@@ -1,5 +1,6 @@
 """Program encoding, machine execution, and halting-mass estimators."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -22,11 +23,17 @@ from bbnet.machines import (
     run,
     sample_programs,
     table_bits,
+    _CHECK_EVERY,
+    _CycleWatch,
+    _Input,
     _distinct_tables,
     _halt_reachable,
+    _row,
+    _rows_from_int,
     _runs_away,
     _table_from_int,
 )
+from bbnet import machines
 from bbnet.rng import rng_from_seed
 
 # k=1, both entries (write 1, move right, v=1 -> HALT): header "0" + "111" + "111"
@@ -42,6 +49,31 @@ def as_machine(program):
     """The Machine of a (k, table_int) program."""
     k, t_int = program
     return Machine(k, _table_from_int(k, t_int))
+
+
+def rows_of(machine):
+    """The interpreter rows of a Machine."""
+    return tuple(map(_row, machine.table))
+
+
+def every_table(k):
+    """Every k-state table, listed from the entry format rather than from the decoder."""
+    entries = [(write, move, HALT if nxt == k else nxt)
+               for write in (0, 1) for move in (0, 1) for nxt in range(k + 1)]
+    return list(itertools.product(entries, repeat=2 * k))
+
+
+def first_proof(machine, w, t_max):
+    """The check at which ``run``'s cycle watch proves ``machine`` never halts, or None.
+
+    Call only for a machine that does not halt within t_max: the watch
+    replays steps that ``run`` already took without halting.
+    """
+    watch = _CycleWatch(rows_of(machine), _Input(w, t_max))
+    for stop in range(_CHECK_EVERY, t_max + 1, _CHECK_EVERY):
+        if watch.proves(stop):
+            return stop
+    return None
 
 
 def all_encodings(k_max, max_len):
@@ -177,6 +209,29 @@ class TestArguments:
             call(rng)
         assert rng.random() == rng_from_seed(1).random()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: population_fitness([HALTER], "2", 10),
+            lambda: population_fitness([HALTER], "", 0),
+            lambda: population_fitness([], "2", 10),
+            lambda: omega_enumerate(18, "2", 10),
+            lambda: omega_enumerate(18, "", 0),
+            lambda: run(decode(HALTER_BITS), "2", 10),
+            lambda: run(decode(HALTER_BITS), "", 0),
+        ],
+        ids=["fitness-w-2", "fitness-t-max-0", "fitness-empty-w-2",
+             "enum-w-2", "enum-t-max-0", "run-w-2", "run-t-max-0"],
+    )
+    def test_bad_input_rejected_before_any_run(self, call, monkeypatch):
+        def work(*args):
+            raise AssertionError("a program ran before the input was checked")
+
+        for name in ("_halt_reachable", "_rows_from_int", "_distinct_tables"):
+            monkeypatch.setattr(machines, name, work)
+        with pytest.raises(ParameterError):
+            call()
+
 
 class TestSampling:
     def test_probability_of_k1_is_half(self):
@@ -264,55 +319,88 @@ RIGHT_WRITER = Machine(1, ((1, 1, 0), (1, 1, HALT)))
 LATE_LEFT_RUNAWAY = Machine(2, ((1, 1, 1), (1, 1, HALT), (0, 0, 1), (0, 0, 1)))
 # Writes 1s leftward over blank tape; halts on the first 1 it reads.
 LEFT_WRITER = Machine(1, ((1, 0, 0), (1, 0, HALT)))
+# On w = BOUNCER_W, bounces between the 1s at cells 0 and 41 without changing
+# the tape: right in state 1, left in states 0 and 2 by turns, so state 0
+# always meets the 1 at cell 0 and the halting entry (state 2 reads 1) never
+# fires. A cycler with period 82.
+BOUNCER = Machine(3, ((0, 0, 2), (1, 1, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0), (1, 1, HALT)))
+BOUNCER_W = "1" + "0" * 40 + "1"
+# From a new cell in state 0: step back, clear the 1 there, step on and
+# write a 1, then enter the next new cell; a right-moving translated cycler
+# with period 3 (it halts if state 0 ever reads a 1).
+RIGHT_ZIGZAG = Machine(2, ((0, 0, 1), (0, 0, HALT), (1, 1, 0), (0, 1, 1)))
+# A left-moving translated cycler: two new cells every 4 steps, and a step
+# back in between, so its read-0 chain turns too.
+LEFT_ZIGZAG = Machine(2, ((0, 0, 1), (0, 0, HALT), (1, 1, 0), (0, 0, 0)))
+# RIGHT_ZIGZAG behind a state 0 that walks right over the 1s of w and hands
+# over at the first 0 it reads.
+ZIGZAG_AFTER_W = Machine(3, ((0, 0, 2), (1, 1, 0), (0, 0, 2), (1, 1, HALT),
+                             (1, 1, 1), (0, 1, 2)))
+
+
+def near_miss(side):
+    """A 4-state machine whose first two same-state records differ only at the window's far end.
+
+    State 0 writes a 1 and enters a new cell in state 1 (right: moving
+    right; left: moving left). From a new cell, state 1 steps back; state 2
+    reads the cell behind: a 1 lets state 3 step on into the next new cell,
+    a 0 halts. The first window ends in state 0's 1, the second in the 0
+    state 1 wrote, so the second period halts.
+    """
+    on, back = (1, 0) if side == "right" else (0, 1)
+    return Machine(4, ((1, on, 1), (1, on, 1), (0, back, 2), (0, back, 2),
+                       (0, back, HALT), (1, on, 3), (0, on, 1), (0, on, 1)))
 
 
 class TestDeciders:
     """``run`` against ``reference_run``, which never proves anything."""
 
     def test_every_k_le_2_program(self):
-        tables = [(k, table) for k in (1, 2) for table, _ in _distinct_tables(k)]
+        tables = [(k, table) for k in (1, 2) for table in every_table(k)]
         # distinct entries: 2 writes x 2 moves x (k + 1) next states
         assert len(set(tables)) == len(tables) == 8**2 + 12**4
         for k, table in tables:
             m = Machine(k, table)
-            for w in ("", "101"):
-                for t_max in (1000, 37):
+            # "0110111" puts 1s ahead of the head, beyond the first record
+            for w in ("", "101", "0110111"):
+                for t_max in (1000, 200, 37):
                     assert run(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
 
     def test_sampled_k_le_6_programs(self):
         for m in map(as_machine, set(sample_programs(rng_from_seed(3), 20_000, k_max=6))):
-            for w in ("", "101"):
-                assert run(m, w, 1000) == reference_run(m, w, 1000), (m, w)
+            for w in ("", "101", "0110111"):
+                for t_max in (1000, 200):
+                    assert run(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
 
     def test_halt_unreachable(self):
         m = HALT_UNREACHABLE
-        assert not _halt_reachable(m.table)
+        assert not _halt_reachable(rows_of(m))
         # the bounce is not a runaway, so only reachability proves it
-        assert not _runs_away(m.table, 0, bytearray(4), 1)
+        assert not _runs_away(rows_of(m), 0, bytearray(4), 1)
         for t_max in (1, 64, 1000):
             assert run(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_runaway_from_blank_tape_at_step_0(self):
         m = RIGHT_WRITER
-        assert _halt_reachable(m.table)
-        assert _runs_away(m.table, 0, bytearray(5), 2)
+        assert _halt_reachable(rows_of(m))
+        assert _runs_away(rows_of(m), 0, bytearray(5), 2)
         assert run(m, "", 1000) == reference_run(m, "", 1000)
 
     def test_runaway_only_after_several_steps(self):
         m = LATE_LEFT_RUNAWAY
-        assert _halt_reachable(m.table)
+        assert _halt_reachable(rows_of(m))
         # step 0: the read-0 chain from state 0 moves right, then left
-        assert not _runs_away(m.table, 0, bytearray(5), 2)
-        # step 3: state 1 at cell -1 of a blank tape
-        assert _runs_away(m.table, 1, bytearray(5), 1)
+        assert not _runs_away(rows_of(m), 0, bytearray(5), 2)
+        # step 3: state 1 (row 2) at cell -1 of a blank tape
+        assert _runs_away(rows_of(m), 2, bytearray(5), 1)
         for t_max in (3, 64, 65, 1000):
             assert run(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_left_runaway_with_input_to_its_right(self):
         m = LEFT_WRITER
         # w = "0101" on cells 0..3, head on cell 0: its 1s lie to the right
-        assert _runs_away(m.table, 0, bytearray([0, 0, 0, 1, 0, 1]), 2)
-        assert not _runs_away(m.table, 0, bytearray([0, 1, 0, 1, 0, 1]), 2)
+        assert _runs_away(rows_of(m), 0, bytearray([0, 0, 0, 1, 0, 1]), 2)
+        assert not _runs_away(rows_of(m), 0, bytearray([0, 1, 0, 1, 0, 1]), 2)
         assert run(m, "0101", 1000) == reference_run(m, "0101", 1000)
 
     def test_right_blank_chain_meets_a_1_from_w(self):
@@ -320,10 +408,86 @@ class TestDeciders:
         # 64 must read it from the tape
         w = "0" * 100 + "1"
         m = RIGHT_WRITER
-        assert not _runs_away(m.table, 0, bytearray(int(c) for c in "0" + w), 1)
+        assert not _runs_away(rows_of(m), 0, bytearray(int(c) for c in "0" + w), 1)
         assert run(m, w, 1000) == MachineOutcome(halted=True, steps=101, score=101)
         assert run(m, w, 1000) == reference_run(m, w, 1000)
         assert run(m, w, 100) == MachineOutcome(halted=False, steps=100, score=0)
+
+    def test_cycler_with_period_above_check_every(self):
+        m, w = BOUNCER, BOUNCER_W
+        assert _halt_reachable(rows_of(m))
+        assert not _runs_away(rows_of(m), 0, bytearray(int(c) for c in w), 0)
+        # the proof needs two configurations 82 steps apart, so it comes
+        # at a later check than the first
+        assert _CHECK_EVERY < 82 < first_proof(m, w, 1000)
+        for t_max in (81, 82, 83, 256, 1000):
+            assert run(m, w, t_max) == reference_run(m, w, t_max)
+
+    def test_cycler_needs_the_whole_tape_to_repeat(self):
+        # flips cell 0 on each visit: state 0 stands on cell 0 at every even
+        # step, but the tape repeats only every 4 steps. References are taken
+        # at steps 2 and 4.
+        m = Machine(2, ((1, 1, 1), (0, 1, 1), (0, 0, 0), (0, 0, HALT)))
+        watch = _CycleWatch(rows_of(m), _Input("", 100))
+        assert not watch.proves(4)
+        assert watch.proves(8)
+        assert run(m, "", 100) == reference_run(m, "", 100)
+
+    @pytest.mark.parametrize("m", [RIGHT_ZIGZAG, LEFT_ZIGZAG], ids=["right", "left"])
+    def test_translated_cycler(self, m):
+        # each period also steps back, so the read-0 chain turns and no
+        # runaway check ever proves it
+        assert _halt_reachable(rows_of(m))
+        assert not _runs_away(rows_of(m), 0, bytearray(3), 1)
+        assert first_proof(m, "", 1000) == _CHECK_EVERY
+        for t_max in (64, 1000):
+            assert run(m, "", t_max) == reference_run(m, "", t_max)
+
+    def test_translated_cycler_after_the_1s_of_w(self):
+        m = ZIGZAG_AFTER_W
+        # the walk over the 1s repeats one record after another in state 0,
+        # but a 1 lies ahead of each of them until step 100
+        w = "1" * 100
+        assert first_proof(m, w, 1000) > len(w)
+        assert run(m, w, 1000) == reference_run(m, w, 1000)
+        assert run(m, w, 1000) == MachineOutcome(halted=False, steps=1000, score=0)
+        # a 1 two cells past the walk halts the zigzag at its first period
+        w = "1" * 100 + "01"
+        assert run(m, w, 1000) == MachineOutcome(halted=True, steps=104, score=101)
+        assert run(m, w, 1000) == reference_run(m, w, 1000)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_near_miss_halts(self, side):
+        m = near_miss(side)
+        # records at steps 1 and 4 in state 1; their windows reach one cell
+        # back, to state 0's 1 and then to state 1's 0. It halts at step 6.
+        watch = _CycleWatch(rows_of(m), _Input("", 100))
+        assert not watch.proves(4)
+        assert run(m, "", 100) == reference_run(m, "", 100)
+        assert run(m, "", 100).steps == 6
+
+    def test_near_miss_after_the_first_check(self):
+        # near_miss("right") behind a walk over w's 0s: its records at steps
+        # 60 and 63 are replayed at the check at step 64, and it halts at 65
+        m = Machine(4, ((0, 1, 0), (1, 1, 1)) + near_miss("right").table[2:])
+        w = "0" * 59 + "1"
+        assert run(m, w, 1000) == MachineOutcome(halted=True, steps=65, score=1)
+        assert run(m, w, 1000) == reference_run(m, w, 1000)
+        # a sampled 4-state program: on "0110111" it halts just after the
+        # first check, which a left window one cell short would have hidden
+        m = Machine(4, ((0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 2),
+                        (0, 1, 3), (1, 0, 0), (1, 0, HALT), (1, 0, 0)))
+        assert run(m, "0110111", 1000) == MachineOutcome(halted=True, steps=65, score=6)
+        assert run(m, "0110111", 1000) == reference_run(m, "0110111", 1000)
+
+    def test_records_on_opposite_sides_do_not_pair(self):
+        # state 1 at cell 1 (step 1) and at cell -1 (step 3), all 0s between:
+        # not a proof. The left records at steps 3 and 5 are (a runaway).
+        m = Machine(3, ((0, 1, 1), (0, 1, HALT), (1, 0, 2), (1, 0, 2), (0, 0, 1), (0, 0, 1)))
+        watch = _CycleWatch(rows_of(m), _Input("", 100))
+        assert not watch.proves(3)
+        assert watch.proves(5)
+        assert run(m, "", 100) == reference_run(m, "", 100)
 
 
 class TestFitness:
@@ -416,7 +580,10 @@ class TestOmega:
     def test_distinct_tables_match_every_encoding(self):
         # the weights count every table encoding of each k exactly once
         for k in (1, 2):
-            decoded = Counter(_table_from_int(k, t_int) for t_int in range(1 << table_bits(k)))
+            tables = [_table_from_int(k, t_int) for t_int in range(1 << table_bits(k))]
+            rows = [_rows_from_int(k, t_int) for t_int in range(1 << table_bits(k))]
+            assert rows == [tuple(map(_row, table)) for table in tables]
+            decoded = Counter(rows)
             weights = dict(_distinct_tables(k))
             assert weights == decoded
             assert sum(weights.values()) == 2 ** table_bits(k)
