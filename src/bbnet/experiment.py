@@ -388,6 +388,10 @@ def read_records_csv(inp: TextIO) -> list[RunRecord]:
         parts = line.split(",")
         if len(parts) != len(RECORD_COLUMNS):
             raise ParameterError(f"row {i + 1} has {len(parts)} columns")
+        if parts[12] not in ("true", "false"):
+            raise ParameterError(
+                f"row {i + 1}: condition_met must be true or false, got {parts[12]!r}"
+            )
         try:
             t_s = int(parts[7])
             rho_hat = float(parts[8])

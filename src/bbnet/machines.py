@@ -31,17 +31,11 @@ always means halts within the budget. Fitness is the busy-beaver sigma
 score: the number of 1-cells on the tape at halt, 0 for non-halters.
 
 Most machines never halt, and ``run`` proves many of them so before they
-spend the budget, with four exact checks (Marxen & Buntrock, "Attacking the
-Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
+spend the budget, with three exact checks (Marxen & Buntrock, "Attacking
+the Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
 
 * HALT unreachable: no path of transitions from state 0 leads to HALT, so
   no run can take one. Checked before the first step.
-* Blank-tape runaway: from the current state, the read-0 transitions
-  repeat without reaching HALT and all move one way, and every cell from
-  the head onward in that direction holds 0 (the tape itself is read, so
-  the 1s of w count). The head then reads only 0s, writes behind itself
-  and follows that chain forever. Checked before the first step and every
-  ``_CHECK_EVERY`` steps after it.
 * Cycler: the configuration (state, head cell and whole tape) at step t2
   equals the one at an earlier step t1. The machine is deterministic, so it
   repeats steps t1..t2 forever, and none of them halted.
@@ -55,11 +49,12 @@ Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
   t2, then steps t2..2*t2-t1 read what steps t1..t2 read, d cells on: they
   never reach behind the window, and ahead of it lie only 0s at both
   steps. They end in the same state with the same window another d cells
-  on, so by induction the machine repeats the shifted period forever.
+  on, so by induction the machine repeats the shifted period forever. A
+  machine that runs off over blank tape is one with a window of one cell.
 
-The last two are checked at the runaway's checks after step 0, on a replay
-of the steps since the previous check (``_CycleWatch``). All four are
-proofs, never guesses, so a proven non-halter reports exactly what the
+The last two are checked after every step that does not halt, in the one
+step loop, so a proof ends the run on the step where it holds. All three
+are proofs, never guesses, so a proven non-halter reports exactly what the
 budget would have: ``halted=False, steps=t_max, score=0``.
 """
 
@@ -279,9 +274,9 @@ class _Input:
     __slots__ = ("t_max", "tape", "origin", "last1", "never", "_halted")
 
     def __init__(self, w: str, t_max: int):
-        if t_max < 1:
-            raise ParameterError(f"need t_max >= 1, got {t_max}")
-        if not set(w) <= {"0", "1"}:
+        if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
+            raise ParameterError(f"need an integer t_max >= 1, got {t_max!r}")
+        if not isinstance(w, str) or not set(w) <= {"0", "1"}:
             raise ParameterError(f"input w must be a bit string, got {w!r}")
         self.t_max = t_max
         self.origin = origin = t_max + 1
@@ -314,112 +309,6 @@ def _halt_reachable(rows: Sequence[Row]) -> bool:
     return False
 
 
-def _runs_away(rows: Sequence[Row], state: int, tape: bytearray, pos: int) -> bool:
-    """Whether the machine, in row ``state`` at ``tape[pos]``, moves one way over blanks forever.
-
-    True when the read-0 transitions from ``state`` repeat without reaching
-    HALT, all move the same way, and every cell from the head onward in
-    that direction holds 0.
-    """
-    seen, moves = set(), set()
-    while state >= 0 and state not in seen:
-        seen.add(state)
-        _, move, state = rows[state]
-        moves.add(move)
-    if state < 0 or len(moves) != 1:
-        return False
-    if moves.pop() > 0:
-        return tape.find(1, pos) < 0
-    return tape.rfind(1, 0, pos + 1) < 0
-
-
-class _CycleWatch:
-    """Follows ``run`` one check behind, re-running its steps with the bookkeeping of two proofs.
-
-    ``run`` keeps no history. At each check the watch replays the steps
-    since the previous one on its own tape and reports whether either proof
-    holds (see the module docstring). References are retaken at steps 1, 2,
-    4, 8, ... (Brent's cycle finding), so the work per replayed step is
-    bounded:
-
-    * cycler: the configuration at the last reference step;
-    * translated cycler: per side, the first record-breaking configuration
-      after that step with nothing but 0s ahead, and the farthest the head
-      has gone back from it since.
-    """
-
-    __slots__ = ("rows", "tape", "last1", "head", "cycle", "right", "left", "armed")
-
-    def __init__(self, rows: Sequence[Row], inp: _Input):
-        self.rows = rows
-        self.tape = bytearray(inp.tape)
-        self.last1 = inp.last1
-        # (state, pos, step, lowest and highest cell visited, next reference step)
-        self.head = (0, inp.origin, 0, inp.origin, inp.origin, 1)
-        self.cycle = (0, inp.origin, inp.tape)  # (state, pos, tape)
-        # per side (state, pos, tape, farthest cell back since); state -1: none yet
-        self.right = self.left = (-1, 0, b"", 0)
-        self.armed = (True, True)  # per side, whether the next record becomes the reference
-
-    def proves(self, stop: int) -> bool:
-        """Replay up to step ``stop``, which ``run`` reached without halting; True on a proof."""
-        rows, tape, last1 = self.rows, self.tape, self.last1
-        state, pos, t, lo, hi, next_ref = self.head
-        c_state, c_pos, c_tape = self.cycle
-        r_state, r_pos, r_tape, r_back = self.right
-        l_state, l_pos, l_tape, l_back = self.left
-        r_armed, l_armed = self.armed
-        proven = False
-        while t < stop:
-            write, move, state = rows[state + tape[pos]]
-            tape[pos] = write
-            pos += move
-            t += 1
-            if pos < r_back:
-                r_back = pos
-            if pos > l_back:
-                l_back = pos
-            if pos > hi:
-                hi = pos
-                # a right record; with a 1 of w ahead it proves nothing
-                if pos > last1:
-                    d = pos - r_pos
-                    if state == r_state and r_tape[r_back:r_pos + 1] == tape[r_back + d:pos + 1]:
-                        proven = True
-                        break
-                    if r_armed:
-                        r_state, r_pos, r_tape, r_back = state, pos, bytes(tape), pos
-                        r_armed = False
-            elif pos < lo:
-                # a left record: w starts at the first head cell, so only 0s lie ahead
-                lo = pos
-                d = pos - l_pos
-                if state == l_state and l_tape[l_pos:l_back + 1] == tape[pos:l_back + d + 1]:
-                    proven = True
-                    break
-                if l_armed:
-                    l_state, l_pos, l_tape, l_back = state, pos, bytes(tape), pos
-                    l_armed = False
-            elif state == c_state and pos == c_pos and tape == c_tape:
-                proven = True
-                break
-            if t == next_ref:
-                c_state, c_pos, c_tape = state, pos, bytes(tape)
-                r_armed = l_armed = True
-                next_ref *= 2
-        self.head = state, pos, t, lo, hi, next_ref
-        self.cycle = c_state, c_pos, c_tape
-        self.right = r_state, r_pos, r_tape, r_back
-        self.left = l_state, l_pos, l_tape, l_back
-        self.armed = r_armed, l_armed
-        return proven
-
-
-# Steps between two checks. A proven non-halter still costs up to this many
-# steps past the point its proof needs; each runaway check reads the tape once.
-_CHECK_EVERY = 64
-
-
 def run(
     machine: Machine | Sequence[Row], w: str | _Input = "", t_max: int = T_MAX_DEFAULT
 ) -> MachineOutcome:
@@ -428,8 +317,18 @@ def run(
     The tape holds w from cell 0 rightward (everything else 0); the head
     starts at cell 0 in state 0. Runs until the halt transition fires or
     t_max steps elapse. The halting transition itself writes, moves, and
-    counts as a step. A machine proven never to halt (see the module
-    docstring) returns at once with the outcome of a spent budget.
+    counts as a step. A machine proven never to halt returns on the step
+    its proof holds, with the outcome of a spent budget: HALT unreachable
+    before the first step, a cycler or translated cycler after any step
+    that does not halt (see the module docstring).
+
+    The proofs keep references, retaken at steps 1, 2, 4, 8, ... (Brent's
+    cycle finding), so the work per step is bounded:
+
+    * cycler: the configuration at the last reference step;
+    * translated cycler: per side, the first record-breaking configuration
+      after that step with nothing but 0s ahead, and the farthest the head
+      has gone back from it since.
 
     The memoized paths call it as ``run(rows, inp)``, with a program's
     ``_rows_from_int`` and the ``_Input`` they checked once; ``inp`` then
@@ -441,26 +340,50 @@ def run(
     rows, inp = machine, w
     if not _halt_reachable(rows):
         return inp.never
-    t_max = inp.t_max
-    tape = bytearray(inp.tape)
-    pos = inp.origin
-    state = 0
-    done = 0
-    watch = None
-    while done < t_max and not _runs_away(rows, state, tape, pos):
-        if done:
-            if watch is None:
-                watch = _CycleWatch(rows, inp)
-            if watch.proves(done):
-                break
-        stop = min(done + _CHECK_EVERY, t_max)
-        for step in range(done + 1, stop + 1):
-            write, move, state = rows[state + tape[pos]]
-            tape[pos] = write
-            pos += move
-            if state < 0:
-                return inp.halted(step, tape.count(1))
-        done = stop
+    tape, last1 = bytearray(inp.tape), inp.last1
+    state, pos = 0, inp.origin
+    lo = hi = pos  # lowest and highest cell visited
+    c_state, c_pos, c_tape = state, pos, inp.tape
+    # per side (state, pos, tape, farthest cell back since); state -1: none yet
+    r_state, r_pos, r_tape, r_back = l_state, l_pos, l_tape, l_back = -1, 0, b"", 0
+    # per side, whether the next record becomes the reference
+    r_armed = l_armed = True
+    next_ref = 1
+    for step in range(1, inp.t_max + 1):
+        write, move, state = rows[state + tape[pos]]
+        tape[pos] = write
+        pos += move
+        if state < 0:
+            return inp.halted(step, tape.count(1))
+        if pos < r_back:
+            r_back = pos
+        if pos > l_back:
+            l_back = pos
+        if pos > hi:
+            hi = pos
+            # a right record; with a 1 of w ahead it proves nothing
+            if pos > last1:
+                d = pos - r_pos
+                if state == r_state and r_tape[r_back:r_pos + 1] == tape[r_back + d:pos + 1]:
+                    return inp.never
+                if r_armed:
+                    r_state, r_pos, r_tape, r_back = state, pos, bytes(tape), pos
+                    r_armed = False
+        elif pos < lo:
+            # a left record: w starts at the first head cell, so only 0s lie ahead
+            lo = pos
+            d = pos - l_pos
+            if state == l_state and l_tape[l_pos:l_back + 1] == tape[pos:l_back + d + 1]:
+                return inp.never
+            if l_armed:
+                l_state, l_pos, l_tape, l_back = state, pos, bytes(tape), pos
+                l_armed = False
+        elif state == c_state and pos == c_pos and tape == c_tape:
+            return inp.never
+        if step == next_ref:
+            c_state, c_pos, c_tape = state, pos, bytes(tape)
+            r_armed = l_armed = True
+            next_ref *= 2
     return inp.never
 
 

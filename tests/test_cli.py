@@ -182,11 +182,17 @@ class TestSweepReport:
         cfg = write_config(tmp_path)
         d = tmp_path / "out"
         main(["sweep", "--config", str(cfg), "--out", str(d)])
-        lines = (d / "records.csv").read_text().splitlines()
-        lines[1] = lines[1].replace(lines[1].split(",")[0], "forty", 1)
-        (d / "records.csv").write_text("\n".join(lines) + "\n")
-        assert main(["report", "--records", str(d / "records.csv"), "--out", str(tmp_path / "r")]) == 2
-        assert "row 1" in capsys.readouterr().err
+        good = (d / "records.csv").read_text().splitlines()
+        # N not a number; condition_met neither "true" nor "false"
+        for column, value in ((0, "forty"), (12, "TRUE")):
+            lines = list(good)
+            row = lines[1].split(",")
+            row[column] = value
+            lines[1] = ",".join(row)
+            (d / "records.csv").write_text("\n".join(lines) + "\n")
+            assert main(["report", "--records", str(d / "records.csv"),
+                         "--out", str(tmp_path / "r")]) == 2
+            assert "row 1" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

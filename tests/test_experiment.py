@@ -217,12 +217,14 @@ class TestRecordsCsv:
         records, _ = run_experiment(tiny_config(n_seeds=2))
         buf = io.StringIO()
         write_records_csv(records, buf)
-        lines = buf.getvalue().splitlines()
-        row = lines[2].split(",")
-        row[10] = "fast"  # tau_E
-        lines[2] = ",".join(row)
-        with pytest.raises(ParameterError, match="row 2"):
-            read_records_csv(io.StringIO("\n".join(lines) + "\n"))
+        # tau_E not a number; condition_met neither "true" nor "false"
+        for column, value in ((10, "fast"), (12, "TRUE")):
+            lines = buf.getvalue().splitlines()
+            row = lines[2].split(",")
+            row[column] = value
+            lines[2] = ",".join(row)
+            with pytest.raises(ParameterError, match="row 2"):
+                read_records_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_shuffled_records_same_summary(self):
         cfg = tiny_config(n_values=[30, 60], n_seeds=3)

@@ -23,14 +23,10 @@ from bbnet.machines import (
     run,
     sample_programs,
     table_bits,
-    _CHECK_EVERY,
-    _CycleWatch,
     _Input,
     _distinct_tables,
-    _halt_reachable,
     _row,
     _rows_from_int,
-    _runs_away,
     _table_from_int,
 )
 from bbnet import machines
@@ -63,17 +59,26 @@ def every_table(k):
     return list(itertools.product(entries, repeat=2 * k))
 
 
-def first_proof(machine, w, t_max):
-    """The check at which ``run``'s cycle watch proves ``machine`` never halts, or None.
+class CountingRows(tuple):
+    """Interpreter rows that count their integer reads: ``run`` makes one per step it executes."""
 
-    Call only for a machine that does not halt within t_max: the watch
-    replays steps that ``run`` already took without halting.
+    reads = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            self.reads += 1
+        return super().__getitem__(i)
+
+
+def executed_steps(machine, w, t_max):
+    """(outcome, steps executed) of ``run`` on ``machine``.
+
+    A proven non-halter reports t_max steps; the steps executed are the
+    step on which its proof held.
     """
-    watch = _CycleWatch(rows_of(machine), _Input(w, t_max))
-    for stop in range(_CHECK_EVERY, t_max + 1, _CHECK_EVERY):
-        if watch.proves(stop):
-            return stop
-    return None
+    rows = CountingRows(rows_of(machine))
+    out = run(rows, _Input(w, t_max))
+    return out, rows.reads
 
 
 def all_encodings(k_max, max_len):
@@ -219,9 +224,23 @@ class TestArguments:
             lambda: omega_enumerate(18, "", 0),
             lambda: run(decode(HALTER_BITS), "2", 10),
             lambda: run(decode(HALTER_BITS), "", 0),
+            lambda: run(decode(HALTER_BITS), ["1"], 10),
+            lambda: run(decode(HALTER_BITS), 5, 10),
+            lambda: run(decode(HALTER_BITS), "", 10.5),
+            lambda: run(decode(HALTER_BITS), "", True),
+            lambda: population_fitness([HALTER], ["1"], 10),
+            lambda: population_fitness([HALTER], "", 10.5),
+            lambda: population_fitness([HALTER], "", True),
+            lambda: omega_enumerate(18, 5, 10),
+            lambda: omega_enumerate(18, "", True),
+            lambda: omega_monte_carlo(10, ["1"], 10, rng_from_seed(1)),
+            lambda: omega_monte_carlo(10, "", 10.5, rng_from_seed(1)),
         ],
         ids=["fitness-w-2", "fitness-t-max-0", "fitness-empty-w-2",
-             "enum-w-2", "enum-t-max-0", "run-w-2", "run-t-max-0"],
+             "enum-w-2", "enum-t-max-0", "run-w-2", "run-t-max-0",
+             "run-w-list", "run-w-int", "run-t-max-float", "run-t-max-bool",
+             "fitness-w-list", "fitness-t-max-float", "fitness-t-max-bool",
+             "enum-w-int", "enum-t-max-bool", "mc-w-list", "mc-t-max-float"],
     )
     def test_bad_input_rejected_before_any_run(self, call, monkeypatch):
         def work(*args):
@@ -374,52 +393,49 @@ class TestDeciders:
 
     def test_halt_unreachable(self):
         m = HALT_UNREACHABLE
-        assert not _halt_reachable(rows_of(m))
-        # the bounce is not a runaway, so only reachability proves it
-        assert not _runs_away(rows_of(m), 0, bytearray(4), 1)
+        # no transition path reaches HALT, so no step runs
+        assert executed_steps(m, "", 1000) == (reference_run(m, "", 1000), 0)
         for t_max in (1, 64, 1000):
             assert run(m, "", t_max) == reference_run(m, "", t_max)
 
-    def test_runaway_from_blank_tape_at_step_0(self):
+    def test_right_runaway_from_blank_tape(self):
+        # a run off over blank tape is a translated cycler with a one-cell window
         m = RIGHT_WRITER
-        assert _halt_reachable(rows_of(m))
-        assert _runs_away(rows_of(m), 0, bytearray(5), 2)
-        assert run(m, "", 1000) == reference_run(m, "", 1000)
+        out, steps = executed_steps(m, "", 1000)
+        assert out == reference_run(m, "", 1000)
+        assert steps <= 2
 
     def test_runaway_only_after_several_steps(self):
+        # from step 3 on, state 1 moves left over blank tape
         m = LATE_LEFT_RUNAWAY
-        assert _halt_reachable(rows_of(m))
-        # step 0: the read-0 chain from state 0 moves right, then left
-        assert not _runs_away(rows_of(m), 0, bytearray(5), 2)
-        # step 3: state 1 (row 2) at cell -1 of a blank tape
-        assert _runs_away(rows_of(m), 2, bytearray(5), 1)
-        for t_max in (3, 64, 65, 1000):
+        out, steps = executed_steps(m, "", 1000)
+        assert out == reference_run(m, "", 1000)
+        assert 3 < steps <= 4
+        for t_max in (3, 4, 64, 65, 1000):
             assert run(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_left_runaway_with_input_to_its_right(self):
         m = LEFT_WRITER
         # w = "0101" on cells 0..3, head on cell 0: its 1s lie to the right
-        assert _runs_away(rows_of(m), 0, bytearray([0, 0, 0, 1, 0, 1]), 2)
-        assert not _runs_away(rows_of(m), 0, bytearray([0, 1, 0, 1, 0, 1]), 2)
-        assert run(m, "0101", 1000) == reference_run(m, "0101", 1000)
+        out, steps = executed_steps(m, "0101", 1000)
+        assert out == reference_run(m, "0101", 1000)
+        assert steps <= 2
+        assert run(m, "1101", 1000) == reference_run(m, "1101", 1000)
 
     def test_right_blank_chain_meets_a_1_from_w(self):
-        # the 1 lies beyond the first periodic check, so the check at step
-        # 64 must read it from the tape
+        # a 1 of w lies ahead of every record until the writer reaches it
         w = "0" * 100 + "1"
         m = RIGHT_WRITER
-        assert not _runs_away(rows_of(m), 0, bytearray(int(c) for c in "0" + w), 1)
         assert run(m, w, 1000) == MachineOutcome(halted=True, steps=101, score=101)
         assert run(m, w, 1000) == reference_run(m, w, 1000)
-        assert run(m, w, 100) == MachineOutcome(halted=False, steps=100, score=0)
+        assert executed_steps(m, w, 100) == (MachineOutcome(halted=False, steps=100, score=0), 100)
 
-    def test_cycler_with_period_above_check_every(self):
+    def test_cycler_with_period_82(self):
         m, w = BOUNCER, BOUNCER_W
-        assert _halt_reachable(rows_of(m))
-        assert not _runs_away(rows_of(m), 0, bytearray(int(c) for c in w), 0)
-        # the proof needs two configurations 82 steps apart, so it comes
-        # at a later check than the first
-        assert _CHECK_EVERY < 82 < first_proof(m, w, 1000)
+        # the proof needs two configurations 82 steps apart
+        out, steps = executed_steps(m, w, 1000)
+        assert out == reference_run(m, w, 1000)
+        assert 82 < steps < 1000
         for t_max in (81, 82, 83, 256, 1000):
             assert run(m, w, t_max) == reference_run(m, w, t_max)
 
@@ -428,19 +444,17 @@ class TestDeciders:
         # step, but the tape repeats only every 4 steps. References are taken
         # at steps 2 and 4.
         m = Machine(2, ((1, 1, 1), (0, 1, 1), (0, 0, 0), (0, 0, HALT)))
-        watch = _CycleWatch(rows_of(m), _Input("", 100))
-        assert not watch.proves(4)
-        assert watch.proves(8)
-        assert run(m, "", 100) == reference_run(m, "", 100)
+        out, steps = executed_steps(m, "", 100)
+        assert out == reference_run(m, "", 100)
+        assert 4 < steps <= 8
 
     @pytest.mark.parametrize("m", [RIGHT_ZIGZAG, LEFT_ZIGZAG], ids=["right", "left"])
     def test_translated_cycler(self, m):
-        # each period also steps back, so the read-0 chain turns and no
-        # runaway check ever proves it
-        assert _halt_reachable(rows_of(m))
-        assert not _runs_away(rows_of(m), 0, bytearray(3), 1)
-        assert first_proof(m, "", 1000) == _CHECK_EVERY
-        for t_max in (64, 1000):
+        # each period also steps back, so the window reaches behind the record
+        out, steps = executed_steps(m, "", 1000)
+        assert out == reference_run(m, "", 1000)
+        assert steps <= 16
+        for t_max in (8, 9, 64, 1000):
             assert run(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_translated_cycler_after_the_1s_of_w(self):
@@ -448,9 +462,10 @@ class TestDeciders:
         # the walk over the 1s repeats one record after another in state 0,
         # but a 1 lies ahead of each of them until step 100
         w = "1" * 100
-        assert first_proof(m, w, 1000) > len(w)
-        assert run(m, w, 1000) == reference_run(m, w, 1000)
-        assert run(m, w, 1000) == MachineOutcome(halted=False, steps=1000, score=0)
+        out, steps = executed_steps(m, w, 1000)
+        assert out == reference_run(m, w, 1000)
+        assert out == MachineOutcome(halted=False, steps=1000, score=0)
+        assert len(w) < steps < 1000
         # a 1 two cells past the walk halts the zigzag at its first period
         w = "1" * 100 + "01"
         assert run(m, w, 1000) == MachineOutcome(halted=True, steps=104, score=101)
@@ -461,20 +476,18 @@ class TestDeciders:
         m = near_miss(side)
         # records at steps 1 and 4 in state 1; their windows reach one cell
         # back, to state 0's 1 and then to state 1's 0. It halts at step 6.
-        watch = _CycleWatch(rows_of(m), _Input("", 100))
-        assert not watch.proves(4)
         assert run(m, "", 100) == reference_run(m, "", 100)
         assert run(m, "", 100).steps == 6
 
     def test_near_miss_after_the_first_check(self):
         # near_miss("right") behind a walk over w's 0s: its records at steps
-        # 60 and 63 are replayed at the check at step 64, and it halts at 65
+        # 60 and 63, and it halts at 65, just past the reference at step 64
         m = Machine(4, ((0, 1, 0), (1, 1, 1)) + near_miss("right").table[2:])
         w = "0" * 59 + "1"
         assert run(m, w, 1000) == MachineOutcome(halted=True, steps=65, score=1)
         assert run(m, w, 1000) == reference_run(m, w, 1000)
-        # a sampled 4-state program: on "0110111" it halts just after the
-        # first check, which a left window one cell short would have hidden
+        # a sampled 4-state program: on "0110111" it halts at step 65, which
+        # a left window one cell short would have hidden
         m = Machine(4, ((0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 2),
                         (0, 1, 3), (1, 0, 0), (1, 0, HALT), (1, 0, 0)))
         assert run(m, "0110111", 1000) == MachineOutcome(halted=True, steps=65, score=6)
@@ -484,10 +497,9 @@ class TestDeciders:
         # state 1 at cell 1 (step 1) and at cell -1 (step 3), all 0s between:
         # not a proof. The left records at steps 3 and 5 are (a runaway).
         m = Machine(3, ((0, 1, 1), (0, 1, HALT), (1, 0, 2), (1, 0, 2), (0, 0, 1), (0, 0, 1)))
-        watch = _CycleWatch(rows_of(m), _Input("", 100))
-        assert not watch.proves(3)
-        assert watch.proves(5)
-        assert run(m, "", 100) == reference_run(m, "", 100)
+        out, steps = executed_steps(m, "", 100)
+        assert out == reference_run(m, "", 100)
+        assert 3 < steps <= 5
 
 
 class TestFitness:
@@ -603,6 +615,11 @@ class TestOmega:
                         )
                         est = omega_enumerate(max_len, w, t_max, k_max)
                         assert est.numerator == expected, (max_len, k_max, w, t_max)
+
+    @pytest.mark.parametrize("w, numerator", [("", 87248), ("101", 133040), ("0110111", 110984)])
+    def test_exact_numerators(self, w, numerator):
+        # exact values: a non-halting proof that fires on a halter lowers them
+        assert omega_enumerate(18, w, 1000, 6).numerator == numerator
 
     def test_estimate_record_shape(self):
         rec = omega_enumerate(7, "", 10).to_record()
