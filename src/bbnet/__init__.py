@@ -46,18 +46,12 @@ from .graph import (
     generate_ba,
 )
 from .machines import (
-    HALT,
     K_MAX_DEFAULT,
     T_MAX_DEFAULT,
-    Machine,
-    MachineOutcome,
     OmegaEstimate,
-    decode,
-    kraft_sum,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
-    run,
     sample_programs,
 )
 from .rng import derive_seed, rng_from_seed

@@ -36,9 +36,8 @@ class StationarityResult:
 class EmergenceReport:
     """Condition verdict and emergent-complexity proxy for one run.
 
-    rho_theory is clamped to 1 for reporting; rho_theory_raw keeps the bare
-    mean-field value (which exceeds 1 for large m*lambda). eeac_proxy is
-    tau_e * (c_best - c_bar_isolated), in bits.
+    rho_theory is the mean-field value clamped to 1 (it exceeds 1 for large
+    m*lambda). eeac_proxy is tau_e * (c_best - c_bar_isolated), in bits.
     """
 
     tau_e: float
@@ -46,13 +45,11 @@ class EmergenceReport:
     condition_met: bool
     c_of_n: int
     rho_theory: float
-    rho_theory_raw: float
     eeac_proxy: float
     c_best: int
     c_bar_isolated: float
     t_s: int | None = None
     rho_hat: float | None = None
-    stationary_within_c: bool | None = None
 
 
 def theoretical_prevalence(m: int, lam: float) -> float:
@@ -149,7 +146,6 @@ def emergence_report(
     c_n = c_of_N(n, c_exponent)
     tau_e = measure_tau_E(traj, t0, c_n)
     condition = tau_e > omega.value
-    stationary_within_c = None
     if stationarity is not None:
         stationary_within_c = stationarity.fired and stationarity.t_s <= c_n
         condition = condition and stationary_within_c
@@ -163,11 +159,9 @@ def emergence_report(
         condition_met=condition,
         c_of_n=c_n,
         rho_theory=min(rho_raw, 1.0),
-        rho_theory_raw=rho_raw,
         eeac_proxy=tau_e * (c_best - c_bar),
         c_best=c_best,
         c_bar_isolated=c_bar,
         t_s=stationarity.t_s if stationarity is not None else None,
         rho_hat=stationarity.rho_hat if stationarity is not None else None,
-        stationary_within_c=stationary_within_c,
     )

@@ -25,14 +25,15 @@ A step reads only the adjacency rows it needs, each fetched with
 ``Graph.gather``. Infected-neighbour counts are pushed from the infected
 rows with one ``bincount``. The neighbourhood maximum is taken only over the
 rows of nodes that imitate this step: the newly infected and, with
-``reimitation``, the re-imitating. Rows may be empty anywhere;
-``_step_reference`` is the per-node oracle.
+``reimitation``, the re-imitating. Rows may be empty anywhere. The
+per-node oracle that the step is checked against, ``_step_reference``,
+lives in ``tests/test_dynamics.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -77,14 +78,7 @@ class SimState:
     infected: np.ndarray  # bool
     own: np.ndarray  # int64, fixed at init
     carried: np.ndarray  # int64, the displayed value: own while susceptible
-    infected_count: int
-
-    def check_invariants(self) -> None:
-        assert self.infected_count == int(self.infected.sum())
-        sus = ~self.infected
-        assert np.array_equal(self.carried[sus], self.own[sus]), (
-            "susceptible nodes must carry their own fitness"
-        )
+    infected_count: int  # number of infected nodes
 
 
 @dataclass
@@ -195,53 +189,6 @@ def step(state: SimState, g: Graph, params: EpidemicParams, rng: np.random.Gener
     """Advance one communication round (see module docstring for the rules)."""
     u = rng.random((g.n, 3))
     return _apply_rules(state, g, params, u)
-
-
-def _step_reference(
-    state: SimState,
-    g: Graph,
-    params: EpidemicParams,
-    u: np.ndarray,
-    order: Sequence[int] | None = None,
-) -> SimState:
-    """Scalar implementation used to cross-check the vectorized step.
-
-    Processes nodes in any given order; because every rule reads only the
-    time-t snapshot and node i uses only u[i], the order cannot matter.
-    """
-    n = g.n
-    infected = state.infected
-    displayed = np.where(infected, state.carried, state.own)
-    new_infected = infected.copy()
-    carried = state.carried.copy()
-
-    for i in order if order is not None else range(n):
-        nbrs = g.neighbors(i)
-        if not infected[i]:
-            n_inf = int(infected[nbrs].sum())
-            p = 1.0 - (1.0 - params.nu) ** n_inf
-            if u[i, 0] < p:
-                new_infected[i] = True
-                if params.imitate_infected_only:
-                    vals = [displayed[j] for j in nbrs if infected[j]]
-                else:
-                    vals = [displayed[j] for j in nbrs]
-                carried[i] = max(vals)
-        else:
-            if u[i, 1] < params.delta:
-                new_infected[i] = False
-                carried[i] = state.own[i]
-            elif params.reimitation and u[i, 2] < params.nu:
-                if len(nbrs) > 0:
-                    carried[i] = max(int(carried[i]), int(displayed[nbrs].max()))
-
-    return SimState(
-        t=state.t + 1,
-        infected=new_infected,
-        own=state.own,
-        carried=carried,
-        infected_count=int(new_infected.sum()),
-    )
 
 
 def _record(state: SimState, global_best: int) -> tuple[float, float, int]:

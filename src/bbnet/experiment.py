@@ -401,7 +401,6 @@ def read_records_csv(inp: TextIO) -> list[RunRecord]:
                 condition_met=parts[12] == "true",
                 c_of_n=int(parts[6]),
                 rho_theory=float(parts[9]),
-                rho_theory_raw=float(parts[9]),
                 eeac_proxy=float(parts[15]),
                 c_best=int(parts[13]),
                 c_bar_isolated=float(parts[14]),

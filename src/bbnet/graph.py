@@ -105,9 +105,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.indices) // 2
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Neighbours of ``rows``, row after row, and where each row starts.
 

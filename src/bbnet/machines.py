@@ -14,17 +14,18 @@ A program is a finite bit string decoding to a k-state, 2-symbol machine:
 
 Every bit pattern decodes (the mod mapping absorbs unused codewords), so the
 code is complete: summing 2^-|p| over all programs gives exactly 1, and fair
-coin flips fed to the decoder sample programs with probability 2^-|p|.
+coin flips fed to the reader sample programs with probability 2^-|p|.
 The total encoding length is k + 2k * (2 + b).
 
-One reader parses programs from a string of '0'/'1': ``decode`` reads one
-from a given string, while ``sample_programs`` and ``omega_monte_carlo`` read
-them in turn from a Generator's 4096-bit blocks, as (k, table bits as an
-integer) pairs. ``population_fitness`` and ``omega_monte_carlo`` each memoize
+Programs exist only as (k, table bits as an integer) pairs, read in turn by
+one reader, ``_ProgramReader``: ``sample_programs`` and ``omega_monte_carlo``
+feed it a Generator's 4096-bit blocks (the tests feed it chosen strings of
+'0'/'1'). ``population_fitness`` and ``omega_monte_carlo`` each memoize
 outcomes per call on that pair, and only a miss turns the table bits into
-interpreter rows (``_rows_from_int``). Exact enumeration runs each distinct
-table once, weighted by how many encodings decode to it. Each of the three
-checks w and t_max once (``_Input``) before any program runs.
+interpreter rows (``_rows_from_int``) for ``run(rows, inp)``. Exact
+enumeration runs each distinct table once, weighted by how many encodings
+decode to it. Each of the three checks w and t_max once (``_Input``) before
+any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -61,7 +62,6 @@ budget would have: ``halted=False, steps=t_max, score=0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import functools
@@ -80,8 +80,6 @@ T_MAX_DEFAULT = 10_000
 # would add tens of millions of tables).
 ENUM_LENGTH_GUARD = 26
 
-Entry = tuple[int, int, int]  # (write bit, move bit, next state or HALT)
-
 
 def table_bits(k: int) -> int:
     """Table bits of a k-state program: 2k entries of 2 + ceil(log2(k + 1)) bits."""
@@ -96,26 +94,6 @@ def encoding_length(k: int) -> int:
 def _check_k_max(k_max: int) -> None:
     if k_max < 1:
         raise ParameterError(f"need k_max >= 1, got {k_max}")
-
-
-@dataclass(frozen=True)
-class Machine:
-    """A k-state, 2-symbol machine; table[2*state + read_bit] = (write, move, next)."""
-
-    k: int
-    table: tuple[Entry, ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParameterError(f"need k >= 1, got {self.k}")
-        if len(self.table) != 2 * self.k:
-            raise ParameterError(
-                f"table needs {2 * self.k} entries for k={self.k}, got {len(self.table)}"
-            )
-        for entry in self.table:
-            write, move, nxt = entry
-            if write not in (0, 1) or move not in (0, 1) or not (HALT <= nxt < self.k):
-                raise ParameterError(f"malformed table entry {entry!r} for k={self.k}")
 
 
 @dataclass(frozen=True)
@@ -195,19 +173,6 @@ class _ProgramReader:
             self._i = 0
 
 
-def decode(bits: str, k_max: int = K_MAX_DEFAULT) -> Machine:
-    """Decode one program from the front of a string of '0'/'1'.
-
-    Bits after the encoding are ignored. Raises IncompleteProgramError if the
-    string ends mid-program.
-    """
-    _check_k_max(k_max)
-    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
-        raise ParameterError(f"decode takes a string of '0'/'1', got {bits!r}")
-    k, t_int = _ProgramReader(bits).next(k_max)
-    return Machine(k, _table_from_int(k, t_int))
-
-
 def sample_programs(
     rng: np.random.Generator, count: int, k_max: int = K_MAX_DEFAULT
 ) -> list[tuple[int, int]]:
@@ -230,36 +195,30 @@ def sample_programs(
 Row = tuple[int, int, int]
 
 
-def _row(entry: Entry) -> Row:
-    write, move, nxt = entry
+def _row(write: int, move: int, nxt: int) -> Row:
+    """The row of an entry: write bit, move bit (1 = right), next state or HALT."""
     return write, 2 * move - 1, 2 * nxt
 
 
 @functools.cache
-def _field_codes(k: int) -> tuple[range, int, list[Entry], list[Row]]:
+def _field_codes(k: int) -> tuple[range, int, list[Row]]:
     """Where the 2k table fields of a k-state program sit, and what each field value means.
 
     Returns the fields' right shifts (first entry first), the field mask, and
-    every field value decoded as an ``Entry`` and as an interpreter ``Row``.
+    every field value decoded as an interpreter ``Row``.
     """
     b_width = k.bit_length()
     ew = 2 + b_width
-    entries = []
+    rows = []
     for code in range(1 << ew):
         nxt = (code & ((1 << b_width) - 1)) % (k + 1)
-        entries.append((code >> (1 + b_width), (code >> b_width) & 1, HALT if nxt == k else nxt))
-    return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, entries, [_row(e) for e in entries]
-
-
-def _table_from_int(k: int, t_int: int) -> tuple[Entry, ...]:
-    """Table decoded from an integer holding the table bits, MSB first."""
-    shifts, mask, entries, _ = _field_codes(k)
-    return tuple([entries[t_int >> s & mask] for s in shifts])
+        rows.append(_row(code >> (1 + b_width), (code >> b_width) & 1, HALT if nxt == k else nxt))
+    return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, rows
 
 
 def _rows_from_int(k: int, t_int: int) -> tuple[Row, ...]:
-    """The interpreter rows of the table held in ``t_int``, as ``_table_from_int`` decodes it."""
-    shifts, mask, _, rows = _field_codes(k)
+    """The interpreter rows of the table whose bits ``t_int`` holds, MSB first."""
+    shifts, mask, rows = _field_codes(k)
     return tuple([rows[t_int >> s & mask] for s in shifts])
 
 
@@ -309,18 +268,18 @@ def _halt_reachable(rows: Sequence[Row]) -> bool:
     return False
 
 
-def run(
-    machine: Machine | Sequence[Row], w: str | _Input = "", t_max: int = T_MAX_DEFAULT
-) -> MachineOutcome:
-    """Execute on a two-way-infinite binary tape.
+def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
+    """Execute a program's interpreter rows on a two-way-infinite binary tape.
 
-    The tape holds w from cell 0 rightward (everything else 0); the head
-    starts at cell 0 in state 0. Runs until the halt transition fires or
-    t_max steps elapse. The halting transition itself writes, moves, and
-    counts as a step. A machine proven never to halt returns on the step
-    its proof holds, with the outcome of a spent budget: HALT unreachable
-    before the first step, a cycler or translated cycler after any step
-    that does not halt (see the module docstring).
+    ``rows`` are a program's ``_rows_from_int``; ``inp`` is the input w and
+    the budget t_max, checked once for every run of a population. The tape
+    holds w from cell 0 rightward (everything else 0); the head starts at
+    cell 0 in state 0. Runs until the halt transition fires or t_max steps
+    elapse. The halting transition itself writes, moves, and counts as a
+    step. A machine proven never to halt returns on the step its proof
+    holds, with the outcome of a spent budget: HALT unreachable before the
+    first step, a cycler or translated cycler after any step that does not
+    halt (see the module docstring).
 
     The proofs keep references, retaken at steps 1, 2, 4, 8, ... (Brent's
     cycle finding), so the work per step is bounded:
@@ -329,15 +288,7 @@ def run(
     * translated cycler: per side, the first record-breaking configuration
       after that step with nothing but 0s ahead, and the farthest the head
       has gone back from it since.
-
-    The memoized paths call it as ``run(rows, inp)``, with a program's
-    ``_rows_from_int`` and the ``_Input`` they checked once; ``inp`` then
-    carries t_max.
     """
-    if isinstance(machine, Machine):
-        w = _Input(w, t_max)
-        machine = tuple(map(_row, machine.table))
-    rows, inp = machine, w
     if not _halt_reachable(rows):
         return inp.never
     tape, last1 = bytearray(inp.tape), inp.last1
@@ -419,13 +370,6 @@ def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
             yield k, length, 2 if k == k_max else 1
 
 
-def _check_enum_guard(max_len: int) -> None:
-    if max_len > ENUM_LENGTH_GUARD:
-        raise ParameterError(
-            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused (got max_len={max_len})"
-        )
-
-
 def _distinct_tables(k: int) -> Iterator[tuple[tuple[Row, ...], int]]:
     """Each distinct k-state table once, as interpreter rows, with how many encodings decode to it.
 
@@ -433,7 +377,7 @@ def _distinct_tables(k: int) -> Iterator[tuple[tuple[Row, ...], int]]:
     as many field values as give its next state.
     """
     fields = 1 << k.bit_length()
-    options = [(_row((write, move, HALT if nxt == k else nxt)), len(range(nxt, fields, k + 1)))
+    options = [(_row(write, move, HALT if nxt == k else nxt), len(range(nxt, fields, k + 1)))
                for write, move, nxt in itertools.product((0, 1), (0, 1), range(k + 1))]
     for choice in itertools.product(options, repeat=2 * k):
         yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
@@ -454,7 +398,10 @@ def omega_enumerate(
     """
     if max_len < 0:
         raise ParameterError(f"need max_len >= 0, got {max_len}")
-    _check_enum_guard(max_len)
+    if max_len > ENUM_LENGTH_GUARD:
+        raise ParameterError(
+            f"enumeration above {ENUM_LENGTH_GUARD} bits is refused (got max_len={max_len})"
+        )
     _check_k_max(k_max)
     inp = _Input(w, t_max)
     numerator = 0
@@ -464,21 +411,6 @@ def omega_enumerate(
                 numerator += variants * weight << (max_len - length)
     value = numerator / (1 << max_len)
     return OmegaEstimate("enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=t_max)
-
-
-def kraft_sum(k_max: int, max_len: int | None = None) -> Fraction:
-    """Sum of 2^-|p| over all enumerable encodings, as an exact fraction.
-
-    With max_len covering every state count up to k_max this is exactly 1.
-    """
-    _check_k_max(k_max)
-    if max_len is None:
-        max_len = encoding_length(k_max)
-    _check_enum_guard(max_len)
-    total = Fraction(0)
-    for k, length, variants in _state_counts(k_max, max_len):
-        total += Fraction(variants << table_bits(k), 1 << length)
-    return total
 
 
 def omega_monte_carlo(

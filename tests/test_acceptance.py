@@ -12,20 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import iter_encodings, record_criterion
+from conftest import iter_encodings, kraft_sum, outcome, record_criterion, table_from_int
 
 from bbnet.analysis import detect_stationarity, theoretical_prevalence
 from bbnet.dynamics import EpidemicParams, run_sim, step
 from bbnet.experiment import ExperimentConfig, run_experiment, run_sweep_to_dir
 from bbnet.graph import Graph, NetworkParams, approx_diameter, degree_ccdf, fit_power_law, generate_ba
 from bbnet.machines import (
-    Machine,
-    _table_from_int,
-    kraft_sum,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
-    run,
     sample_programs,
     table_bits,
 )
@@ -162,7 +158,7 @@ def test_criterion_5_dynamics_oracle_and_busy_beaver():
     for k, t_int, _, _ in iter_encodings(2, 18):
         if k != 2:
             continue
-        out = run(Machine(2, _table_from_int(2, t_int)), "", 100)
+        out = outcome(table_from_int(2, t_int), "", 100)
         if out.halted:
             best = max(best, out.score)
     assert best == 4, f"two-state busy beaver brute force gave {best}"

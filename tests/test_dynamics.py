@@ -1,16 +1,16 @@
 """SIS imitation dynamics: exact small-case oracles and invariants."""
 
 import io
+from typing import Sequence
 
 import numpy as np
 import pytest
-from conftest import trajectory_from_csv
+from conftest import neighbors, trajectory_from_csv
 
 from bbnet.dynamics import (
     EpidemicParams,
     SimState,
     _apply_rules,
-    _step_reference,
     init_state,
     run_sim,
     step,
@@ -19,6 +19,62 @@ from bbnet.errors import ParameterError
 from bbnet.graph import Graph, NetworkParams, approx_diameter, generate_ba
 from bbnet.machines import population_fitness, sample_programs
 from bbnet.rng import rng_from_seed
+
+
+def _step_reference(
+    state: SimState,
+    g: Graph,
+    params: EpidemicParams,
+    u: np.ndarray,
+    order: Sequence[int] | None = None,
+) -> SimState:
+    """Scalar implementation used to cross-check the vectorized step.
+
+    Processes nodes in any given order; because every rule reads only the
+    time-t snapshot and node i uses only u[i], the order cannot matter.
+    """
+    n = g.n
+    infected = state.infected
+    displayed = np.where(infected, state.carried, state.own)
+    new_infected = infected.copy()
+    carried = state.carried.copy()
+
+    for i in order if order is not None else range(n):
+        nbrs = neighbors(g, i)
+        if not infected[i]:
+            n_inf = int(infected[nbrs].sum())
+            p = 1.0 - (1.0 - params.nu) ** n_inf
+            if u[i, 0] < p:
+                new_infected[i] = True
+                if params.imitate_infected_only:
+                    vals = [displayed[j] for j in nbrs if infected[j]]
+                else:
+                    vals = [displayed[j] for j in nbrs]
+                carried[i] = max(vals)
+        else:
+            if u[i, 1] < params.delta:
+                new_infected[i] = False
+                carried[i] = state.own[i]
+            elif params.reimitation and u[i, 2] < params.nu:
+                if len(nbrs) > 0:
+                    carried[i] = max(int(carried[i]), int(displayed[nbrs].max()))
+
+    return SimState(
+        t=state.t + 1,
+        infected=new_infected,
+        own=state.own,
+        carried=carried,
+        infected_count=int(new_infected.sum()),
+    )
+
+
+def check_invariants(state):
+    """The ``SimState`` invariants: the infected count, and susceptible nodes carry their own value."""
+    assert state.infected_count == int(state.infected.sum())
+    sus = ~state.infected
+    assert np.array_equal(state.carried[sus], state.own[sus]), (
+        "susceptible nodes must carry their own fitness"
+    )
 
 
 def sampled_fitness(rng, n, t_max):
@@ -110,7 +166,7 @@ class TestInit:
         rng = rng_from_seed(0)
         s = init_state(g, np.ones(10, dtype=np.int64), EpidemicParams(nu=0.5, delta=0.5, rho0=1.0), rng)
         assert s.infected_count == 10
-        s.check_invariants()
+        check_invariants(s)
 
     def test_floor_guard_one_infected(self):
         g = path_graph(100)
@@ -124,7 +180,7 @@ class TestInit:
         own = sampled_fitness(rng, 2000, 100)
         s = init_state(g, own, EpidemicParams(nu=0.5, delta=0.5, rho0=0.01), rng)
         assert s.infected_count == 20
-        s.check_invariants()
+        check_invariants(s)
 
     def test_program_count_mismatch(self):
         with pytest.raises(ParameterError):
@@ -149,7 +205,7 @@ class TestStep:
         nxt = step(state, g, EpidemicParams(nu=1.0, delta=0.0), rng_from_seed(0))
         assert nxt.infected_count == 6
         assert nxt.carried[1:].tolist() == [9] * 5
-        nxt.check_invariants()
+        check_invariants(nxt)
 
     def test_path3_exact_one_step_distribution(self):
         # center infected; three independent fair flips -> 8 equally likely outcomes
@@ -206,7 +262,7 @@ class TestStep:
         nxt = _apply_rules(state, g, EpidemicParams(nu=0.0, delta=1.0), np.zeros((2, 3)))
         assert not nxt.infected.any()
         assert nxt.carried.tolist() == [1, 2]
-        nxt.check_invariants()
+        check_invariants(nxt)
 
     def test_reimitation_raises_carried_to_closed_neighborhood_max(self):
         g = path_graph(3)
@@ -241,7 +297,7 @@ class TestStepCrossCheck:
             for other in (ref, perm):
                 assert np.array_equal(vec.infected, other.infected)
                 assert np.array_equal(vec.carried, other.carried)
-            vec.check_invariants()
+            check_invariants(vec)
 
     def test_isolated_node_is_inert(self):
         # node 3 has no edges: it can never be infected, and if it starts
@@ -257,7 +313,7 @@ class TestStepCrossCheck:
         assert vec.carried[3] == 9  # nothing to imitate, keeps its carried value
         cured = _apply_rules(state, g, EpidemicParams(nu=0.0, delta=1.0), u)
         assert cured.carried[3] == 4
-        cured.check_invariants()
+        check_invariants(cured)
 
     def test_trailing_isolated_node_keeps_the_last_half_edge(self):
         # node 3 has no edges and sits after node 2, whose last neighbour
@@ -290,7 +346,7 @@ class TestStepCrossCheck:
             ref = _step_reference(state, g, params, u)
             assert np.array_equal(vec.infected, ref.infected)
             assert np.array_equal(vec.carried, ref.carried)
-            vec.check_invariants()
+            check_invariants(vec)
 
     @pytest.mark.parametrize(
         "params",

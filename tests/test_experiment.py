@@ -213,6 +213,22 @@ class TestRecordsCsv:
         assert back[0].report.t_s is None
         assert back[0].report.rho_hat is None
 
+    def test_reread_rewrites_the_same_bytes(self, tmp_path):
+        # nu 0.9 at m 2 clamps rho_theory (2 exp(-1/1.8) > 1); at N 30 the
+        # 11-step series is shorter than two windows, so stationarity never fires
+        cfg = tiny_config(n_values=[30, 400], nu_values=[0.1, 0.9], t_max_steps=10,
+                          stat_window=6, stat_tol=0.5)
+        run_sweep_to_dir(cfg, tmp_path)
+        original = (tmp_path / "records.csv").read_bytes()
+        rows = [line.split(",") for line in original.decode().splitlines()[1:]]
+        assert {row[9] == "1.000000000" for row in rows} == {True, False}
+        assert {row[7] == "-1" for row in rows} == {True, False}
+        with open(tmp_path / "records.csv") as fh:
+            back = read_records_csv(fh)
+        buf = io.StringIO()
+        write_records_csv(back, buf)
+        assert buf.getvalue().encode() == original
+
     def test_non_numeric_field_names_the_row(self):
         records, _ = run_experiment(tiny_config(n_seeds=2))
         buf = io.StringIO()

@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import neighbors
 from hypothesis import given, settings, strategies as st
 
 import bbnet.graph
@@ -41,7 +42,7 @@ def check_invariants(g):
     """Raises AssertionError if the graph is not simple and symmetric."""
     seen = set()
     for u in range(g.n):
-        nbrs = g.neighbors(u)
+        nbrs = neighbors(g, u)
         assert np.all(np.diff(nbrs) > 0), f"unsorted or duplicate neighbors at {u}"
         assert u not in nbrs, f"self-loop at {u}"
         for v in nbrs:
@@ -100,7 +101,7 @@ def bfs_oracle(g, src):
     q = deque([src])
     while q:
         u = q.popleft()
-        for v in g.neighbors(u):
+        for v in neighbors(g, u):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 q.append(int(v))
@@ -119,7 +120,7 @@ def diameter_oracle(g):
 
 def edges_oracle(g):
     """Per-row walk keeping u < v."""
-    return [(u, int(v)) for u in range(g.n) for v in g.neighbors(u) if u < v]
+    return [(u, int(v)) for u in range(g.n) for v in neighbors(g, u) if u < v]
 
 
 def from_edges_oracle(n, edges):
@@ -470,7 +471,7 @@ class TestArrayPathsMatchLoops:
         g = Graph.from_edges(7, [(0, 3), (3, 4), (4, 1), (0, 1), (1, 3)])  # 2, 5, 6 isolated
         rows = np.array([2, 1, 5, 3, 6, 0, 1])
         nbrs, offsets = g.gather(rows)
-        assert nbrs.tolist() == [x for r in rows for x in g.neighbors(r).tolist()]
+        assert nbrs.tolist() == [x for r in rows for x in neighbors(g, r).tolist()]
         assert offsets.tolist() == [0, 0, 3, 3, 6, 6, 8]
         nbrs, offsets = g.gather(np.array([], dtype=np.int64))
         assert len(nbrs) == len(offsets) == 0

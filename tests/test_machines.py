@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import iter_encodings
+from conftest import iter_encodings, kraft_sum, outcome, read_table, rows_of, table_from_int
 from bbnet.errors import IncompleteProgramError, ParameterError
 from bbnet.machines import (
     HALT,
-    Machine,
     MachineOutcome,
-    decode,
     encoding_length,
-    kraft_sum,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
@@ -24,10 +21,9 @@ from bbnet.machines import (
     sample_programs,
     table_bits,
     _Input,
+    _ProgramReader,
     _distinct_tables,
-    _row,
     _rows_from_int,
-    _table_from_int,
 )
 from bbnet import machines
 from bbnet.rng import rng_from_seed
@@ -36,27 +32,23 @@ from bbnet.rng import rng_from_seed
 HALTER_BITS = "0111111"
 # k=1, both entries (write 1, move left, v=0 -> state 0): provably loops
 SPINNER_BITS = "0100100"
-# the same two programs as (k, table_int)
+# the same two programs as (k, table_int), and their (k, entries) tables
 HALTER = (1, 0b111111)
 SPINNER = (1, 0b100100)
+HALTER_TABLE = (1, ((1, 1, HALT), (1, 1, HALT)))
+SPINNER_TABLE = (1, ((1, 0, 0), (1, 0, 0)))
 
 
-def as_machine(program):
-    """The Machine of a (k, table_int) program."""
-    k, t_int = program
-    return Machine(k, _table_from_int(k, t_int))
-
-
-def rows_of(machine):
-    """The interpreter rows of a Machine."""
-    return tuple(map(_row, machine.table))
+def read_program(bits, k_max=6):
+    """(k, table_int) of the program at the front of a string of '0'/'1', by the production reader."""
+    return _ProgramReader(bits).next(k_max)
 
 
 def every_table(k):
-    """Every k-state table, listed from the entry format rather than from the decoder."""
+    """Every k-state (k, entries) table, listed from the entry format rather than from the decoder."""
     entries = [(write, move, HALT if nxt == k else nxt)
                for write in (0, 1) for move in (0, 1) for nxt in range(k + 1)]
-    return list(itertools.product(entries, repeat=2 * k))
+    return [(k, table) for table in itertools.product(entries, repeat=2 * k)]
 
 
 class CountingRows(tuple):
@@ -70,13 +62,13 @@ class CountingRows(tuple):
         return super().__getitem__(i)
 
 
-def executed_steps(machine, w, t_max):
-    """(outcome, steps executed) of ``run`` on ``machine``.
+def executed_steps(table, w, t_max):
+    """(outcome, steps executed) of ``run`` on a (k, entries) table.
 
     A proven non-halter reports t_max steps; the steps executed are the
     step on which its proof held.
     """
-    rows = CountingRows(rows_of(machine))
+    rows = CountingRows(rows_of(table))
     out = run(rows, _Input(w, t_max))
     return out, rows.reads
 
@@ -93,31 +85,20 @@ def all_encodings(k_max, max_len):
 
 
 def reference_decode(bits, k_max):
-    """Slow oracle written from the format spec: one program from a bit iterator."""
+    """Slow oracle written from the format spec: one (k, entries) table from a bit iterator."""
     ones = 0
     while ones < k_max and next(bits) == 1:
         ones += 1
-    k = ones + 1 if ones < k_max else k_max
-    b = 0
-    while (1 << b) < k + 1:  # b = ceil(log2(k + 1))
-        b += 1
-    table = []
-    for _ in range(2 * k):
-        write, move = next(bits), next(bits)
-        v = 0
-        for _ in range(b):
-            v = 2 * v + next(bits)
-        nxt = v % (k + 1)
-        table.append((write, move, HALT if nxt == k else nxt))
-    return Machine(k, tuple(table))
+    return read_table(bits, ones + 1 if ones < k_max else k_max)
 
 
-def reference_run(machine, w, t_max):
+def reference_run(table, w, t_max):
     """Slow oracle written from the spec: the plain step loop, with no deciders."""
+    _, entries = table
     tape = {i: int(c) for i, c in enumerate(w)}
     pos, state = 0, 0
     for step in range(1, t_max + 1):
-        write, move, state = machine.table[2 * state + tape.get(pos, 0)]
+        write, move, state = entries[2 * state + tape.get(pos, 0)]
         tape[pos] = write
         pos += 1 if move else -1
         if state == HALT:
@@ -130,29 +111,27 @@ class TestEncoding:
         assert [encoding_length(k) for k in range(1, 7)] == [7, 18, 27, 44, 55, 66]
 
     def test_decode_worked_example(self):
-        m = decode(HALTER_BITS)
-        assert m.k == 1
-        assert m.table == ((1, 1, HALT), (1, 1, HALT))
+        assert read_program(HALTER_BITS) == HALTER
+        assert table_from_int(*HALTER) == HALTER_TABLE
+        assert reference_decode(map(int, HALTER_BITS), 6) == HALTER_TABLE
 
     def test_header_cap_rule(self):
-        # six ones (k_max=6) go straight to a k=6 table, no terminating zero
-        bits = "1" * 6 + "0" * 60
-        m = decode(bits)
-        assert m.k == 6
-        assert len(m.table) == 12
+        # six ones (k_max=6) go straight to a k=6 table, no terminating zero:
+        # the seventh 1 is the table's first bit
+        bits = "1" * 6 + "1" + "0" * 59
+        assert read_program(bits) == (6, 1 << 59)
+        assert len(table_from_int(*read_program(bits))[1]) == 12
+        with pytest.raises(IncompleteProgramError):
+            read_program(bits[:-1])
 
     def test_both_k_max_headers_decode_to_same_k(self):
         table = "0" * 16
-        assert decode("10" + table, k_max=2).k == 2
-        assert decode("11" + table, k_max=2).k == 2
+        assert read_program("10" + table, k_max=2) == (2, 0)
+        assert read_program("11" + table, k_max=2) == (2, 0)
 
     def test_incomplete_stream(self):
         with pytest.raises(IncompleteProgramError):
-            decode("011")
-
-    def test_non_bit_rejected(self):
-        with pytest.raises(ParameterError):
-            decode("0121111")
+            read_program("011")
 
     def test_prefix_free_k_le_2(self):
         encs = set(all_encodings(k_max=6, max_len=18))
@@ -175,18 +154,14 @@ class TestEncoding:
     def test_every_long_enough_bit_string_decodes(self, word):
         # the mod mapping makes every prefix of fair bits a valid program
         bits = format(word, "066b")
-        m = decode(bits)
-        assert 1 <= m.k <= 6
-        assert len(m.table) == 2 * m.k
         for k_max in (6, 2):
-            assert decode(bits, k_max) == reference_decode(map(int, bits), k_max)
+            k, t_int = read_program(bits, k_max)
+            assert 1 <= k <= k_max
+            assert 0 <= t_int < 1 << table_bits(k)
+            assert table_from_int(k, t_int) == reference_decode(map(int, bits), k_max)
 
 
 class TestArguments:
-    def test_machine_needs_a_state(self):
-        with pytest.raises(ParameterError):
-            Machine(0, ())
-
     @pytest.mark.parametrize(
         "program", [(0, 0), (2, -1), (2, 1 << 16)], ids=["k-0", "table-negative", "table-too-wide"]
     )
@@ -222,12 +197,6 @@ class TestArguments:
             lambda: population_fitness([], "2", 10),
             lambda: omega_enumerate(18, "2", 10),
             lambda: omega_enumerate(18, "", 0),
-            lambda: run(decode(HALTER_BITS), "2", 10),
-            lambda: run(decode(HALTER_BITS), "", 0),
-            lambda: run(decode(HALTER_BITS), ["1"], 10),
-            lambda: run(decode(HALTER_BITS), 5, 10),
-            lambda: run(decode(HALTER_BITS), "", 10.5),
-            lambda: run(decode(HALTER_BITS), "", True),
             lambda: population_fitness([HALTER], ["1"], 10),
             lambda: population_fitness([HALTER], "", 10.5),
             lambda: population_fitness([HALTER], "", True),
@@ -237,8 +206,7 @@ class TestArguments:
             lambda: omega_monte_carlo(10, "", 10.5, rng_from_seed(1)),
         ],
         ids=["fitness-w-2", "fitness-t-max-0", "fitness-empty-w-2",
-             "enum-w-2", "enum-t-max-0", "run-w-2", "run-t-max-0",
-             "run-w-list", "run-w-int", "run-t-max-float", "run-t-max-bool",
+             "enum-w-2", "enum-t-max-0",
              "fitness-w-list", "fitness-t-max-float", "fitness-t-max-bool",
              "enum-w-int", "enum-t-max-bool", "mc-w-list", "mc-t-max-float"],
     )
@@ -278,7 +246,7 @@ class TestSampling:
             )
             stream = iter(bits.tolist())
             decoded = [reference_decode(stream, 6) for _ in range(count)]
-            assert decoded == [as_machine(p) for p in programs]
+            assert decoded == [table_from_int(*p) for p in programs]
             assert len(list(stream)) == n_blocks * 4096 - used
             assert rng.random() == oracle.random()
 
@@ -288,73 +256,68 @@ class TestSampling:
 
 class TestRun:
     def test_immediate_halter(self):
-        out = run(decode(HALTER_BITS), "", 10)
+        out = outcome(HALTER_TABLE, "", 10)
         assert out.halted and out.steps == 1 and out.score == 1
 
     def test_spinner_never_halts(self):
-        out = run(decode(SPINNER_BITS), "", 500)
+        out = outcome(SPINNER_TABLE, "", 500)
         assert not out.halted
         assert out.steps == 500
         assert out.score == 0
 
     def test_input_written_from_cell_zero(self):
         # halter writes a 1 at cell 0 and stops; w's other 1s remain
-        out = run(decode(HALTER_BITS), "011", 10)
+        out = outcome(HALTER_TABLE, "011", 10)
         assert out.halted
         assert out.score == 3
 
     def test_budget_monotonicity(self):
         rng = rng_from_seed(40)
         checked = 0
-        for m in map(as_machine, sample_programs(rng, 300)):
-            out = run(m, "", 60)
+        for p in sample_programs(rng, 300):
+            rows = _rows_from_int(*p)
+            out = run(rows, _Input("", 60))
             if out.halted:
-                assert run(m, "", 600) == out
+                assert run(rows, _Input("", 600)) == out
                 checked += 1
         assert checked > 50
 
     def test_determinism(self):
         rng = rng_from_seed(41)
-        for m in map(as_machine, sample_programs(rng, 50)):
-            assert run(m, "", 200) == run(m, "", 200)
-
-    def test_rejects_bad_budget_and_input(self):
-        m = decode(HALTER_BITS)
-        with pytest.raises(ParameterError):
-            run(m, "", 0)
-        with pytest.raises(ParameterError):
-            run(m, "2", 10)
+        inp = _Input("", 200)
+        for p in sample_programs(rng, 50):
+            assert run(_rows_from_int(*p), inp) == run(_rows_from_int(*p), inp)
 
 
-# Named machines for the deciders; table[2*state + read] = (write, move, next).
+# Named (k, entries) tables for the deciders; entries[2*state + read] = (write, move, next).
 # Bounces between cells 0 and 1 on blank tape; only state 2 can halt, and no
 # transition from states 0 or 1 leads there.
-HALT_UNREACHABLE = Machine(3, ((0, 1, 1), (0, 1, 0), (0, 0, 0), (1, 1, 1),
-                               (1, 1, HALT), (1, 1, HALT)))
+HALT_UNREACHABLE = (3, ((0, 1, 1), (0, 1, 0), (0, 0, 0), (1, 1, 1),
+                        (1, 1, HALT), (1, 1, HALT)))
 # Writes 1s rightward over blank tape; halts on the first 1 it reads.
-RIGHT_WRITER = Machine(1, ((1, 1, 0), (1, 1, HALT)))
+RIGHT_WRITER = (1, ((1, 1, 0), (1, 1, HALT)))
 # Writes a 1, steps right, steps back, clears that 1 and from step 3 on
 # moves left over blank tape in state 1 forever.
-LATE_LEFT_RUNAWAY = Machine(2, ((1, 1, 1), (1, 1, HALT), (0, 0, 1), (0, 0, 1)))
+LATE_LEFT_RUNAWAY = (2, ((1, 1, 1), (1, 1, HALT), (0, 0, 1), (0, 0, 1)))
 # Writes 1s leftward over blank tape; halts on the first 1 it reads.
-LEFT_WRITER = Machine(1, ((1, 0, 0), (1, 0, HALT)))
+LEFT_WRITER = (1, ((1, 0, 0), (1, 0, HALT)))
 # On w = BOUNCER_W, bounces between the 1s at cells 0 and 41 without changing
 # the tape: right in state 1, left in states 0 and 2 by turns, so state 0
 # always meets the 1 at cell 0 and the halting entry (state 2 reads 1) never
 # fires. A cycler with period 82.
-BOUNCER = Machine(3, ((0, 0, 2), (1, 1, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0), (1, 1, HALT)))
+BOUNCER = (3, ((0, 0, 2), (1, 1, 1), (0, 1, 1), (1, 0, 0), (0, 0, 0), (1, 1, HALT)))
 BOUNCER_W = "1" + "0" * 40 + "1"
 # From a new cell in state 0: step back, clear the 1 there, step on and
 # write a 1, then enter the next new cell; a right-moving translated cycler
 # with period 3 (it halts if state 0 ever reads a 1).
-RIGHT_ZIGZAG = Machine(2, ((0, 0, 1), (0, 0, HALT), (1, 1, 0), (0, 1, 1)))
+RIGHT_ZIGZAG = (2, ((0, 0, 1), (0, 0, HALT), (1, 1, 0), (0, 1, 1)))
 # A left-moving translated cycler: two new cells every 4 steps, and a step
 # back in between, so its read-0 chain turns too.
-LEFT_ZIGZAG = Machine(2, ((0, 0, 1), (0, 0, HALT), (1, 1, 0), (0, 0, 0)))
+LEFT_ZIGZAG = (2, ((0, 0, 1), (0, 0, HALT), (1, 1, 0), (0, 0, 0)))
 # RIGHT_ZIGZAG behind a state 0 that walks right over the 1s of w and hands
 # over at the first 0 it reads.
-ZIGZAG_AFTER_W = Machine(3, ((0, 0, 2), (1, 1, 0), (0, 0, 2), (1, 1, HALT),
-                             (1, 1, 1), (0, 1, 2)))
+ZIGZAG_AFTER_W = (3, ((0, 0, 2), (1, 1, 0), (0, 0, 2), (1, 1, HALT),
+                      (1, 1, 1), (0, 1, 2)))
 
 
 def near_miss(side):
@@ -367,36 +330,36 @@ def near_miss(side):
     state 1 wrote, so the second period halts.
     """
     on, back = (1, 0) if side == "right" else (0, 1)
-    return Machine(4, ((1, on, 1), (1, on, 1), (0, back, 2), (0, back, 2),
-                       (0, back, HALT), (1, on, 3), (0, on, 1), (0, on, 1)))
+    return 4, ((1, on, 1), (1, on, 1), (0, back, 2), (0, back, 2),
+               (0, back, HALT), (1, on, 3), (0, on, 1), (0, on, 1))
 
 
 class TestDeciders:
     """``run`` against ``reference_run``, which never proves anything."""
 
     def test_every_k_le_2_program(self):
-        tables = [(k, table) for k in (1, 2) for table in every_table(k)]
+        tables = every_table(1) + every_table(2)
         # distinct entries: 2 writes x 2 moves x (k + 1) next states
         assert len(set(tables)) == len(tables) == 8**2 + 12**4
-        for k, table in tables:
-            m = Machine(k, table)
+        for m in tables:
             # "0110111" puts 1s ahead of the head, beyond the first record
             for w in ("", "101", "0110111"):
                 for t_max in (1000, 200, 37):
-                    assert run(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
+                    assert outcome(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
 
     def test_sampled_k_le_6_programs(self):
-        for m in map(as_machine, set(sample_programs(rng_from_seed(3), 20_000, k_max=6))):
+        for p in set(sample_programs(rng_from_seed(3), 20_000, k_max=6)):
+            m = table_from_int(*p)
             for w in ("", "101", "0110111"):
                 for t_max in (1000, 200):
-                    assert run(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
+                    assert outcome(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
 
     def test_halt_unreachable(self):
         m = HALT_UNREACHABLE
         # no transition path reaches HALT, so no step runs
         assert executed_steps(m, "", 1000) == (reference_run(m, "", 1000), 0)
         for t_max in (1, 64, 1000):
-            assert run(m, "", t_max) == reference_run(m, "", t_max)
+            assert outcome(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_right_runaway_from_blank_tape(self):
         # a run off over blank tape is a translated cycler with a one-cell window
@@ -412,7 +375,7 @@ class TestDeciders:
         assert out == reference_run(m, "", 1000)
         assert 3 < steps <= 4
         for t_max in (3, 4, 64, 65, 1000):
-            assert run(m, "", t_max) == reference_run(m, "", t_max)
+            assert outcome(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_left_runaway_with_input_to_its_right(self):
         m = LEFT_WRITER
@@ -420,14 +383,14 @@ class TestDeciders:
         out, steps = executed_steps(m, "0101", 1000)
         assert out == reference_run(m, "0101", 1000)
         assert steps <= 2
-        assert run(m, "1101", 1000) == reference_run(m, "1101", 1000)
+        assert outcome(m, "1101", 1000) == reference_run(m, "1101", 1000)
 
     def test_right_blank_chain_meets_a_1_from_w(self):
         # a 1 of w lies ahead of every record until the writer reaches it
         w = "0" * 100 + "1"
         m = RIGHT_WRITER
-        assert run(m, w, 1000) == MachineOutcome(halted=True, steps=101, score=101)
-        assert run(m, w, 1000) == reference_run(m, w, 1000)
+        assert outcome(m, w, 1000) == MachineOutcome(halted=True, steps=101, score=101)
+        assert outcome(m, w, 1000) == reference_run(m, w, 1000)
         assert executed_steps(m, w, 100) == (MachineOutcome(halted=False, steps=100, score=0), 100)
 
     def test_cycler_with_period_82(self):
@@ -437,13 +400,13 @@ class TestDeciders:
         assert out == reference_run(m, w, 1000)
         assert 82 < steps < 1000
         for t_max in (81, 82, 83, 256, 1000):
-            assert run(m, w, t_max) == reference_run(m, w, t_max)
+            assert outcome(m, w, t_max) == reference_run(m, w, t_max)
 
     def test_cycler_needs_the_whole_tape_to_repeat(self):
         # flips cell 0 on each visit: state 0 stands on cell 0 at every even
         # step, but the tape repeats only every 4 steps. References are taken
         # at steps 2 and 4.
-        m = Machine(2, ((1, 1, 1), (0, 1, 1), (0, 0, 0), (0, 0, HALT)))
+        m = (2, ((1, 1, 1), (0, 1, 1), (0, 0, 0), (0, 0, HALT)))
         out, steps = executed_steps(m, "", 100)
         assert out == reference_run(m, "", 100)
         assert 4 < steps <= 8
@@ -455,7 +418,7 @@ class TestDeciders:
         assert out == reference_run(m, "", 1000)
         assert steps <= 16
         for t_max in (8, 9, 64, 1000):
-            assert run(m, "", t_max) == reference_run(m, "", t_max)
+            assert outcome(m, "", t_max) == reference_run(m, "", t_max)
 
     def test_translated_cycler_after_the_1s_of_w(self):
         m = ZIGZAG_AFTER_W
@@ -468,35 +431,35 @@ class TestDeciders:
         assert len(w) < steps < 1000
         # a 1 two cells past the walk halts the zigzag at its first period
         w = "1" * 100 + "01"
-        assert run(m, w, 1000) == MachineOutcome(halted=True, steps=104, score=101)
-        assert run(m, w, 1000) == reference_run(m, w, 1000)
+        assert outcome(m, w, 1000) == MachineOutcome(halted=True, steps=104, score=101)
+        assert outcome(m, w, 1000) == reference_run(m, w, 1000)
 
     @pytest.mark.parametrize("side", ["right", "left"])
     def test_near_miss_halts(self, side):
         m = near_miss(side)
         # records at steps 1 and 4 in state 1; their windows reach one cell
         # back, to state 0's 1 and then to state 1's 0. It halts at step 6.
-        assert run(m, "", 100) == reference_run(m, "", 100)
-        assert run(m, "", 100).steps == 6
+        assert outcome(m, "", 100) == reference_run(m, "", 100)
+        assert outcome(m, "", 100).steps == 6
 
     def test_near_miss_after_the_first_check(self):
         # near_miss("right") behind a walk over w's 0s: its records at steps
         # 60 and 63, and it halts at 65, just past the reference at step 64
-        m = Machine(4, ((0, 1, 0), (1, 1, 1)) + near_miss("right").table[2:])
+        m = (4, ((0, 1, 0), (1, 1, 1)) + near_miss("right")[1][2:])
         w = "0" * 59 + "1"
-        assert run(m, w, 1000) == MachineOutcome(halted=True, steps=65, score=1)
-        assert run(m, w, 1000) == reference_run(m, w, 1000)
+        assert outcome(m, w, 1000) == MachineOutcome(halted=True, steps=65, score=1)
+        assert outcome(m, w, 1000) == reference_run(m, w, 1000)
         # a sampled 4-state program: on "0110111" it halts at step 65, which
         # a left window one cell short would have hidden
-        m = Machine(4, ((0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 2),
-                        (0, 1, 3), (1, 0, 0), (1, 0, HALT), (1, 0, 0)))
-        assert run(m, "0110111", 1000) == MachineOutcome(halted=True, steps=65, score=6)
-        assert run(m, "0110111", 1000) == reference_run(m, "0110111", 1000)
+        m = (4, ((0, 1, 1), (0, 0, 1), (1, 0, 0), (1, 1, 2),
+                 (0, 1, 3), (1, 0, 0), (1, 0, HALT), (1, 0, 0)))
+        assert outcome(m, "0110111", 1000) == MachineOutcome(halted=True, steps=65, score=6)
+        assert outcome(m, "0110111", 1000) == reference_run(m, "0110111", 1000)
 
     def test_records_on_opposite_sides_do_not_pair(self):
         # state 1 at cell 1 (step 1) and at cell -1 (step 3), all 0s between:
         # not a proof. The left records at steps 3 and 5 are (a runaway).
-        m = Machine(3, ((0, 1, 1), (0, 1, HALT), (1, 0, 2), (1, 0, 2), (0, 0, 1), (0, 0, 1)))
+        m = (3, ((0, 1, 1), (0, 1, HALT), (1, 0, 2), (1, 0, 2), (0, 0, 1), (0, 0, 1)))
         out, steps = executed_steps(m, "", 100)
         assert out == reference_run(m, "", 100)
         assert 3 < steps <= 5
@@ -504,24 +467,25 @@ class TestDeciders:
 
 class TestFitness:
     def test_halted_scores(self):
-        assert run(decode(HALTER_BITS), "", 10).score == 1
+        assert outcome(HALTER_TABLE, "", 10).score == 1
 
     def test_non_halter_scores_zero(self):
-        assert run(decode(SPINNER_BITS), "", 50).score == 0
+        assert outcome(SPINNER_TABLE, "", 50).score == 0
 
     def test_population_max_matches_recomputation(self):
         programs = sample_programs(rng_from_seed(8), 2000)
-        recomputed = max(run(as_machine(p), "", 300).score for p in programs)
+        recomputed = max(outcome(table_from_int(*p), "", 300).score for p in programs)
         assert population_fitness(programs, "", 300).max() == recomputed
 
     def test_own_fitness_from_programs(self):
         # the memoized population path against the plain interpreter, element-wise
-        assert [as_machine(HALTER), as_machine(SPINNER)] == [decode(HALTER_BITS), decode(SPINNER_BITS)]
+        assert [read_program(HALTER_BITS), read_program(SPINNER_BITS)] == [HALTER, SPINNER]
+        assert [table_from_int(*HALTER), table_from_int(*SPINNER)] == [HALTER_TABLE, SPINNER_TABLE]
         programs = [HALTER, SPINNER] + sample_programs(rng_from_seed(3), 300)
         for w in ("", "101"):
             own = population_fitness(programs, w, 100)
             assert own.dtype == np.int64
-            assert own.tolist() == [run(as_machine(p), w, 100).score for p in programs]
+            assert own.tolist() == [outcome(table_from_int(*p), w, 100).score for p in programs]
 
     def test_memo_is_per_call(self):
         # k=2 entries are write, move and a 2-bit next-state field v; v = 0
@@ -530,12 +494,13 @@ class TestFitness:
         # away to the right.
         table_int = 0b1100_1101_1010_1100
         twin = table_int | 0b0011 << 12
-        assert _table_from_int(2, table_int) == _table_from_int(2, twin)
+        assert table_from_int(2, table_int) == table_from_int(2, twin)
         programs = [(2, table_int), (2, twin)] + sample_programs(rng_from_seed(9), 300, k_max=2)
         programs += programs[:50]
         for w, t_max in (("", 5), ("101", 100), ("", 100)):
             own = population_fitness(programs, w, t_max)
-            assert own.tolist() == [run(as_machine(p), w, t_max).score for p in programs], (w, t_max)
+            assert own.tolist() == [outcome(table_from_int(*p), w, t_max).score
+                                    for p in programs], (w, t_max)
         assert population_fitness(programs[:2], "101", 100).tolist() == [3, 3]
 
     def test_busy_beaver_two_states(self):
@@ -543,7 +508,7 @@ class TestFitness:
         for k, t_int, _, _ in iter_encodings(2, 18):
             if k != 2:
                 continue
-            out = run(Machine(2, _table_from_int(2, t_int)), "", 100)
+            out = outcome(table_from_int(2, t_int), "", 100)
             if out.halted:
                 best = max(best, out.score)
         assert best == 4
@@ -569,12 +534,12 @@ class TestOmega:
             omega_enumerate(27, "", 10)
 
     def test_kraft_sum_is_exactly_one(self):
-        assert kraft_sum(2) == Fraction(1)
-        assert kraft_sum(1) == Fraction(1)
+        for k_max in range(1, 7):
+            assert kraft_sum(k_max) == Fraction(1)
 
-    def test_kraft_sum_rejects_k_max_below_1(self):
+    def test_enumeration_rejects_k_max_below_1(self):
         with pytest.raises(ParameterError):
-            kraft_sum(0)
+            omega_enumerate(18, "", 10, k_max=0)
 
     def test_monte_carlo_matches_enumeration(self):
         # K_max=2 enumeration at 18 bits covers the whole code
@@ -591,10 +556,10 @@ class TestOmega:
 
     def test_distinct_tables_match_every_encoding(self):
         # the weights count every table encoding of each k exactly once
+        tables = {(k, t_int): table_from_int(k, t_int) for k, t_int, _, _ in iter_encodings(2, 18)}
         for k in (1, 2):
-            tables = [_table_from_int(k, t_int) for t_int in range(1 << table_bits(k))]
             rows = [_rows_from_int(k, t_int) for t_int in range(1 << table_bits(k))]
-            assert rows == [tuple(map(_row, table)) for table in tables]
+            assert rows == [rows_of(tables[k, t_int]) for t_int in range(1 << table_bits(k))]
             decoded = Counter(rows)
             weights = dict(_distinct_tables(k))
             assert weights == decoded
@@ -602,10 +567,7 @@ class TestOmega:
         # the weighted numerator against one run per raw encoding
         for w in ("", "101"):
             for t_max in (37, 1000):
-                halted = {
-                    (k, t_int): run(as_machine((k, t_int)), w, t_max).halted
-                    for k, t_int, _, _ in iter_encodings(2, 18)
-                }
+                halted = {p: outcome(table, w, t_max).halted for p, table in tables.items()}
                 for max_len in (7, 18):
                     for k_max in (1, 2, 6):
                         expected = sum(
