@@ -135,20 +135,17 @@ def emergence_report(
     c_exponent: float,
     t0: int,
     own_fitness: Sequence[int],
-    stationarity: StationarityResult | None = None,
+    stationarity: StationarityResult,
 ) -> EmergenceReport:
     """Assemble the per-run condition verdict and emergence proxy.
 
-    When a stationarity result is supplied, the condition is additionally
-    required to have been reached within c(N): a detector that fired later
-    (or not at all) invalidates condition_met.
+    The condition also requires the stationarity detector to have fired
+    within c(N): a detector that fired later (or not at all) invalidates
+    condition_met.
     """
     c_n = c_of_N(n, c_exponent)
     tau_e = measure_tau_E(traj, t0, c_n)
-    condition = tau_e > omega.value
-    if stationarity is not None:
-        stationary_within_c = stationarity.fired and stationarity.t_s <= c_n
-        condition = condition and stationary_within_c
+    condition = tau_e > omega.value and stationarity.fired and stationarity.t_s <= c_n
 
     rho_raw = 0.0 if lam == 0 else theoretical_prevalence(m, lam)
     c_best = complexity_proxy(int(traj.max_displayed[c_n]))
@@ -162,6 +159,6 @@ def emergence_report(
         eeac_proxy=tau_e * (c_best - c_bar),
         c_best=c_best,
         c_bar_isolated=c_bar,
-        t_s=stationarity.t_s if stationarity is not None else None,
-        rho_hat=stationarity.rho_hat if stationarity is not None else None,
+        t_s=stationarity.t_s,
+        rho_hat=stationarity.rho_hat,
     )

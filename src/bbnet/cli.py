@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import detect_stationarity
@@ -22,7 +23,7 @@ from .experiment import (
     write_summary_json,
 )
 from .graph import NetworkParams, generate_ba, write_edge_list
-from .machines import omega_enumerate, omega_monte_carlo
+from .machines import K_MAX_DEFAULT, T_MAX_DEFAULT, omega_enumerate, omega_monte_carlo
 from .rng import rng_from_seed
 
 
@@ -111,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Busy-beaver populations on scale-free networks under SIS imitation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
 
     p = sub.add_parser("gen-graph", help="emit a Barabasi-Albert graph as an edge list")
     p.add_argument("--n", type=int, required=True)
@@ -122,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="estimate the halting probability")
     p.add_argument("--method", choices=["enumerate", "monte-carlo"], required=True)
-    p.add_argument("--max-len", type=int, default=18, dest="max_len")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--t-max", type=int, default=10_000, dest="t_max")
-    p.add_argument("--k-max", type=int, default=6, dest="k_max")
+    p.add_argument("--max-len", type=int, default=defaults["omega_max_len"], dest="max_len")
+    p.add_argument("--samples", type=int, default=defaults["omega_samples"])
+    p.add_argument("--t-max", type=int, default=T_MAX_DEFAULT, dest="t_max")
+    p.add_argument("--k-max", type=int, default=K_MAX_DEFAULT, dest="k_max")
     p.add_argument("--w", type=str, default="")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
@@ -137,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--nu", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--rho0", type=float, default=0.1)
+    p.add_argument("--rho0", type=float, default=defaults["rho0"])
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--t-max", type=int, default=1000, dest="t_max")
-    p.add_argument("--k-max", type=int, default=6, dest="k_max")
+    p.add_argument("--k-max", type=int, default=K_MAX_DEFAULT, dest="k_max")
     p.add_argument("--w", type=str, default="")
     p.add_argument("--reimitation", action="store_true")
     p.add_argument("--seed", type=int, default=None)

@@ -5,17 +5,24 @@ index), so cells and repeats can execute in parallel without changing a
 single output byte. Records are buffered and written sorted by (cell, seed).
 Wall-clock durations are intentionally kept out of records.csv (they would
 break byte-for-byte reproducibility) and go to timings.csv instead.
+
+Each schema is written down once. ExperimentConfig's annotations give each
+field's kind, which validate checks on load, and the fields without a
+default are the required keys. _RECORD_SCHEMA lists the records.csv columns
+in order, and both writing and reading a row go through it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from statistics import median
+from operator import attrgetter
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -27,6 +34,8 @@ from .errors import ConfigError, ParameterError
 from .graph import NetworkParams, generate_ba, write_edge_list
 from .machines import (
     ENUM_LENGTH_GUARD,
+    K_MAX_DEFAULT,
+    T_MAX_DEFAULT,
     OmegaEstimate,
     omega_enumerate,
     omega_monte_carlo,
@@ -35,25 +44,28 @@ from .machines import (
 )
 from .rng import OMEGA_STREAM_TAG, derive_seed, rng_from_seed
 
-RECORD_COLUMNS = [
-    "N", "m", "nu", "delta", "lambda", "C", "c_of_N", "t_s", "rho_hat",
-    "rho_theory", "tau_E", "omega_hat", "condition_met", "c_best",
-    "c_bar_isolated", "eeac_proxy",
-]
-
-_INT_FIELDS = (
-    "k_max", "t_max", "t_max_steps", "t0", "stat_window", "n_seeds",
-    "master_seed", "omega_max_len", "omega_samples",
-)
-
-
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, a subclass of int.
-    return isinstance(x, int) and not isinstance(x, bool)
+# Annotation of a scalar config field -> (accepted types, wording for errors).
+# A list[...] field is a nonempty list of that kind. JSON true/false load as
+# bool, a subclass of int, so only a bool field accepts them.
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+}
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_kind(x, kind: str) -> bool:
+    if kind.startswith("list["):
+        return (isinstance(x, (list, tuple)) and len(x) > 0
+                and all(_is_kind(v, kind[5:-1]) for v in x))
+    return isinstance(x, _KINDS[kind][0]) and (kind == "bool" or not isinstance(x, bool))
+
+
+def _describe(kind: str) -> str:
+    if kind.startswith("list["):
+        return f"a nonempty list, each entry {_describe(kind[5:-1])}"
+    return _KINDS[kind][1]
 
 
 @dataclass
@@ -66,8 +78,8 @@ class ExperimentConfig:
     delta_values: list[float]
     rho0: float = 0.1
     c_exponent: float = 0.5
-    k_max: int = 6
-    t_max: int = 10_000
+    k_max: int = K_MAX_DEFAULT
+    t_max: int = T_MAX_DEFAULT
     w: str = ""
     t_max_steps: int = 2000
     t0: int = 1
@@ -85,25 +97,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("n_values", "m_values", "nu_values", "delta_values"):
-            vals = getattr(self, name)
-            if not isinstance(vals, (list, tuple)) or len(vals) == 0:
-                raise ConfigError(f"{name} must be a nonempty list")
-        for name in ("n_values", "m_values"):
-            if not all(_is_int(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be integers, got {getattr(self, name)}")
-        for name in ("nu_values", "delta_values"):
-            if not all(_is_real(v) for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be numbers, got {getattr(self, name)}")
-        for name in _INT_FIELDS:
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("rho0", "c_exponent", "stat_tol"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("reimitation", "imitate_infected_only"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_kind(value, f.type):
+                raise ConfigError(f"{f.name} must be {_describe(f.type)}, got {value!r}")
         if any(n < 2 for n in self.n_values):
             raise ConfigError("every N must be >= 2")
         if any(m < 1 for m in self.m_values):
@@ -125,7 +122,7 @@ class ExperimentConfig:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.t_max < 1:
             raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if not isinstance(self.w, str) or any(ch not in "01" for ch in self.w):
+        if any(ch not in "01" for ch in self.w):
             raise ConfigError(f"w must be a bit string, got {self.w!r}")
         if self.t_max_steps < 1:
             raise ConfigError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
@@ -160,7 +157,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"n_values", "m_values", "nu_values", "delta_values"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
         try:
@@ -205,28 +202,44 @@ class RunRecord:
     version: str = __version__
 
     def csv_row(self) -> str:
-        r = self.report
-        t_s = -1 if r.t_s is None else r.t_s
-        rho_hat = float("nan") if r.rho_hat is None else r.rho_hat
-        vals = [
-            str(self.n),
-            str(self.m),
-            f"{self.nu:.9f}",
-            f"{self.delta:.9f}",
-            f"{self.lam:.9f}",
-            f"{self.c_exponent:.9f}",
-            str(r.c_of_n),
-            str(t_s),
-            f"{rho_hat:.9f}",
-            f"{r.rho_theory:.9f}",
-            f"{r.tau_e:.9f}",
-            f"{r.omega_hat:.9f}",
-            "true" if r.condition_met else "false",
-            str(r.c_best),
-            f"{r.c_bar_isolated:.9f}",
-            f"{r.eeac_proxy:.9f}",
-        ]
-        return ",".join(vals)
+        return ",".join(to_text(attrgetter(attr)(self)) for _, attr, to_text, _ in _RECORD_SCHEMA)
+
+
+def _bool_from_text(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
+
+
+_f9 = "{:.9f}".format
+
+# records.csv, one entry per column in order: (header, attribute of the
+# RunRecord, with "report." for its EmergenceReport, value -> text,
+# text -> value). A stationarity detector that never fired writes t_s as -1
+# and rho_hat as nan.
+_RECORD_SCHEMA = [
+    ("N", "n", str, int),
+    ("m", "m", str, int),
+    ("nu", "nu", _f9, float),
+    ("delta", "delta", _f9, float),
+    ("lambda", "lam", _f9, float),
+    ("C", "c_exponent", _f9, float),
+    ("c_of_N", "report.c_of_n", str, int),
+    ("t_s", "report.t_s",
+     lambda v: "-1" if v is None else str(v),
+     lambda s: None if int(s) < 0 else int(s)),
+    ("rho_hat", "report.rho_hat",
+     lambda v: "nan" if v is None else _f9(v),
+     lambda s: None if math.isnan(float(s)) else float(s)),
+    ("rho_theory", "report.rho_theory", _f9, float),
+    ("tau_E", "report.tau_e", _f9, float),
+    ("omega_hat", "report.omega_hat", _f9, float),
+    ("condition_met", "report.condition_met", lambda v: "true" if v else "false", _bool_from_text),
+    ("c_best", "report.c_best", str, int),
+    ("c_bar_isolated", "report.c_bar_isolated", _f9, float),
+    ("eeac_proxy", "report.eeac_proxy", _f9, float),
+]
+RECORD_COLUMNS = [header for header, _, _, _ in _RECORD_SCHEMA]
 
 
 def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
@@ -388,40 +401,17 @@ def read_records_csv(inp: TextIO) -> list[RunRecord]:
         parts = line.split(",")
         if len(parts) != len(RECORD_COLUMNS):
             raise ParameterError(f"row {i + 1} has {len(parts)} columns")
-        if parts[12] not in ("true", "false"):
-            raise ParameterError(
-                f"row {i + 1}: condition_met must be true or false, got {parts[12]!r}"
-            )
-        try:
-            t_s = int(parts[7])
-            rho_hat = float(parts[8])
-            report = EmergenceReport(
-                tau_e=float(parts[10]),
-                omega_hat=float(parts[11]),
-                condition_met=parts[12] == "true",
-                c_of_n=int(parts[6]),
-                rho_theory=float(parts[9]),
-                eeac_proxy=float(parts[15]),
-                c_best=int(parts[13]),
-                c_bar_isolated=float(parts[14]),
-                t_s=None if t_s < 0 else t_s,
-                rho_hat=None if rho_hat != rho_hat else rho_hat,
-            )
-            records.append(
-                RunRecord(
-                    cell_index=0,
-                    seed_index=i,
-                    n=int(parts[0]),
-                    m=int(parts[1]),
-                    nu=float(parts[2]),
-                    delta=float(parts[3]),
-                    lam=float(parts[4]),
-                    c_exponent=float(parts[5]),
-                    report=report,
-                )
-            )
-        except ValueError as exc:
-            raise ParameterError(f"row {i + 1}: {exc}") from None
+        run: dict = {}
+        report: dict = {}
+        for (header, attr, _, from_text), text in zip(_RECORD_SCHEMA, parts):
+            owner, _, name = attr.rpartition(".")
+            try:
+                (report if owner else run)[name] = from_text(text)
+            except ValueError as exc:
+                raise ParameterError(f"row {i + 1}, column {header}: {exc}") from None
+        records.append(
+            RunRecord(cell_index=0, seed_index=i, report=EmergenceReport(**report), **run)
+        )
     return records
 
 

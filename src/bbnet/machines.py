@@ -64,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import collections
 import functools
 import itertools
 import math
@@ -373,12 +374,9 @@ def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
 def _distinct_tables(k: int) -> Iterator[tuple[tuple[Row, ...], int]]:
     """Each distinct k-state table once, as interpreter rows, with how many encodings decode to it.
 
-    A next-state field value v means state v mod (k + 1), so an entry weighs
-    as many field values as give its next state.
+    An entry weighs as many field values as decode to its row.
     """
-    fields = 1 << k.bit_length()
-    options = [(_row(write, move, HALT if nxt == k else nxt), len(range(nxt, fields, k + 1)))
-               for write, move, nxt in itertools.product((0, 1), (0, 1), range(k + 1))]
+    options = collections.Counter(_field_codes(k)[2]).items()
     for choice in itertools.product(options, repeat=2 * k):
         yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
 

@@ -153,12 +153,17 @@ class TestComplexityProxy:
 
 
 class TestEmergenceReport:
+    # fired at step 1, within c(100) = 10, so only tau_E decides the condition
+    EARLY = StationarityResult(t_s=1, rho_hat=0.5)
+
     def omega(self, value):
         return OmegaEstimate("enumeration", value, 0.0, l_max=18)
 
     def test_no_diffusion(self):
         traj = make_traj([0.5] + [0.0] * 30)
-        rep = emergence_report(traj, self.omega(0.3), 3, 0.25, 100, 0.5, 1, [1, 0, 1, 0])
+        rep = emergence_report(
+            traj, self.omega(0.3), 3, 0.25, 100, 0.5, 1, [1, 0, 1, 0], self.EARLY
+        )
         assert rep.tau_e == 0.0
         assert not rep.condition_met
         assert rep.eeac_proxy == 0.0
@@ -166,7 +171,7 @@ class TestEmergenceReport:
     def test_full_diffusion(self):
         traj = make_traj([1.0] * 30, max_displayed=[10] * 30)
         own = [10, 0, 0, 0]
-        rep = emergence_report(traj, self.omega(0.3), 3, 1.0, 100, 0.5, 1, own)
+        rep = emergence_report(traj, self.omega(0.3), 3, 1.0, 100, 0.5, 1, own, self.EARLY)
         assert rep.tau_e == 1.0
         assert rep.condition_met
         assert rep.c_best == 4
@@ -177,19 +182,19 @@ class TestEmergenceReport:
         t_low = make_traj([0.2] * 30)
         t_high = make_traj([0.9] * 30)
         om = self.omega(0.5)
-        low = emergence_report(t_low, om, 3, 0.25, 100, 0.5, 1, [1])
-        high = emergence_report(t_high, om, 3, 0.25, 100, 0.5, 1, [1])
+        low = emergence_report(t_low, om, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
+        high = emergence_report(t_high, om, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
         assert not low.condition_met
         assert high.condition_met
 
-    def test_rho_theory_clamped_raw_retained(self):
+    def test_rho_theory_clamped(self):
         traj = make_traj([0.5] * 30)
-        rep = emergence_report(traj, self.omega(0.1), 5, 10.0, 100, 0.5, 1, [1])
+        rep = emergence_report(traj, self.omega(0.1), 5, 10.0, 100, 0.5, 1, [1], self.EARLY)
         assert rep.rho_theory == 1.0
 
     def test_nu_zero_lambda_zero_allowed(self):
         traj = make_traj([0.5] + [0.0] * 30)
-        rep = emergence_report(traj, self.omega(0.1), 3, 0.0, 100, 0.5, 1, [1])
+        rep = emergence_report(traj, self.omega(0.1), 3, 0.0, 100, 0.5, 1, [1], self.EARLY)
         assert rep.rho_theory == 0.0
 
     def test_late_stationarity_invalidates_condition(self):
@@ -209,4 +214,4 @@ class TestEmergenceReport:
     def test_short_trajectory_raises(self):
         traj = make_traj([0.5] * 5)
         with pytest.raises(TrajectoryRangeError):
-            emergence_report(traj, self.omega(0.1), 3, 0.25, 100, 0.5, 1, [1])
+            emergence_report(traj, self.omega(0.1), 3, 0.25, 100, 0.5, 1, [1], self.EARLY)

@@ -1,7 +1,9 @@
 """Sweep orchestration: determinism, record layout, aggregation."""
 
+import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,18 @@ from bbnet.experiment import (
     write_summary_json,
 )
 from bbnet.rng import derive_seed, splitmix64
+
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+# Values of the wrong type for each field annotation, near misses first.
+WRONG_TYPED = {
+    "int": [True, 2.0, "2", None],
+    "float": [True, "0.5", None],
+    "str": [1, ["01"], None],
+    "bool": [1, "true", None],
+    "list[int]": [[], [2.0], [True], [2, "3"], 50],
+    "list[float]": [[], ["0.5"], [True], 0.5],
+}
 
 
 def tiny_config(**overrides):
@@ -61,8 +75,13 @@ class TestConfig:
                                         "bogus": 3})
 
     def test_missing_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"n_values": [10]})
+        # the required keys are the fields without a default
+        grid = dict(n_values=[10], m_values=[1], nu_values=[0.1], delta_values=[1.0])
+        assert ExperimentConfig.from_dict(grid) == ExperimentConfig(**grid)
+        for key in grid:
+            partial = {k: v for k, v in grid.items() if k != key}
+            with pytest.raises(ConfigError, match=f"missing required config keys: .*{key}"):
+                ExperimentConfig.from_dict(partial)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -119,6 +138,18 @@ class TestConfig:
     def test_rejected_before_any_run(self, overrides):
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+    def test_wrong_type_rejected(self, field):
+        for value in WRONG_TYPED[field.type]:
+            with pytest.raises(ConfigError, match=field.name):
+                tiny_config(**{field.name: value})
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        data = json.loads(path.read_text())
+        echoed = ExperimentConfig.from_json_file(path).to_dict()
+        assert {key: echoed[key] for key in data} == data
 
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
@@ -233,13 +264,14 @@ class TestRecordsCsv:
         records, _ = run_experiment(tiny_config(n_seeds=2))
         buf = io.StringIO()
         write_records_csv(records, buf)
-        # tau_E not a number; condition_met neither "true" nor "false"
-        for column, value in ((10, "fast"), (12, "TRUE")):
+        # "x" in every column; tau_E not a number; condition_met neither "true" nor "false"
+        bad = [(column, "x") for column in range(len(RECORD_COLUMNS))]
+        for column, value in bad + [(10, "fast"), (12, "TRUE")]:
             lines = buf.getvalue().splitlines()
             row = lines[2].split(",")
             row[column] = value
             lines[2] = ",".join(row)
-            with pytest.raises(ParameterError, match="row 2"):
+            with pytest.raises(ParameterError, match=f"row 2, column {RECORD_COLUMNS[column]}:"):
                 read_records_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_shuffled_records_same_summary(self):

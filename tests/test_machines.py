@@ -503,16 +503,6 @@ class TestFitness:
                                     for p in programs], (w, t_max)
         assert population_fitness(programs[:2], "101", 100).tolist() == [3, 3]
 
-    def test_busy_beaver_two_states(self):
-        best = 0
-        for k, t_int, _, _ in iter_encodings(2, 18):
-            if k != 2:
-                continue
-            out = outcome(table_from_int(2, t_int), "", 100)
-            if out.halted:
-                best = max(best, out.score)
-        assert best == 4
-
 
 class TestOmega:
     def test_below_shortest_program(self):
