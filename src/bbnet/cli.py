@@ -15,6 +15,7 @@ from pathlib import Path
 from .analysis import detect_stationarity
 from .errors import ConfigError, ParameterError
 from .experiment import (
+    OMEGA_METHODS,
     ExperimentConfig,
     read_records_csv,
     run_sweep_to_dir,
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("omega", help="estimate the halting probability")
-    p.add_argument("--method", choices=["enumerate", "monte-carlo"], required=True)
+    p.add_argument("--method", choices=OMEGA_METHODS, required=True)
     p.add_argument("--max-len", type=int, default=defaults["omega_max_len"], dest="max_len")
     p.add_argument("--samples", type=int, default=defaults["omega_samples"])
     p.add_argument("--t-max", type=int, default=T_MAX_DEFAULT, dest="t_max")

@@ -72,9 +72,8 @@ class EpidemicParams:
 
 @dataclass
 class SimState:
-    """Population snapshot at step t (arrays indexed by node id)."""
+    """Population snapshot between steps (arrays indexed by node id)."""
 
-    t: int
     infected: np.ndarray  # bool
     own: np.ndarray  # int64, fixed at init
     carried: np.ndarray  # int64, the displayed value: own while susceptible
@@ -120,7 +119,6 @@ def init_state(
     infected = np.zeros(g.n, dtype=bool)
     infected[rng.choice(g.n, size=n_init, replace=False)] = True
     return SimState(
-        t=0,
         infected=infected,
         own=own,
         carried=own.copy(),
@@ -177,7 +175,6 @@ def _apply_rules(
 
     now_infected = (infected & ~cured) | new_inf
     return SimState(
-        t=state.t + 1,
         infected=now_infected,
         own=state.own,
         carried=carried,

@@ -37,12 +37,16 @@ from .machines import (
     K_MAX_DEFAULT,
     T_MAX_DEFAULT,
     OmegaEstimate,
+    check_input,
+    check_k_max,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
     sample_programs,
 )
 from .rng import OMEGA_STREAM_TAG, derive_seed, rng_from_seed
+
+OMEGA_METHODS = ("enumerate", "monte-carlo")
 
 # Annotation of a scalar config field -> (accepted types, wording for errors).
 # A list[...] field is a nonempty list of that kind. JSON true/false load as
@@ -101,52 +105,37 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not _is_kind(value, f.type):
                 raise ConfigError(f"{f.name} must be {_describe(f.type)}, got {value!r}")
-        if any(n < 2 for n in self.n_values):
-            raise ConfigError("every N must be >= 2")
-        if any(m < 1 for m in self.m_values):
-            raise ConfigError("every m must be >= 1")
-        if max(self.m_values) >= min(self.n_values):
-            raise ConfigError(
-                "every m must be < every N (the seed clique has m + 1 nodes), "
-                f"got m={max(self.m_values)}, N={min(self.n_values)}"
-            )
-        if any(not 0 <= nu <= 1 for nu in self.nu_values):
-            raise ConfigError("every nu must lie in [0, 1]")
-        if any(not 0 <= d <= 1 for d in self.delta_values):
-            raise ConfigError("every delta must lie in [0, 1]")
-        if not 0 < self.rho0 <= 1:
-            raise ConfigError(f"rho0 must lie in (0, 1], got {self.rho0}")
-        if not 0 < self.c_exponent <= 1:
-            raise ConfigError(f"c_exponent must lie in (0, 1], got {self.c_exponent}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.t_max < 1:
-            raise ConfigError(f"t_max must be >= 1, got {self.t_max}")
-        if any(ch not in "01" for ch in self.w):
-            raise ConfigError(f"w must be a bit string, got {self.w!r}")
+        # Each rule on a parameter that a layer owns is checked by asking that
+        # layer, so its message is the layer's own.
+        n_min = min(self.n_values)
+        try:
+            for n, m in itertools.product(self.n_values, self.m_values):
+                NetworkParams(n=n, m=m)
+            for nu, delta in itertools.product(self.nu_values, self.delta_values):
+                EpidemicParams(nu=nu, delta=delta, rho0=self.rho0)
+            c_min = c_of_N(n_min, self.c_exponent)
+            detect_stationarity((), self.stat_window, self.stat_tol)
+            check_k_max(self.k_max)
+            check_input(self.w, self.t_max)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from None
+        # The rules below belong to the sweep, or their layer checks them
+        # only inside the call that does the work.
         if self.t_max_steps < 1:
             raise ConfigError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
-        if self.t0 < 0:
-            raise ConfigError(f"t0 must be >= 0, got {self.t0}")
-        c_min = c_of_N(min(self.n_values), self.c_exponent)
-        if self.t0 >= c_min:
+        if not 0 <= self.t0 < c_min:
             raise ConfigError(
-                f"t0 must be < c(N) for every N, got t0={self.t0}, c({min(self.n_values)})={c_min}"
+                f"t0 must lie in [0, c(N)) for every N, got t0={self.t0}, c({n_min})={c_min}"
             )
-        if self.stat_window < 2:
-            raise ConfigError(f"stat_window must be >= 2, got {self.stat_window}")
-        if not self.stat_tol > 0:
-            raise ConfigError(f"stat_tol must be > 0, got {self.stat_tol}")
         if self.n_seeds < 1:
             raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.omega_method not in ("enumerate", "monte-carlo"):
+        if self.omega_method not in OMEGA_METHODS:
             raise ConfigError(
-                f"omega_method must be 'enumerate' or 'monte-carlo', got {self.omega_method!r}"
+                f"omega_method must be one of {OMEGA_METHODS}, got {self.omega_method!r}"
             )
-        if self.omega_method == "enumerate" and not 0 <= self.omega_max_len <= ENUM_LENGTH_GUARD:
+        if not 0 <= self.omega_max_len <= ENUM_LENGTH_GUARD:
             raise ConfigError(
-                f"omega_max_len must lie in [0, {ENUM_LENGTH_GUARD}] for enumeration, "
-                f"got {self.omega_max_len}"
+                f"omega_max_len must lie in [0, {ENUM_LENGTH_GUARD}], got {self.omega_max_len}"
             )
         if self.omega_samples < 1:
             raise ConfigError(f"omega_samples must be >= 1, got {self.omega_samples}")
@@ -325,6 +314,8 @@ def run_experiment(
     graph_dir: str | Path | None = None,
 ) -> tuple[list[RunRecord], dict]:
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
+    if workers < 1:
+        raise ParameterError(f"need workers >= 1, got {workers}")
     omega = estimate_omega(config)
     cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
     args = (itertools.repeat(config), cells, seeds,

@@ -92,7 +92,8 @@ def encoding_length(k: int) -> int:
     return k + table_bits(k)
 
 
-def _check_k_max(k_max: int) -> None:
+def check_k_max(k_max: int) -> None:
+    """Refuse a state cap below 1."""
     if k_max < 1:
         raise ParameterError(f"need k_max >= 1, got {k_max}")
 
@@ -185,7 +186,7 @@ def sample_programs(
     """
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
-    _check_k_max(k_max)
+    check_k_max(k_max)
     reader = _ProgramReader(rng=rng)
     return [reader.next(k_max) for _ in range(count)]
 
@@ -223,6 +224,14 @@ def _rows_from_int(k: int, t_int: int) -> tuple[Row, ...]:
     return tuple([rows[t_int >> s & mask] for s in shifts])
 
 
+def check_input(w: str, t_max: int) -> None:
+    """Refuse an input that is not a bit string or a step budget that is not an integer >= 1."""
+    if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
+        raise ParameterError(f"need an integer t_max >= 1, got {t_max!r}")
+    if not isinstance(w, str) or not set(w) <= {"0", "1"}:
+        raise ParameterError(f"input w must be a bit string, got {w!r}")
+
+
 class _Input:
     """Input w under a step budget, checked once and shared by every run of a population.
 
@@ -234,10 +243,7 @@ class _Input:
     __slots__ = ("t_max", "tape", "origin", "last1", "never", "_halted")
 
     def __init__(self, w: str, t_max: int):
-        if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
-            raise ParameterError(f"need an integer t_max >= 1, got {t_max!r}")
-        if not isinstance(w, str) or not set(w) <= {"0", "1"}:
-            raise ParameterError(f"input w must be a bit string, got {w!r}")
+        check_input(w, t_max)
         self.t_max = t_max
         self.origin = origin = t_max + 1
         tape = bytearray(2 * t_max + len(w) + 3)
@@ -400,7 +406,7 @@ def omega_enumerate(
         raise ParameterError(
             f"enumeration above {ENUM_LENGTH_GUARD} bits is refused (got max_len={max_len})"
         )
-    _check_k_max(k_max)
+    check_k_max(k_max)
     inp = _Input(w, t_max)
     numerator = 0
     for k, length, variants in _state_counts(k_max, max_len):
@@ -426,7 +432,7 @@ def omega_monte_carlo(
         raise ParameterError(f"need n_samples >= 1, got {n_samples}")
     if rng is None:
         raise ParameterError("omega_monte_carlo requires a seeded Generator")
-    _check_k_max(k_max)
+    check_k_max(k_max)
     inp = _Input(w, t_max)
     reader = _ProgramReader(rng=rng)
     memo: dict = {}

@@ -134,7 +134,6 @@ def test_criterion_5_dynamics_oracle_and_busy_beaver():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     params = EpidemicParams(nu=0.5, delta=0.5)
     base = SimState(
-        t=0,
         infected=np.array([False, True, False]),
         own=np.array([3, 7, 5], dtype=np.int64),
         carried=np.array([3, 7, 5], dtype=np.int64),

@@ -178,6 +178,18 @@ class TestSweepReport:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2_before_omega(self, tmp_path, monkeypatch, capsys, workers):
+        def no_omega(config):
+            raise AssertionError("omega estimated for a refused worker count")
+
+        monkeypatch.setattr(experiment, "estimate_omega", no_omega)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 2
+        assert f"need workers >= 1, got {workers}" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_report_bad_row_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         d = tmp_path / "out"

@@ -60,7 +60,6 @@ def _step_reference(
                     carried[i] = max(int(carried[i]), int(displayed[nbrs].max()))
 
     return SimState(
-        t=state.t + 1,
         infected=new_infected,
         own=state.own,
         carried=carried,
@@ -95,7 +94,6 @@ def make_state(infected, own, carried=None):
     own = np.asarray(own, dtype=np.int64)
     carried = own.copy() if carried is None else np.asarray(carried, dtype=np.int64)
     return SimState(
-        t=0,
         infected=infected,
         own=own,
         carried=carried,

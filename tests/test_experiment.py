@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from bbnet.analysis import c_of_N, detect_stationarity
+from bbnet.dynamics import EpidemicParams
 from bbnet.errors import ConfigError, ParameterError
 from bbnet.experiment import (
     RECORD_COLUMNS,
@@ -18,6 +20,8 @@ from bbnet.experiment import (
     write_records_csv,
     write_summary_json,
 )
+from bbnet.graph import NetworkParams
+from bbnet.machines import check_input, check_k_max
 from bbnet.rng import derive_seed, splitmix64
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -125,6 +129,7 @@ class TestConfig:
             dict(stat_tol=0.0),
             dict(n_seeds=0),
             dict(omega_samples=0),
+            dict(omega_max_len=-5, omega_method="monte-carlo"),  # checked under both methods
             dict(reimitation=1),
             dict(imitate_infected_only="yes"),
         ],
@@ -132,12 +137,39 @@ class TestConfig:
              "w-list", "w-list-of-bits", "bool-rho0", "bool-c_exponent", "bool-stat_tol",
              "bool-nu", "bool-delta", "N-lt-2", "m-lt-1", "nu-gt-1", "delta-lt-0", "rho0-gt-1",
              "c_exponent-0", "k_max-0", "t_max-0", "t_max_steps-0", "stat_window-1",
-             "stat_tol-0", "n_seeds-0", "omega_samples-0", "int-reimitation",
-             "str-imitate_infected_only"],
+             "stat_tol-0", "n_seeds-0", "omega_samples-0", "mc-max_len-negative",
+             "int-reimitation", "str-imitate_infected_only"],
     )
     def test_rejected_before_any_run(self, overrides):
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, owner_call",
+        [
+            (dict(n_values=[1]), lambda: NetworkParams(n=1, m=2)),
+            (dict(m_values=[0]), lambda: NetworkParams(n=50, m=0)),
+            (dict(m_values=[50]), lambda: NetworkParams(n=50, m=50)),
+            (dict(nu_values=[1.5]), lambda: EpidemicParams(nu=1.5, delta=1.0, rho0=0.2)),
+            (dict(delta_values=[-0.1]), lambda: EpidemicParams(nu=0.3, delta=-0.1, rho0=0.2)),
+            (dict(rho0=0.0), lambda: EpidemicParams(nu=0.3, delta=1.0, rho0=0.0)),
+            (dict(c_exponent=1.5), lambda: c_of_N(50, 1.5)),
+            (dict(stat_window=1), lambda: detect_stationarity((), 1, 0.05)),
+            (dict(stat_tol=0.0), lambda: detect_stationarity((), 3, 0.0)),
+            (dict(k_max=0), lambda: check_k_max(0)),
+            (dict(t_max=0), lambda: check_input("", 0)),
+            (dict(w="012"), lambda: check_input("012", 100)),
+        ],
+        ids=["N", "m", "m-ge-N", "nu", "delta", "rho0", "C", "stat_window", "stat_tol",
+             "k_max", "t_max", "w"],
+    )
+    def test_delegated_rule_reports_owner_message(self, overrides, owner_call):
+        # the config asks the layer that owns the rule, so the two texts match
+        with pytest.raises(ParameterError) as owner:
+            owner_call()
+        with pytest.raises(ConfigError) as config:
+            tiny_config(**overrides)
+        assert str(config.value) == str(owner.value)
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_wrong_type_rejected(self, field):
