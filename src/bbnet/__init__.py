@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     DisconnectedGraphError,
     FitError,
-    IncompleteProgramError,
     ParameterError,
     TrajectoryRangeError,
 )

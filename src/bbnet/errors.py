@@ -13,10 +13,6 @@ class DisconnectedGraphError(ValueError):
     """An operation that requires a connected graph got a disconnected one."""
 
 
-class IncompleteProgramError(ValueError):
-    """A bit stream ended in the middle of a program encoding."""
-
-
 class TrajectoryRangeError(ValueError):
     """An analysis window extends beyond the recorded trajectory."""
 

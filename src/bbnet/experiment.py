@@ -308,14 +308,18 @@ def run_cell_seed(
     )
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ParameterError(f"need workers >= 1, got {workers}")
+
+
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
     graph_dir: str | Path | None = None,
 ) -> tuple[list[RunRecord], dict]:
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
-    if workers < 1:
-        raise ParameterError(f"need workers >= 1, got {workers}")
+    _check_workers(workers)
     omega = estimate_omega(config)
     cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
     args = (itertools.repeat(config), cells, seeds,
@@ -412,7 +416,8 @@ def run_sweep_to_dir(
     workers: int = 1,
     emit_graphs: bool = False,
 ) -> tuple[list[RunRecord], dict]:
-    """run_experiment plus artifact emission into out_dir."""
+    """run_experiment plus artifact emission into out_dir, made only once workers is accepted."""
+    _check_workers(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(

@@ -322,7 +322,11 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
     header = inp.readline().split()
     if len(header) != 3:
         raise ParameterError("edge-list header must be 'N m seed'")
-    n, m, seed = int(header[0]), int(header[1]), int(header[2])
+    try:
+        n, m, seed = map(int, header)
+    except ValueError:
+        raise ParameterError(f"edge-list header fields must be integers, got {header}") from None
+    params = NetworkParams(n=n, m=m, seed=seed)
     body = inp.read()
     try:
         # An all-blank body would make loadtxt warn, so it is read as no edges.
@@ -330,4 +334,4 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
                  if body.strip() else [])
     except ValueError as exc:
         raise ParameterError(f"malformed edge-list row: {exc}") from None
-    return Graph.from_edges(n, edges), NetworkParams(n=n, m=m, seed=seed)
+    return Graph.from_edges(n, edges), params

@@ -18,14 +18,14 @@ coin flips fed to the reader sample programs with probability 2^-|p|.
 The total encoding length is k + 2k * (2 + b).
 
 Programs exist only as (k, table bits as an integer) pairs, read in turn by
-one reader, ``_ProgramReader``: ``sample_programs`` and ``omega_monte_carlo``
-feed it a Generator's 4096-bit blocks (the tests feed it chosen strings of
-'0'/'1'). ``population_fitness`` and ``omega_monte_carlo`` each memoize
-outcomes per call on that pair, and only a miss turns the table bits into
-interpreter rows (``_rows_from_int``) for ``run(rows, inp)``. Exact
-enumeration runs each distinct table once, weighted by how many encodings
-decode to it. Each of the three checks w and t_max once (``_Input``) before
-any program runs.
+one generator, ``_programs``, from any iterator of '0'/'1' blocks:
+``sample_programs`` and ``omega_monte_carlo`` feed it a Generator's 4096-bit
+blocks (``_blocks``), and the tests feed it chosen strings.
+``population_fitness`` and ``omega_monte_carlo`` each memoize outcomes per
+call on that pair, and only a miss turns the table bits into interpreter
+rows (``_rows_from_int``) for ``run(rows, inp)``. Exact enumeration runs
+each distinct table once, weighted by how many encodings decode to it. Each
+of the three checks w and t_max once (``_Input``) before any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -71,7 +71,7 @@ import math
 
 import numpy as np
 
-from .errors import IncompleteProgramError, ParameterError
+from .errors import ParameterError
 
 HALT = -1
 K_MAX_DEFAULT = 6
@@ -138,41 +138,34 @@ class OmegaEstimate:
 _BLOCK = 4096
 
 
-def _draw_block(rng: np.random.Generator) -> str:
-    return (rng.integers(0, 2, size=_BLOCK, dtype=np.uint8) + 48).tobytes().decode("ascii")
+def _blocks(rng: np.random.Generator) -> Iterator[str]:
+    """The Generator's fair bits as strings of '0'/'1', one 4096-bit block per draw."""
+    while True:
+        yield (rng.integers(0, 2, size=_BLOCK, dtype=np.uint8) + 48).tobytes().decode("ascii")
 
 
-class _ProgramReader:
-    """Reads programs in turn from a string of '0'/'1'.
+def _programs(blocks: Iterator[str], k_max: int) -> Iterator[tuple[int, int]]:
+    """(k, table bits as an MSB-first integer) of each program read in turn from the blocks.
 
-    With a Generator the string is its 4096-bit blocks, concatenated: the
-    first block is drawn on construction, each later one only when a program
-    reaches past the bits drawn so far. Consumed bits are dropped, so the
-    reader holds about one block.
+    The blocks are read as one string, so a program may straddle them. A
+    block is taken only when a program reaches past the bits taken so far,
+    and consumed bits are dropped, so about one block is held. When the
+    blocks run out the programs end; a partial program is not yielded.
     """
-
-    __slots__ = ("_bits", "_i", "_rng")
-
-    def __init__(self, bits: str = "", rng: np.random.Generator | None = None):
-        self._rng = rng
-        self._bits = bits if rng is None else _draw_block(rng)
-        self._i = 0
-
-    def next(self, k_max: int) -> tuple[int, int]:
-        """(k, table bits as an MSB-first integer) of the next program."""
+    lengths = [encoding_length(k) for k in range(k_max + 1)]
+    bits, i = "", 0
+    for block in blocks:
+        bits, i = bits[i:] + block, 0
+        n = len(bits)
         while True:
-            bits, i = self._bits, self._i
             z = bits.find("0", i, i + k_max)
             # the header is k bits long: k - 1 ones and a zero, or k_max ones
             k = z + 1 - i if z >= 0 else k_max
-            end = i + k + table_bits(k)
-            if end <= len(bits):
-                self._i = end
-                return k, int(bits[i + k:end], 2)
-            if self._rng is None:
-                raise IncompleteProgramError("bit stream ended mid-program")
-            self._bits = bits[i:] + _draw_block(self._rng)
-            self._i = 0
+            end = i + lengths[k]
+            if end > n:
+                break
+            yield k, int(bits[i + k:end], 2)
+            i = end
 
 
 def sample_programs(
@@ -187,8 +180,7 @@ def sample_programs(
     if count < 1:
         raise ParameterError(f"need count >= 1, got {count}")
     check_k_max(k_max)
-    reader = _ProgramReader(rng=rng)
-    return [reader.next(k_max) for _ in range(count)]
+    return list(itertools.islice(_programs(_blocks(rng), k_max), count))
 
 
 # An entry as the interpreter reads it: (write bit, head move -1 or +1, row of
@@ -434,12 +426,9 @@ def omega_monte_carlo(
         raise ParameterError("omega_monte_carlo requires a seeded Generator")
     check_k_max(k_max)
     inp = _Input(w, t_max)
-    reader = _ProgramReader(rng=rng)
     memo: dict = {}
-    hits = 0
-    for _ in range(n_samples):
-        k, t_int = reader.next(k_max)
-        hits += _cached_outcome(memo, k, t_int, inp).halted
+    programs = itertools.islice(_programs(_blocks(rng), k_max), n_samples)
+    hits = sum(_cached_outcome(memo, k, t_int, inp).halted for k, t_int in programs)
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)

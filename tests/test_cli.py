@@ -188,7 +188,7 @@ class TestSweepReport:
         out = tmp_path / "x"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 2
         assert f"need workers >= 1, got {workers}" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert not out.exists()
 
     def test_report_bad_row_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

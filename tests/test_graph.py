@@ -414,6 +414,20 @@ class TestEdgeList:
             read_edge_list(io.StringIO("4 1 0\n" + body))
 
     @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("x 2 0", "header fields must be integers"),
+            ("3 2.5 0", "header fields must be integers"),
+            ("-1 2 0", "need n >= 2, got -1"),
+        ],
+        ids=["word", "float", "negative-n"],
+    )
+    def test_malformed_header_rejected(self, header, message):
+        # a bad N or m gets the message of NetworkParams, the rule's owner
+        with pytest.raises(ParameterError, match=message):
+            read_edge_list(io.StringIO(header + "\n0 1\n"))
+
+    @pytest.mark.parametrize(
         "body,edges",
         [
             ("\n0 1\n\n\n1 2\n\n", [(0, 1), (1, 2)]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import iter_encodings, kraft_sum, outcome, read_table, rows_of, table_from_int
-from bbnet.errors import IncompleteProgramError, ParameterError
+from bbnet.errors import ParameterError
 from bbnet.machines import (
     HALT,
     MachineOutcome,
@@ -21,8 +21,8 @@ from bbnet.machines import (
     sample_programs,
     table_bits,
     _Input,
-    _ProgramReader,
     _distinct_tables,
+    _programs,
     _rows_from_int,
 )
 from bbnet import machines
@@ -41,7 +41,12 @@ SPINNER_TABLE = (1, ((1, 0, 0), (1, 0, 0)))
 
 def read_program(bits, k_max=6):
     """(k, table_int) of the program at the front of a string of '0'/'1', by the production reader."""
-    return _ProgramReader(bits).next(k_max)
+    return next(_programs(iter([bits]), k_max))
+
+
+def read_all(blocks, k_max=6):
+    """Every (k, table_int) the production reader yields from a list of '0'/'1' blocks."""
+    return list(_programs(iter(blocks), k_max))
 
 
 def every_table(k):
@@ -121,8 +126,7 @@ class TestEncoding:
         bits = "1" * 6 + "1" + "0" * 59
         assert read_program(bits) == (6, 1 << 59)
         assert len(table_from_int(*read_program(bits))[1]) == 12
-        with pytest.raises(IncompleteProgramError):
-            read_program(bits[:-1])
+        assert read_all([bits[:-1]]) == []
 
     def test_both_k_max_headers_decode_to_same_k(self):
         table = "0" * 16
@@ -130,8 +134,33 @@ class TestEncoding:
         assert read_program("11" + table, k_max=2) == (2, 0)
 
     def test_incomplete_stream(self):
-        with pytest.raises(IncompleteProgramError):
-            read_program("011")
+        # a stream that ends mid-program yields the programs before it and no partial one
+        assert read_all(["011"]) == []
+        assert read_all([HALTER_BITS + SPINNER_BITS[:-1]]) == [HALTER]
+        assert read_all([HALTER_BITS, "01"]) == [HALTER]
+
+    def test_program_straddles_blocks(self):
+        bits = HALTER_BITS + SPINNER_BITS + "1" * 6 + "1" + "0" * 59 + HALTER_BITS
+        programs = [HALTER, SPINNER, (6, 1 << 59), HALTER]
+        for cut in range(1, len(bits)):
+            assert read_all([bits[:cut], bits[cut:]]) == programs
+        assert read_all(list(bits)) == programs
+
+    def test_k_max_header_split_across_blocks(self):
+        table = "0" * 15 + "1"
+        # two ones at k_max=2: the header ends without a zero in the second block
+        assert read_all(["1", "1" + table], k_max=2) == [(2, 1)]
+        assert read_all(["1", "", "1", table], k_max=2) == [(2, 1)]
+        # a k=4 header ("1110") split 2 + 2: its zero lies past the boundary
+        assert read_all(["11", "10" + "0" * 39 + "1"]) == [(4, 1)]
+
+    def test_block_taken_only_when_a_program_reaches_past_the_bits_held(self):
+        blocks = iter([HALTER_BITS + SPINNER_BITS[:3], SPINNER_BITS[3:], HALTER_BITS])
+        programs = _programs(blocks, 6)
+        assert next(programs) == HALTER
+        assert next(programs) == SPINNER
+        assert next(blocks) == HALTER_BITS
+        assert next(programs, None) is None
 
     def test_prefix_free_k_le_2(self):
         encs = set(all_encodings(k_max=6, max_len=18))
@@ -227,16 +256,24 @@ class TestSampling:
         freq = sum(1 for k, _ in progs if k == 1) / len(progs)
         assert abs(freq - 0.5) < 0.005  # ~3 binomial stderr
 
-    def test_stream_is_sequential_decode_of_4096_bit_blocks(self):
+    @pytest.mark.parametrize(
+        "k_max, at_boundary",
+        [(1, 4096), (2, 658), (6, 717), (7, 705)],
+        ids=["k_max-1", "k_max-2", "k_max-6", "k_max-7"],
+    )
+    def test_stream_is_sequential_decode_of_4096_bit_blocks(self, k_max, at_boundary):
         # The Generator stream contract: programs are decoded in turn from
         # 4096-bit integers(0, 2, uint8) blocks, and exactly the blocks the
-        # consumed bits reach into are drawn. Later draws from the same
-        # Generator (infected set, step uniforms) depend on it.
-        # 717 programs from seed 77 end exactly on the third block boundary,
-        # so a fourth block must not be drawn; 1500 end mid-block.
-        for count in (717, 1500):
+        # consumed bits reach into are drawn, by sample_programs and by
+        # omega_monte_carlo alike. Later draws from the same Generator
+        # (infected set, step uniforms) depend on it. ``at_boundary``
+        # programs from seed 77 end exactly on a block boundary, so no
+        # further block may be drawn; 1500 end mid-block. A k_max=7 table
+        # has 70 bits, more than an int64 holds.
+        t_max = 100
+        for count in (at_boundary, 1500):
             rng = rng_from_seed(77)
-            programs = sample_programs(rng, count)
+            programs = sample_programs(rng, count, k_max)
             used = sum(encoding_length(k) for k, _ in programs)
             n_blocks = -(-used // 4096)
 
@@ -245,10 +282,16 @@ class TestSampling:
                 [oracle.integers(0, 2, size=4096, dtype=np.uint8) for _ in range(n_blocks)]
             )
             stream = iter(bits.tolist())
-            decoded = [reference_decode(stream, 6) for _ in range(count)]
+            decoded = [reference_decode(stream, k_max) for _ in range(count)]
             assert decoded == [table_from_int(*p) for p in programs]
             assert len(list(stream)) == n_blocks * 4096 - used
-            assert rng.random() == oracle.random()
+            after = oracle.random()
+            assert rng.random() == after
+
+            mc_rng = rng_from_seed(77)
+            est = omega_monte_carlo(count, "", t_max, mc_rng, k_max)
+            assert mc_rng.random() == after
+            assert est.value == sum(outcome(t, "", t_max).halted for t in decoded) / count
 
     def test_deterministic_given_seed(self):
         assert sample_programs(rng_from_seed(5), 50) == sample_programs(rng_from_seed(5), 50)
