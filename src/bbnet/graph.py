@@ -10,6 +10,7 @@ diameter's frontier BFS walk rows through one primitive, ``Graph.gather``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
@@ -49,6 +50,11 @@ class NetworkParams:
             )
 
 
+# _from_half_edges sorts the keys a * n + b < n * n, which fit int64 while
+# n * n <= 2**63.
+_MAX_NODES = math.isqrt(2**63)
+
+
 class Graph:
     """Immutable simple undirected graph in CSR form.
 
@@ -86,10 +92,12 @@ class Graph:
 
     @classmethod
     def _from_half_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
+        if not 0 <= n <= _MAX_NODES:
+            raise ParameterError(f"need 0 <= n <= {_MAX_NODES}, got {n}")
         a = np.concatenate([u, v])
         b = np.concatenate([v, u])
         # Sorting a * n + b orders the half-edges by row, then by neighbour,
-        # in one pass; it fits int64 while n * n < 2**63 (n < 3.03e9).
+        # in one pass.
         key = a * np.int64(n) + b
         key.sort()
         degrees = np.bincount(a, minlength=n)
@@ -123,11 +131,12 @@ class Graph:
         """The row of every half-edge slot of ``indices``."""
         return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edges as (u, v) with u < v, in lexicographic order (the CSR rows' order)."""
+    def edges(self) -> np.ndarray:
+        """The ``(E, 2)`` int64 array of edges (u, v) with u < v, in
+        lexicographic order: the upper half of the CSR rows, row after row."""
         rows = self._row_ids()
         upper = rows < self.indices
-        return list(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+        return np.column_stack((rows[upper], self.indices[upper]))
 
 
 @dataclass(frozen=True)
@@ -278,15 +287,25 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
 
 
 def _bfs_distances(g: Graph, src: int) -> np.ndarray:
-    """Hops from ``src`` to every node (-1 if unreachable), one frontier per level."""
+    """Hops from ``src`` to every node (-1 if unreachable), one frontier per level.
+
+    A level keeps the frontier's neighbours not yet reached, once each: every
+    copy of a node writes its position into ``slot`` and the copy whose write
+    landed stays. A level so costs its frontier's half-edges, with no sort and
+    no N-sized scan.
+    """
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[src] = 0
+    slot = np.empty(g.n, dtype=np.int64)
     frontier = np.array([src], dtype=np.int64)
     depth = 0
     while len(frontier):
         depth += 1
         nbrs, _ = g.gather(frontier)
-        frontier = np.unique(nbrs[dist[nbrs] < 0])
+        new = nbrs[dist[nbrs] < 0]
+        idx = np.arange(len(new))
+        slot[new] = idx
+        frontier = new[slot[new] == idx]
         dist[frontier] = depth
     return dist
 
@@ -298,6 +317,8 @@ def approx_diameter(g: Graph) -> int:
     node v; a final BFS from v completes the sweep. The result is a lower
     bound on the true diameter, reported as an estimate.
     """
+    if g.n == 0:
+        raise ParameterError("empty graph")
     d0 = _bfs_distances(g, 0)
     if (d0 < 0).any():
         raise DisconnectedGraphError("graph is not connected")
@@ -308,13 +329,22 @@ def approx_diameter(g: Graph) -> int:
     return int(max(d1.max(), d2.max()))
 
 
+# Edges per write in write_edge_list: the text held at once stays bounded
+# whatever the graph's size.
+_WRITE_CHUNK = 1 << 16
+
+
 def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
     """Emit the bit-exact edge-list format: header "N m seed", then "u v" rows.
 
-    Rows have u < v and are sorted lexicographically.
+    Rows have u < v and are sorted lexicographically. Each chunk of
+    ``_WRITE_CHUNK`` edges is formatted by one ``%`` over its flattened ids.
     """
-    rows = "".join(f"{u} {v}\n" for u, v in g.edges())
-    out.write(f"{g.n} {m} {seed}\n{rows}")
+    out.write(f"{g.n} {m} {seed}\n")
+    edges = g.edges()
+    for lo in range(0, len(edges), _WRITE_CHUNK):
+        part = edges[lo:lo + _WRITE_CHUNK]
+        out.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:

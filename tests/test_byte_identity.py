@@ -1,11 +1,14 @@
-"""Byte-identity pins: SHA-256 of the artifacts of two fixed sweeps and one simulate.
+"""Byte-identity pins: SHA-256 of the artifacts of three fixed sweeps, one
+simulate and one gen-graph.
 
 Run-to-run determinism (acceptance criterion 8) cannot show that a refactor
 kept the outputs; these digests can. Sweep A is criterion 8's config. Sweep B
 covers the other branches: a non-empty input w, delta < 1, a Monte-Carlo omega
 estimate, reimitation and infected-only imitation. Sweep C samples 2000
 programs with k_max=6 per run, so its programs reach past the first 4096-bit
-block of the Generator's bit stream. A change that alters any digest changes
+block of the Generator's bit stream. The gen-graph pin covers the edge-list
+writer: a 5000-node BA graph with m=3 has about 15,000 edges, all written
+from one array chunk. A change that alters any digest changes
 output bytes and must say why.
 """
 
@@ -47,6 +50,7 @@ PINS = {
     },
 }
 SIMULATE_B = "127f6538e6e00caa0c671dc7dcc3797e3185aac503ea96d611a2b2223d16af7b"
+GEN_GRAPH = "1e55ecfd052484de8f35594b46da111443e12f1c115cc006cc720af4fe188dbb"
 
 
 def sha256(path):
@@ -70,3 +74,9 @@ def test_simulate_trajectory_pinned(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--config", str(write_config(tmp_path, SWEEP_B)), "--out", str(out)]) == 0
     assert sha256(out) == SIMULATE_B
+
+
+def test_gen_graph_edge_list_pinned(tmp_path):
+    out = tmp_path / "graph.edges"
+    assert main(["gen-graph", "--n", "5000", "--m", "3", "--seed", "9", "--out", str(out)]) == 0
+    assert sha256(out) == GEN_GRAPH

@@ -123,6 +123,23 @@ def edges_oracle(g):
     return [(u, int(v)) for u in range(g.n) for v in neighbors(g, u) if u < v]
 
 
+def edge_pairs(g):
+    """``g.edges()`` as a list of (u, v) tuples."""
+    return [tuple(e) for e in g.edges().tolist()]
+
+
+def write_oracle(g, m, seed):
+    """The edge-list text built with one f-string per edge."""
+    rows = "".join(f"{u} {v}\n" for u, v in edges_oracle(g))
+    return f"{g.n} {m} {seed}\n{rows}"
+
+
+def written(g, m, seed):
+    buf = io.StringIO()
+    write_edge_list(g, buf, m, seed)
+    return buf.getvalue()
+
+
 def from_edges_oracle(n, edges):
     """Per-edge checks with a set of seen pairs; None when the list is rejected."""
     seen = set()
@@ -143,8 +160,9 @@ def random_edge_list(rng, n, p):
 
 
 def oracle_graphs():
-    """Seeded BA graphs over several (n, m, m0), then random graphs with
-    isolated nodes and several components."""
+    """Seeded BA graphs over several (n, m, m0), random graphs with isolated
+    nodes and several components, then a deep path, a star and a complete
+    graph; the star and the complete graph reach nodes many times per level."""
     for n, m, m0 in [(2, 1, 2), (3, 2, 3), (12, 1, 2), (60, 2, 3), (80, 3, 6), (150, 2, 2),
                      (3000, 2, 3), (4000, 3, 4)]:
         for seed in (0, 1):
@@ -153,6 +171,9 @@ def oracle_graphs():
     for n, p in [(1, 0.0), (5, 0.0), (30, 0.04), (60, 0.03), (120, 0.02), (200, 0.05)]:
         for rep in range(3):
             yield f"random-{n}-{p}-{rep}", Graph.from_edges(n, random_edge_list(rng, n, p))
+    yield "path-2000", path_graph(2000)
+    yield "star-300", star_graph(300)
+    yield "complete-60", Graph.from_edges(60, np.column_stack(np.triu_indices(60, 1)))
 
 
 ORACLE_GRAPHS = list(oracle_graphs())
@@ -182,7 +203,7 @@ class TestGenerate:
     def test_n_equals_m0_gives_seed_clique(self):
         g = generate_ba(NetworkParams(n=3, m=2, m0=3, seed=7))
         assert g.num_edges == 3
-        assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert edge_pairs(g) == [(0, 1), (0, 2), (1, 2)]
 
     def test_edge_count_identity_m1(self):
         for seed in range(5):
@@ -191,12 +212,12 @@ class TestGenerate:
 
     def test_determinism(self):
         p = NetworkParams(n=500, m=2, seed=123)
-        assert generate_ba(p).edges() == generate_ba(p).edges()
+        assert np.array_equal(generate_ba(p).edges(), generate_ba(p).edges())
 
     def test_different_seeds_differ(self):
         e1 = generate_ba(NetworkParams(n=200, m=2, seed=1)).edges()
         e2 = generate_ba(NetworkParams(n=200, m=2, seed=2)).edges()
-        assert e1 != e2
+        assert not np.array_equal(e1, e2)
 
     @given(
         n=st.integers(3, 60),
@@ -349,6 +370,10 @@ class TestDiameter:
         with pytest.raises(DisconnectedGraphError):
             approx_diameter(g)
 
+    def test_empty_graph_raises(self):
+        with pytest.raises(ParameterError, match="empty graph"):
+            approx_diameter(Graph.from_edges(0, []))
+
     def test_growth_with_n(self):
         means = []
         for n in (100, 1000, 10_000):
@@ -372,7 +397,7 @@ class TestEdgeList:
 
         g2, p2 = read_edge_list(io.StringIO(text))
         assert (p2.n, p2.m, p2.seed) == (80, 2, 44)
-        assert g2.edges() == g.edges()
+        assert np.array_equal(g2.edges(), g.edges())
 
         buf2 = io.StringIO()
         write_edge_list(g2, buf2, p2.m, p2.seed)
@@ -427,6 +452,20 @@ class TestEdgeList:
         with pytest.raises(ParameterError, match=message):
             read_edge_list(io.StringIO(header + "\n0 1\n"))
 
+    @pytest.mark.parametrize("n", [99999999999999999999, 3037000500],
+                             ids=["past-int64", "past-key-bound"])
+    def test_node_count_past_key_bound_rejected(self, n):
+        # refused before any N-sized array is allocated; 3037000500 nodes
+        # would ask bincount for 22.6 GiB
+        with pytest.raises(ParameterError, match="need 0 <= n <= 3037000499"):
+            read_edge_list(io.StringIO(f"{n} 1 0\n0 1\n"))
+        with pytest.raises(ParameterError, match="need 0 <= n <= 3037000499"):
+            Graph.from_edges(n, [(0, 1)])
+
+    def test_key_bound_is_tight(self):
+        bound = bbnet.graph._MAX_NODES
+        assert bound * bound - 1 < 2**63 <= (bound + 1) * (bound + 1) - 1
+
     @pytest.mark.parametrize(
         "body,edges",
         [
@@ -442,7 +481,7 @@ class TestEdgeList:
             warnings.simplefilter("error")
             g, params = read_edge_list(io.StringIO("4 1 0\n" + body))
         assert (g.n, params.m, params.seed) == (4, 1, 0)
-        assert g.edges() == edges
+        assert edge_pairs(g) == edges
 
 
 class TestArrayPathsMatchLoops:
@@ -453,7 +492,10 @@ class TestArrayPathsMatchLoops:
         sources = range(g.n) if g.n <= 300 else np.random.default_rng(g.n).choice(g.n, 12)
         for src in sources:
             assert np.array_equal(_bfs_distances(g, int(src)), bfs_oracle(g, int(src)))
-        assert g.edges() == edges_oracle(g)
+        edges = g.edges()
+        assert edges.dtype == np.int64 and edges.shape == (g.num_edges, 2)
+        assert edge_pairs(g) == edges_oracle(g)
+        assert written(g, 2, 7) == write_oracle(g, 2, 7)
         expected = diameter_oracle(g)
         if expected is None:
             with pytest.raises(DisconnectedGraphError):
@@ -472,7 +514,7 @@ class TestArrayPathsMatchLoops:
             e = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
             cases.append((n, e[:, 0], e[:, 1]))
         for name, g in ORACLE_GRAPHS:
-            u, v = np.array(g.edges(), dtype=np.int64).reshape(-1, 2).T
+            u, v = g.edges().T
             cases.append((g.n, u, v))
         for n, u, v in cases:
             u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
@@ -480,6 +522,15 @@ class TestArrayPathsMatchLoops:
             assert np.array_equal(got.indptr, expected.indptr)
             assert np.array_equal(got.indices, expected.indices)
             assert got.indices.dtype == np.int64
+
+    def test_write_spans_chunks(self, monkeypatch):
+        g = generate_ba(NetworkParams(n=40_000, m=2, seed=3))
+        assert g.num_edges > bbnet.graph._WRITE_CHUNK
+        assert written(g, 2, 3) == write_oracle(g, 2, 3)
+        # chunk boundaries that fall inside, at and past the small graphs' edges
+        monkeypatch.setattr(bbnet.graph, "_WRITE_CHUNK", 7)
+        for name, g in ORACLE_GRAPHS:
+            assert written(g, 1, 0) == write_oracle(g, 1, 0), name
 
     def test_gather_lists_rows_in_order(self):
         g = Graph.from_edges(7, [(0, 3), (3, 4), (4, 1), (0, 1), (1, 3)])  # 2, 5, 6 isolated
@@ -514,6 +565,6 @@ class TestArrayPathsMatchLoops:
                     Graph.from_edges(n, edges)
             else:
                 g = Graph.from_edges(n, edges)
-                assert g.edges() == expected
+                assert edge_pairs(g) == expected
                 check_invariants(g)
         assert 150 <= flaws <= 240  # both verdicts are well exercised
