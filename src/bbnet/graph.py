@@ -20,6 +20,17 @@ from .errors import DisconnectedGraphError, FitError, ParameterError
 from .rng import rng_from_seed
 
 
+# _from_half_edges sorts the keys a * n + b < n * n, which fit int64 while
+# n * n <= 2**63.
+_MAX_NODES = math.isqrt(2**63)
+
+
+def _check_node_count(n: int) -> None:
+    """Refuse a node count that the CSR key cannot hold, before anything N-sized exists."""
+    if not 0 <= n <= _MAX_NODES:
+        raise ParameterError(f"need 0 <= n <= {_MAX_NODES}, got {n}")
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Parameters of the preferential-attachment growth process.
@@ -38,6 +49,7 @@ class NetworkParams:
             object.__setattr__(self, "m0", self.m + 1)
         if self.n < 2:
             raise ParameterError(f"need n >= 2, got {self.n}")
+        _check_node_count(self.n)
         if self.m < 1:
             raise ParameterError(f"need m >= 1, got {self.m}")
         if not (self.m <= self.m0 <= self.n):
@@ -48,11 +60,6 @@ class NetworkParams:
             raise ParameterError(
                 f"need m0 >= 2 (a one-node seed has no degree to attach to), got m0={self.m0}"
             )
-
-
-# _from_half_edges sorts the keys a * n + b < n * n, which fit int64 while
-# n * n <= 2**63.
-_MAX_NODES = math.isqrt(2**63)
 
 
 class Graph:
@@ -92,8 +99,7 @@ class Graph:
 
     @classmethod
     def _from_half_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        if not 0 <= n <= _MAX_NODES:
-            raise ParameterError(f"need 0 <= n <= {_MAX_NODES}, got {n}")
+        _check_node_count(n)
         a = np.concatenate([u, v])
         b = np.concatenate([v, u])
         # Sorting a * n + b orders the half-edges by row, then by neighbour,

@@ -24,8 +24,12 @@ blocks (``_blocks``), and the tests feed it chosen strings.
 ``population_fitness`` and ``omega_monte_carlo`` each memoize outcomes per
 call on that pair, and only a miss turns the table bits into interpreter
 rows (``_rows_from_int``) for ``run(rows, inp)``. Exact enumeration runs
-each distinct table once, weighted by how many encodings decode to it. Each
-of the three checks w and t_max once (``_Input``) before any program runs.
+partial tables instead (Brady's tree normal form, "The determination of the
+value of Rado's noncomputable function Sigma(k) for four-state Turing
+machines", 1983): a run starts with no entry fixed and branches over an
+entry's rows when it reads it, so only tables that some run reaches are
+run. Each of the three checks w and t_max once (``_Input``) before any
+program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -100,11 +104,16 @@ def check_k_max(k_max: int) -> None:
 
 @dataclass(frozen=True)
 class MachineOutcome:
-    """Result of one run; score is the busy-beaver score, 0 unless halted."""
+    """Result of one run; score is the busy-beaver score, 0 unless halted.
+
+    ``unfixed`` is the entry that a run of a partial table read while it was
+    still unfixed, after ``steps`` steps; it is None for every other run.
+    """
 
     halted: bool
     steps: int
     score: int
+    unfixed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -194,6 +203,15 @@ def _row(write: int, move: int, nxt: int) -> Row:
     return write, 2 * move - 1, 2 * nxt
 
 
+def _unfixed(entry: int) -> Row:
+    """The row of table entry ``entry`` while it is not yet fixed.
+
+    Its next state is negative, as HALT's is, so ``_halt_reachable`` counts
+    it as a way to HALT; ``run`` leaves on reading it and reports the entry.
+    """
+    return 0, 0, 2 * HALT - 1 - entry
+
+
 @functools.cache
 def _field_codes(k: int) -> tuple[range, int, list[Row]]:
     """Where the 2k table fields of a k-state program sit, and what each field value means.
@@ -278,7 +296,8 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
     step. A machine proven never to halt returns on the step its proof
     holds, with the outcome of a spent budget: HALT unreachable before the
     first step, a cycler or translated cycler after any step that does not
-    halt (see the module docstring).
+    halt (see the module docstring). In a partial table, reading an
+    ``_unfixed`` row ends the run before that step, reporting the entry.
 
     The proofs keep references, retaken at steps 1, 2, 4, 8, ... (Brent's
     cycle finding), so the work per step is bounded:
@@ -304,7 +323,9 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
         tape[pos] = write
         pos += move
         if state < 0:
-            return inp.halted(step, tape.count(1))
+            if state == 2 * HALT:
+                return inp.halted(step, tape.count(1))
+            return MachineOutcome(halted=False, steps=step - 1, score=0, unfixed=2 * HALT - 1 - state)
         if pos < r_back:
             r_back = pos
         if pos > l_back:
@@ -369,14 +390,32 @@ def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
             yield k, length, 2 if k == k_max else 1
 
 
-def _distinct_tables(k: int) -> Iterator[tuple[tuple[Row, ...], int]]:
-    """Each distinct k-state table once, as interpreter rows, with how many encodings decode to it.
+def _halting_encodings(k: int, inp: _Input) -> int:
+    """How many k-state table encodings halt within the budget on the input.
 
-    An entry weighs as many field values as decode to its row.
+    Walks partial tables: a run starts with every entry unfixed, and a run
+    that reads an unfixed entry branches over the rows it decodes to, each
+    weighing as many field values as decode to it. A branch that halts
+    counts every completion of its free entries; one proven non-halting or
+    out of budget counts none. Either verdict used only the entries the run
+    read, so it holds for every completion.
     """
+    entries = 2 * k
+    ew = table_bits(k) // entries
     options = collections.Counter(_field_codes(k)[2]).items()
-    for choice in itertools.product(options, repeat=2 * k):
-        yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
+    total = 0
+    todo = [([_unfixed(e) for e in range(entries)], 1, entries)]
+    while todo:
+        table, weight, free = todo.pop()
+        out = run(table, inp)
+        if out.halted:
+            total += weight << (ew * free)
+        elif out.unfixed is not None:
+            for row, n in options:
+                branch = table.copy()
+                branch[out.unfixed] = row
+                todo.append((branch, weight * n, free - 1))
+    return total
 
 
 def omega_enumerate(
@@ -389,8 +428,11 @@ def omega_enumerate(
 
     Sums 2^-|p| over every valid encoding whose machine halts within t_max
     on w, accumulated as an integer numerator over 2^max_len (no float
-    error); a distinct table runs once for all encodings of it. A lower
-    bound on the full halting probability when max_len cuts it short.
+    error). The encodings are counted per state count by a walk over
+    partial tables (``_halting_encodings``): a table runs only as far as its
+    entries are fixed, and one run decides every completion that agrees on
+    the entries it read. A lower bound on the full halting probability when
+    max_len cuts it short.
     """
     if max_len < 0:
         raise ParameterError(f"need max_len >= 0, got {max_len}")
@@ -402,9 +444,7 @@ def omega_enumerate(
     inp = _Input(w, t_max)
     numerator = 0
     for k, length, variants in _state_counts(k_max, max_len):
-        for rows, weight in _distinct_tables(k):
-            if run(rows, inp).halted:
-                numerator += variants * weight << (max_len - length)
+        numerator += variants * _halting_encodings(k, inp) << (max_len - length)
     value = numerator / (1 << max_len)
     return OmegaEstimate("enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=t_max)
 

@@ -10,14 +10,22 @@ block of the Generator's bit stream. The gen-graph pin covers the edge-list
 writer: a 5000-node BA graph with m=3 has about 15,000 edges, all written
 from one array chunk. A change that alters any digest changes
 output bytes and must say why.
+
+The digests rest on numpy Generator methods, whose algorithms numpy may
+change between releases while PCG64's raw stream stays fixed. The stream
+canary rebuilds the two draws behind program bits and step uniforms from
+the raw stream, so a numpy that changes either fails with the method's name
+rather than only an opaque digest mismatch.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from bbnet.cli import main
+from bbnet.rng import rng_from_seed
 
 SWEEP_A = dict(
     n_values=[60, 120], m_values=[2], nu_values=[0.3], delta_values=[1.0],
@@ -80,3 +88,28 @@ def test_gen_graph_edge_list_pinned(tmp_path):
     out = tmp_path / "graph.edges"
     assert main(["gen-graph", "--n", "5000", "--m", "3", "--seed", "9", "--out", str(out)]) == 0
     assert sha256(out) == GEN_GRAPH
+
+
+def _same_state(gen, twin):
+    # uinteger is stale while has_uint32 is 0, so it is not compared
+    g, t = gen.bit_generator.state, twin.bit_generator.state
+    return g["state"] == t["state"] and g["has_uint32"] == t["has_uint32"]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31, 2**64 - 1])
+def test_stream_canary(seed):
+    # each Generator draw against the same draw rebuilt from a twin's raw words
+    gen, twin = rng_from_seed(seed), rng_from_seed(seed)
+    for n in (1, 3, 1000):
+        uniforms = gen.random(n)
+        rebuilt = (twin.bit_generator.random_raw(n) >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(uniforms, rebuilt), "Generator.random no longer draws (raw >> 11) * 2**-53"
+        assert _same_state(gen, twin), "Generator.random no longer takes one raw word per uniform"
+        bits = gen.integers(0, 2, 4096, dtype=np.uint8)
+        rebuilt = twin.bit_generator.random_raw(512).view(np.uint8) >> 7
+        assert np.array_equal(bits, rebuilt), (
+            "Generator.integers(0, 2, dtype=uint8) no longer draws bit 7 of each raw byte"
+        )
+        assert _same_state(gen, twin), (
+            "Generator.integers(0, 2, 4096, dtype=uint8) no longer takes 512 raw words"
+        )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bbnet import experiment
+from bbnet import cli, experiment
 from bbnet.cli import main
 from bbnet.graph import read_edge_list
 from bbnet.machines import omega_enumerate
@@ -56,6 +56,15 @@ class TestGenGraph:
     def test_one_node_seed_exit_2(self, capsys):
         assert main(["gen-graph", "--n", "10", "--m", "1", "--m0", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_node_count_past_key_bound_exit_2_before_growth(self, monkeypatch, capsys):
+        # growing 3037000500 nodes would first allocate a 24 GB picks array
+        def grow(*args):
+            raise AssertionError("the graph grew before n was checked")
+
+        monkeypatch.setattr(cli, "generate_ba", grow)
+        assert main(["gen-graph", "--n", "3037000500", "--m", "1"]) == 2
+        assert "need 0 <= n <= 3037000499" in capsys.readouterr().err
 
 
 class TestOmega:

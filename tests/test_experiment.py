@@ -148,6 +148,7 @@ class TestConfig:
         "overrides, owner_call",
         [
             (dict(n_values=[1]), lambda: NetworkParams(n=1, m=2)),
+            (dict(n_values=[3037000500]), lambda: NetworkParams(n=3037000500, m=2)),
             (dict(m_values=[0]), lambda: NetworkParams(n=50, m=0)),
             (dict(m_values=[50]), lambda: NetworkParams(n=50, m=50)),
             (dict(nu_values=[1.5]), lambda: EpidemicParams(nu=1.5, delta=1.0, rho0=0.2)),
@@ -160,7 +161,7 @@ class TestConfig:
             (dict(t_max=0), lambda: check_input("", 0)),
             (dict(w="012"), lambda: check_input("012", 100)),
         ],
-        ids=["N", "m", "m-ge-N", "nu", "delta", "rho0", "C", "stat_window", "stat_tol",
+        ids=["N", "N-past-key-bound", "m", "m-ge-N", "nu", "delta", "rho0", "C", "stat_window", "stat_tol",
              "k_max", "t_max", "w"],
     )
     def test_delegated_rule_reports_owner_message(self, overrides, owner_call):

@@ -198,6 +198,13 @@ class TestParams:
         with pytest.raises(ParameterError):
             NetworkParams(seed=0, **kwargs)
 
+    def test_node_count_past_key_bound(self):
+        # the CSR key bound is checked on the params, so generate_ba never sees such an n
+        bound = bbnet.graph._MAX_NODES
+        assert NetworkParams(n=bound, m=1).n == bound
+        with pytest.raises(ParameterError, match=f"need 0 <= n <= {bound}, got {bound + 1}"):
+            NetworkParams(n=bound + 1, m=1)
+
 
 class TestGenerate:
     def test_n_equals_m0_gives_seed_clique(self):

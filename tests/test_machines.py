@@ -1,6 +1,7 @@
 """Program encoding, machine execution, and halting-mass estimators."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from bbnet.machines import (
     sample_programs,
     table_bits,
     _Input,
-    _distinct_tables,
+    _field_codes,
     _programs,
     _rows_from_int,
 )
@@ -243,7 +244,7 @@ class TestArguments:
         def work(*args):
             raise AssertionError("a program ran before the input was checked")
 
-        for name in ("_halt_reachable", "_rows_from_int", "_distinct_tables"):
+        for name in ("_halt_reachable", "_rows_from_int", "run"):
             monkeypatch.setattr(machines, name, work)
         with pytest.raises(ParameterError):
             call()
@@ -547,6 +548,30 @@ class TestFitness:
         assert population_fitness(programs[:2], "101", 100).tolist() == [3, 3]
 
 
+def _distinct_tables(k):
+    """Each distinct k-state table once, as interpreter rows, with how many encodings decode to it.
+
+    An entry weighs as many field values as decode to its row.
+    """
+    options = Counter(_field_codes(k)[2]).items()
+    for choice in itertools.product(options, repeat=2 * k):
+        yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
+
+
+def _brute_force_numerator(max_len, w, t_max, k_max):
+    """omega_enumerate's numerator from one run of every distinct table."""
+    inp = _Input(w, t_max)
+    numerator = 0
+    for k in range(1, k_max + 1):
+        length = encoding_length(k)
+        if length <= max_len:
+            variants = 2 if k == k_max else 1
+            for rows, weight in _distinct_tables(k):
+                if run(rows, inp).halted:
+                    numerator += variants * weight << (max_len - length)
+    return numerator
+
+
 class TestOmega:
     def test_below_shortest_program(self):
         assert omega_enumerate(6, "", 10).value == 0.0
@@ -610,6 +635,34 @@ class TestOmega:
                         )
                         est = omega_enumerate(max_len, w, t_max, k_max)
                         assert est.numerator == expected, (max_len, k_max, w, t_max)
+
+    @pytest.mark.parametrize("w", ["", "1", "101", "0110111"])
+    def test_walk_matches_brute_force(self, w):
+        # k <= 2: the partial-table walk against one run of every distinct table
+        for t_max in (1, 5, 37, 1000):
+            for max_len in (7, 12, 18):
+                for k_max in (1, 2, 6):
+                    est = omega_enumerate(max_len, w, t_max, k_max)
+                    expected = _brute_force_numerator(max_len, w, t_max, k_max)
+                    assert est.numerator == expected, (max_len, k_max, t_max)
+
+    def test_walk_runs_only_reached_tables(self, monkeypatch):
+        # one run per partial table the walk reaches; one per distinct table is 20,800
+        calls = []
+
+        def counted(rows, inp):
+            calls.append(1)
+            return run(rows, inp)
+
+        monkeypatch.setattr(machines, "run", counted)
+        assert omega_enumerate(18, "101", 1000, 6).numerator == 133040
+        assert len(calls) <= 2442
+
+    def test_unfixed_entry_read_is_reported(self):
+        # state 0 comes back to the 1 it wrote and reads it after two steps
+        rows = [(1, 1, 2), machines._unfixed(1), (0, -1, 0), machines._unfixed(3)]
+        out = run(rows, _Input("", 10))
+        assert out == MachineOutcome(halted=False, steps=2, score=0, unfixed=1)
 
     @pytest.mark.parametrize("w, numerator", [("", 87248), ("101", 133040), ("0110111", 110984)])
     def test_exact_numerators(self, w, numerator):
