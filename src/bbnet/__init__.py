@@ -27,13 +27,7 @@ from .dynamics import (
     run_sim,
     step,
 )
-from .errors import (
-    ConfigError,
-    DisconnectedGraphError,
-    FitError,
-    ParameterError,
-    TrajectoryRangeError,
-)
+from .errors import ParameterError
 from .experiment import ExperimentConfig, RunRecord, run_experiment, run_sweep_to_dir
 from .graph import (
     DegreeFit,

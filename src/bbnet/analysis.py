@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import ParameterError, TrajectoryRangeError
+from .errors import ParameterError
 from .machines import OmegaEstimate
 
 
@@ -113,9 +113,7 @@ def measure_tau_E(traj: Trajectory, t0: int, c_n: int) -> float:
     if not 0 <= t0 < c_n:
         raise ParameterError(f"need 0 <= t0 < c_n, got t0={t0}, c_n={c_n}")
     if c_n > traj.last_t:
-        raise TrajectoryRangeError(
-            f"window end {c_n} beyond trajectory (last step {traj.last_t})"
-        )
+        raise ParameterError(f"window end {c_n} beyond trajectory (last step {traj.last_t})")
     return float(traj.infected_density[t0 : c_n + 1].mean())
 
 
@@ -149,7 +147,11 @@ def emergence_report(
 
     rho_raw = 0.0 if lam == 0 else theoretical_prevalence(m, lam)
     c_best = complexity_proxy(int(traj.max_displayed[c_n]))
-    c_bar = float(np.mean([complexity_proxy(int(x)) for x in own_fitness]))
+    # complexity_proxy of each score: how many of 2**0 .. 2**62 are <= it
+    own = np.asarray(own_fitness, dtype=np.int64)
+    if (own < 0).any():
+        raise ParameterError(f"need x >= 0, got {own[own < 0][0]}")
+    c_bar = float(np.searchsorted(1 << np.arange(63, dtype=np.int64), own, side="right").mean())
     return EmergenceReport(
         tau_e=tau_e,
         omega_hat=omega.value,

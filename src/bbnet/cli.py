@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .analysis import detect_stationarity
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .experiment import (
     OMEGA_METHODS,
     ExperimentConfig,
@@ -28,9 +28,7 @@ from .machines import K_MAX_DEFAULT, T_MAX_DEFAULT, omega_enumerate, omega_monte
 from .rng import rng_from_seed
 
 
-def _load_config(path: str | None, seed_override: int | None) -> ExperimentConfig:
-    if path is None:
-        raise ConfigError("--config is required for this subcommand")
+def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     config = ExperimentConfig.from_json_file(path)
     if seed_override is not None:
         config.master_seed = seed_override
@@ -74,7 +72,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             w=args.w, t_max_steps=args.steps, reimitation=args.reimitation,
             master_seed=args.seed if args.seed is not None else 0,
         )
-    _, _, traj = simulate_cell(cfg, 0, 0, cfg.t_max_steps)
+    _, _, traj = simulate_cell(cfg, 0, cfg.cells()[0], 0, cfg.t_max_steps)
     if args.out:
         with open(args.out, "w") as fh:
             traj.to_csv(fh)
@@ -172,12 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParameterError) else 1
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import EmergenceReport, c_of_N, detect_stationarity, emergence_report
 from .dynamics import EpidemicParams, Trajectory, run_sim
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 from .graph import NetworkParams, generate_ba, write_edge_list
 from .machines import (
     ENUM_LENGTH_GUARD,
@@ -104,64 +104,58 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if not _is_kind(value, f.type):
-                raise ConfigError(f"{f.name} must be {_describe(f.type)}, got {value!r}")
+                raise ParameterError(f"{f.name} must be {_describe(f.type)}, got {value!r}")
         # Each rule on a parameter that a layer owns is checked by asking that
         # layer, so its message is the layer's own.
+        for n, m in itertools.product(self.n_values, self.m_values):
+            NetworkParams(n=n, m=m)
+        for nu, delta in itertools.product(self.nu_values, self.delta_values):
+            EpidemicParams(nu=nu, delta=delta, rho0=self.rho0)
         n_min = min(self.n_values)
-        try:
-            for n, m in itertools.product(self.n_values, self.m_values):
-                NetworkParams(n=n, m=m)
-            for nu, delta in itertools.product(self.nu_values, self.delta_values):
-                EpidemicParams(nu=nu, delta=delta, rho0=self.rho0)
-            c_min = c_of_N(n_min, self.c_exponent)
-            detect_stationarity((), self.stat_window, self.stat_tol)
-            check_k_max(self.k_max)
-            check_input(self.w, self.t_max)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from None
+        c_min = c_of_N(n_min, self.c_exponent)
+        detect_stationarity((), self.stat_window, self.stat_tol)
+        check_k_max(self.k_max)
+        check_input(self.w, self.t_max)
         # The rules below belong to the sweep, or their layer checks them
         # only inside the call that does the work.
         if self.t_max_steps < 1:
-            raise ConfigError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
+            raise ParameterError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
         if not 0 <= self.t0 < c_min:
-            raise ConfigError(
+            raise ParameterError(
                 f"t0 must lie in [0, c(N)) for every N, got t0={self.t0}, c({n_min})={c_min}"
             )
         if self.n_seeds < 1:
-            raise ConfigError(f"n_seeds must be >= 1, got {self.n_seeds}")
+            raise ParameterError(f"n_seeds must be >= 1, got {self.n_seeds}")
         if self.omega_method not in OMEGA_METHODS:
-            raise ConfigError(
+            raise ParameterError(
                 f"omega_method must be one of {OMEGA_METHODS}, got {self.omega_method!r}"
             )
         if not 0 <= self.omega_max_len <= ENUM_LENGTH_GUARD:
-            raise ConfigError(
+            raise ParameterError(
                 f"omega_max_len must lie in [0, {ENUM_LENGTH_GUARD}], got {self.omega_max_len}"
             )
         if self.omega_samples < 1:
-            raise ConfigError(f"omega_samples must be >= 1, got {self.omega_samples}")
+            raise ParameterError(f"omega_samples must be >= 1, got {self.omega_samples}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
-            raise ConfigError(f"missing required config keys: {sorted(missing)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ParameterError(f"missing required config keys: {sorted(missing)}")
+        return cls(**data)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParameterError(f"config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ParameterError("config must be a JSON object")
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
@@ -246,11 +240,12 @@ def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
 def simulate_cell(
     config: ExperimentConfig,
     cell_index: int,
+    cell: tuple[int, int, float, float],
     seed_index: int,
     t_max_steps: int,
     graph_dir: str | Path | None = None,
 ) -> tuple[np.ndarray, EpidemicParams, Trajectory]:
-    """One run of one grid cell: (own fitness, SIS params, trajectory).
+    """One run of grid cell ``cell`` (index cell_index): (own fitness, SIS params, trajectory).
 
     The run's Generator is drawn in a fixed order: graph growth, program
     bits, initial infected set, step uniforms. Scoring the programs draws
@@ -258,7 +253,7 @@ def simulate_cell(
     graph_<cell>_<seed>.edges (filenames are unique, so parallel workers
     never collide).
     """
-    n, m, nu, delta = config.cells()[cell_index]
+    n, m, nu, delta = cell
     seed = derive_seed(config.master_seed, cell_index, seed_index)
     rng = rng_from_seed(seed)
     g = generate_ba(NetworkParams(n=n, m=m, seed=seed), rng)
@@ -280,15 +275,16 @@ def simulate_cell(
 def run_cell_seed(
     config: ExperimentConfig,
     cell_index: int,
+    cell: tuple[int, int, float, float],
     seed_index: int,
     omega: OmegaEstimate,
     graph_dir: str | Path | None = None,
 ) -> RunRecord:
     """Execute one grid cell with one derived seed, for at least c(N) steps."""
-    n, m, nu, delta = config.cells()[cell_index]
+    n, m, nu, delta = cell
     started = time.perf_counter()
     horizon = max(config.t_max_steps, c_of_N(n, config.c_exponent))
-    own, params, traj = simulate_cell(config, cell_index, seed_index, horizon, graph_dir)
+    own, params, traj = simulate_cell(config, cell_index, cell, seed_index, horizon, graph_dir)
     stat = detect_stationarity(traj.infected_density, config.stat_window, config.stat_tol)
     lam = params.spreading_rate
     report = emergence_report(
@@ -321,8 +317,9 @@ def run_experiment(
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
     _check_workers(workers)
     omega = estimate_omega(config)
-    cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
-    args = (itertools.repeat(config), cells, seeds,
+    grid = config.cells()
+    cells, seeds = zip(*itertools.product(range(len(grid)), range(config.n_seeds)))
+    args = (itertools.repeat(config), cells, [grid[c] for c in cells], seeds,
             itertools.repeat(omega), itertools.repeat(graph_dir))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -385,11 +382,14 @@ def write_summary_json(summary: dict, out: TextIO) -> None:
 
 def read_records_csv(inp: TextIO) -> list[RunRecord]:
     """Parse records.csv back into RunRecords (for re-aggregation)."""
-    header = inp.readline().strip()
+    try:
+        header, body = inp.readline().strip(), inp.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot decode records: {exc}") from None
     if header != ",".join(RECORD_COLUMNS):
         raise ParameterError(f"unexpected records header: {header!r}")
     records = []
-    for i, line in enumerate(inp):
+    for i, line in enumerate(body.split("\n")):
         line = line.strip()
         if not line:
             continue

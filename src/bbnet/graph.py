@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, FitError, ParameterError
+from .errors import ParameterError
 from .rng import rng_from_seed
 
 
@@ -161,7 +161,7 @@ class DegreeFit:
 
     def __post_init__(self) -> None:
         if not self.gamma_hat > 1:
-            raise FitError(f"fitted exponent must exceed 1, got {self.gamma_hat}")
+            raise ParameterError(f"fitted exponent must exceed 1, got {self.gamma_hat}")
 
 
 # Nodes in the first segment of BA growth, and the fewest after a duplicate pick.
@@ -276,7 +276,7 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
     """
     pts = [(k, f) for k, f in ccdf if k >= k_min and f > 0]
     if len(pts) < 5:
-        raise FitError(f"need >= 5 CCDF points with k >= {k_min}, got {len(pts)}")
+        raise ParameterError(f"need >= 5 CCDF points with k >= {k_min}, got {len(pts)}")
     logk = np.log(np.array([k for k, _ in pts], dtype=float))
     logf = np.log(np.array([f for _, f in pts], dtype=float))
     slope, intercept = np.polyfit(logk, logf, 1)
@@ -327,7 +327,7 @@ def approx_diameter(g: Graph) -> int:
         raise ParameterError("empty graph")
     d0 = _bfs_distances(g, 0)
     if (d0 < 0).any():
-        raise DisconnectedGraphError("graph is not connected")
+        raise ParameterError("graph is not connected")
     u = int(np.argmax(d0))
     d1 = _bfs_distances(g, u)
     v = int(np.argmax(d1))
@@ -354,16 +354,20 @@ def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
 
 
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
-    """Parse the edge-list format written by write_edge_list; blank lines are skipped."""
-    header = inp.readline().split()
+    """Parse the edge-list format written by write_edge_list; blank lines are skipped.
+
+    The header holds no m0: the params carry m0 = min(m + 1, n), not read from the file."""
+    try:
+        header, body = inp.readline().split(), inp.read()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot decode edge list: {exc}") from None
     if len(header) != 3:
         raise ParameterError("edge-list header must be 'N m seed'")
     try:
         n, m, seed = map(int, header)
     except ValueError:
         raise ParameterError(f"edge-list header fields must be integers, got {header}") from None
-    params = NetworkParams(n=n, m=m, seed=seed)
-    body = inp.read()
+    params = NetworkParams(n=n, m=m, m0=min(m + 1, n), seed=seed)
     try:
         # An all-blank body would make loadtxt warn, so it is read as no edges.
         edges = (np.loadtxt(body.splitlines(), dtype=np.int64, comments=None, ndmin=2)

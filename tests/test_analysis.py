@@ -16,7 +16,7 @@ from bbnet.analysis import (
     StationarityResult,
 )
 from bbnet.dynamics import Trajectory
-from bbnet.errors import ParameterError, TrajectoryRangeError
+from bbnet.errors import ParameterError
 from bbnet.machines import OmegaEstimate
 
 
@@ -29,6 +29,19 @@ def make_traj(densities, max_displayed=None):
         best_carrier_density=densities.copy(),
         max_displayed=np.asarray(max_displayed, dtype=np.int64),
     )
+
+
+def stationarity_oracle(series, window, tol):
+    """detect_stationarity as a loop over t: (t_s, rho_hat, every gap compared)."""
+    gaps = []
+    for t in range(2 * window, len(series) + 1):
+        recent = sum(series[t - window:t]) / window
+        earlier = sum(series[t - 2 * window:t - window]) / window
+        gaps.append(abs(recent - earlier))
+        if gaps[-1] <= tol:
+            tail = series[t:]
+            return t, (sum(tail) / len(tail) if tail else recent), gaps
+    return None, None, gaps
 
 
 class TestTheoreticalPrevalence:
@@ -85,6 +98,31 @@ class TestStationarity:
     def test_short_series_returns_none(self):
         assert not detect_stationarity([0.5] * 10, window=50, tol=0.01).fired
 
+    def test_matches_loop_oracle(self):
+        # random series that settle at varied speeds; a series with a
+        # window-mean gap within 1e-9 of tol is skipped, since the cumulative
+        # sums and the loop's direct sums may round it to either side
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for _ in range(200):
+            window = int(rng.integers(2, 12))
+            n = int(rng.integers(window, 12 * window))
+            tol = float(rng.choice([1e-3, 1e-2, 5e-2]))
+            noise = rng.normal(0, 0.2, n) * np.exp(-np.arange(n) / rng.uniform(2, 80))
+            series = list(0.3 + noise)
+            t_s, rho_hat, gaps = stationarity_oracle(series, window, tol)
+            if any(abs(gap - tol) < 1e-9 for gap in gaps):
+                continue
+            res = detect_stationarity(series, window, tol)
+            assert res.t_s == t_s
+            if t_s is None:
+                assert res.rho_hat is None
+                outcomes.add("short" if n < 2 * window else "never")
+            else:
+                assert res.rho_hat == pytest.approx(rho_hat, rel=1e-12, abs=1e-12)
+                outcomes.add("at end" if t_s == n else "fired")
+        assert outcomes == {"short", "never", "at end", "fired"}
+
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
             detect_stationarity([0.1] * 10, window=1, tol=0.01)
@@ -122,8 +160,13 @@ class TestTauE:
         assert measure_tau_E(traj, 1, 2) == 1.0
         assert measure_tau_E(traj, 1, 3) == pytest.approx(2 / 3)
 
+    def test_window_start_at_end_rejected(self):
+        for t0 in (10, 11):
+            with pytest.raises(ParameterError, match=f"need 0 <= t0 < c_n, got t0={t0}, c_n=10"):
+                measure_tau_E(make_traj([0.1] * 20), t0, 10)
+
     def test_range_error(self):
-        with pytest.raises(TrajectoryRangeError):
+        with pytest.raises(ParameterError, match="beyond trajectory"):
             measure_tau_E(make_traj([0.1] * 5), 1, 10)
 
     def test_serialization_invariance(self):
@@ -152,6 +195,7 @@ class TestComplexityProxy:
             complexity_proxy(-1)
 
 
+
 class TestEmergenceReport:
     # fired at step 1, within c(100) = 10, so only tau_E decides the condition
     EARLY = StationarityResult(t_s=1, rho_hat=0.5)
@@ -159,6 +203,15 @@ class TestEmergenceReport:
     def omega(self, value):
         return OmegaEstimate("enumeration", value, 0.0, l_max=18)
 
+    def test_c_bar_matches_complexity_proxy(self):
+        # the array bit length of own fitness against the scalar proxy, one value at a time
+        traj = make_traj([0.5] * 20)
+        for x in [0, 1, 2**62] + [2**j + d for j in range(1, 62) for d in (-1, 1)]:
+            rep = emergence_report(traj, self.omega(0.1), 3, 1.0, 100, 0.5, 1, np.array([x]),
+                                   self.EARLY)
+            assert rep.c_bar_isolated == complexity_proxy(x)
+        with pytest.raises(ParameterError, match="need x >= 0, got -3"):
+            emergence_report(traj, self.omega(0.1), 3, 1.0, 100, 0.5, 1, [4, -3, 0], self.EARLY)
     def test_no_diffusion(self):
         traj = make_traj([0.5] + [0.0] * 30)
         rep = emergence_report(
@@ -213,5 +266,5 @@ class TestEmergenceReport:
 
     def test_short_trajectory_raises(self):
         traj = make_traj([0.5] * 5)
-        with pytest.raises(TrajectoryRangeError):
+        with pytest.raises(ParameterError, match="beyond trajectory"):
             emergence_report(traj, self.omega(0.1), 3, 0.25, 100, 0.5, 1, [1], self.EARLY)

@@ -2,11 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bbnet import cli, experiment
 from bbnet.cli import main
-from bbnet.graph import read_edge_list
+from bbnet.graph import NetworkParams, generate_ba, read_edge_list
 from bbnet.machines import omega_enumerate
 
 
@@ -56,6 +57,25 @@ class TestGenGraph:
     def test_one_node_seed_exit_2(self, capsys):
         assert main(["gen-graph", "--n", "10", "--m", "1", "--m0", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,m,m0", [(3, 3, 3), (6, 2, 5), (10, 1, 2)])
+    def test_round_trip_any_m0(self, tmp_path, n, m, m0):
+        # the header holds no m0, so every admitted m0 must read back
+        out = tmp_path / "g.edges"
+        assert main(["gen-graph", "--n", str(n), "--m", str(m), "--m0", str(m0),
+                     "--seed", "7", "--out", str(out)]) == 0
+        with open(out) as fh:
+            g, params = read_edge_list(fh)
+        grown = generate_ba(NetworkParams(n=n, m=m, m0=m0, seed=7))
+        assert np.array_equal(g.indptr, grown.indptr)
+        assert np.array_equal(g.indices, grown.indices)
+        assert (g.n, params.n, params.m, params.seed) == (n, n, m, 7)
+
+    def test_missing_out_dir_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g.edges"
+        assert main(["gen-graph", "--n", "10", "--m", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file or directory" in err
 
     def test_node_count_past_key_bound_exit_2_before_growth(self, monkeypatch, capsys):
         # growing 3037000500 nodes would first allocate a 24 GB picks array
@@ -214,6 +234,24 @@ class TestSweepReport:
             assert main(["report", "--records", str(d / "records.csv"),
                          "--out", str(tmp_path / "r")]) == 2
             assert "row 1" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(b"\xff\xfe" + cfg.read_bytes())
+        out = tmp_path / "x"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config is not valid JSON:")
+        assert not out.exists()
+
+    def test_non_utf8_records_exit_2(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"\xff\xfe" + ",".join(experiment.RECORD_COLUMNS).encode() + b"\n")
+        out = tmp_path / "r"
+        assert main(["report", "--records", str(records), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot decode records:")
+        assert not out.exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfg = write_config(tmp_path)

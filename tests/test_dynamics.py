@@ -387,6 +387,12 @@ class TestStepCrossCheck:
 
 
 class TestRunSim:
+    def test_zero_steps_rejected(self):
+        g = path_graph(5)
+        with pytest.raises(ParameterError, match="need t_max_steps >= 1, got 0"):
+            run_sim(g, np.ones(5, dtype=np.int64), EpidemicParams(nu=0.2, delta=1.0), 0,
+                    rng_from_seed(1))
+
     def test_full_cure_first_step(self):
         g = path_graph(20)
         rng = rng_from_seed(7)

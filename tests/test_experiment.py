@@ -9,7 +9,7 @@ import pytest
 
 from bbnet.analysis import c_of_N, detect_stationarity
 from bbnet.dynamics import EpidemicParams
-from bbnet.errors import ConfigError, ParameterError
+from bbnet.errors import ParameterError
 from bbnet.experiment import (
     RECORD_COLUMNS,
     ExperimentConfig,
@@ -73,7 +73,7 @@ class TestSeedDerivation:
 
 class TestConfig:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             ExperimentConfig.from_dict({"n_values": [10], "m_values": [1],
                                         "nu_values": [0.1], "delta_values": [1.0],
                                         "bogus": 3})
@@ -84,19 +84,19 @@ class TestConfig:
         assert ExperimentConfig.from_dict(grid) == ExperimentConfig(**grid)
         for key in grid:
             partial = {k: v for k, v in grid.items() if k != key}
-            with pytest.raises(ConfigError, match=f"missing required config keys: .*{key}"):
+            with pytest.raises(ParameterError, match=f"missing required config keys: .*{key}"):
                 ExperimentConfig.from_dict(partial)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             tiny_config(nu_values=[])
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             tiny_config(rho0=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             tiny_config(omega_method="guess")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             tiny_config(w="21")
 
     @pytest.mark.parametrize(
@@ -141,7 +141,7 @@ class TestConfig:
              "int-reimitation", "str-imitate_infected_only"],
     )
     def test_rejected_before_any_run(self, overrides):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             tiny_config(**overrides)
 
     @pytest.mark.parametrize(
@@ -168,14 +168,14 @@ class TestConfig:
         # the config asks the layer that owns the rule, so the two texts match
         with pytest.raises(ParameterError) as owner:
             owner_call()
-        with pytest.raises(ConfigError) as config:
+        with pytest.raises(ParameterError) as config:
             tiny_config(**overrides)
         assert str(config.value) == str(owner.value)
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_wrong_type_rejected(self, field):
         for value in WRONG_TYPED[field.type]:
-            with pytest.raises(ConfigError, match=field.name):
+            with pytest.raises(ParameterError, match=field.name):
                 tiny_config(**{field.name: value})
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -190,10 +190,16 @@ class TestConfig:
         p.write_text(json.dumps(cfg.to_dict()))
         assert ExperimentConfig.from_json_file(p) == cfg
 
+    def test_json_array_rejected(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text(json.dumps([tiny_config().to_dict()]))
+        with pytest.raises(ParameterError, match="config must be a JSON object"):
+            ExperimentConfig.from_json_file(p)
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             ExperimentConfig.from_json_file(p)
 
 
@@ -306,6 +312,17 @@ class TestRecordsCsv:
             lines[2] = ",".join(row)
             with pytest.raises(ParameterError, match=f"row 2, column {RECORD_COLUMNS[column]}:"):
                 read_records_csv(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_wrong_header_and_short_row_rejected(self):
+        records, _ = run_experiment(tiny_config())
+        buf = io.StringIO()
+        write_records_csv(records, buf)
+        header, row = buf.getvalue().splitlines()
+        with pytest.raises(ParameterError, match="unexpected records header: 'N,m'"):
+            read_records_csv(io.StringIO(f"N,m\n{row}\n"))
+        short = row.rsplit(",", 1)[0]
+        with pytest.raises(ParameterError, match=f"row 1 has {len(RECORD_COLUMNS) - 1} columns"):
+            read_records_csv(io.StringIO(f"{header}\n{short}\n"))
 
     def test_shuffled_records_same_summary(self):
         cfg = tiny_config(n_values=[30, 60], n_seeds=3)

@@ -10,7 +10,7 @@ from conftest import neighbors
 from hypothesis import given, settings, strategies as st
 
 import bbnet.graph
-from bbnet.errors import DisconnectedGraphError, FitError, ParameterError
+from bbnet.errors import ParameterError
 from bbnet.graph import (
     Graph,
     NetworkParams,
@@ -355,7 +355,7 @@ class TestFit:
         assert fit.prefactor_hat == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_points(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ParameterError, match="need >= 5 CCDF points"):
             fit_power_law([(2, 1.0), (3, 0.5), (4, 0.2), (5, 0.1)], k_min=2)
 
     def test_ccdf_tail_slope_near_two(self):
@@ -374,7 +374,7 @@ class TestDiameter:
 
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(ParameterError, match="graph is not connected"):
             approx_diameter(g)
 
     def test_empty_graph_raises(self):
@@ -451,13 +451,20 @@ class TestEdgeList:
             ("x 2 0", "header fields must be integers"),
             ("3 2.5 0", "header fields must be integers"),
             ("-1 2 0", "need n >= 2, got -1"),
+            ("4 1", "edge-list header must be 'N m seed'"),
         ],
-        ids=["word", "float", "negative-n"],
+        ids=["word", "float", "negative-n", "two-fields"],
     )
     def test_malformed_header_rejected(self, header, message):
         # a bad N or m gets the message of NetworkParams, the rule's owner
         with pytest.raises(ParameterError, match=message):
             read_edge_list(io.StringIO(header + "\n0 1\n"))
+
+    @pytest.mark.parametrize("text", [b"\xff\xfe4 1 0\n0 1\n", b"4 1 0\n0 1\n\xff\n"],
+                             ids=["header", "body"])
+    def test_undecodable_text_rejected(self, text):
+        with pytest.raises(ParameterError, match="cannot decode edge list: 'utf-8' codec"):
+            read_edge_list(io.TextIOWrapper(io.BytesIO(text), encoding="utf-8"))
 
     @pytest.mark.parametrize("n", [99999999999999999999, 3037000500],
                              ids=["past-int64", "past-key-bound"])
@@ -505,7 +512,7 @@ class TestArrayPathsMatchLoops:
         assert written(g, 2, 7) == write_oracle(g, 2, 7)
         expected = diameter_oracle(g)
         if expected is None:
-            with pytest.raises(DisconnectedGraphError):
+            with pytest.raises(ParameterError, match="graph is not connected"):
                 approx_diameter(g)
         else:
             assert approx_diameter(g) == expected

@@ -591,6 +591,16 @@ class TestOmega:
         with pytest.raises(ParameterError):
             omega_enumerate(27, "", 10)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ParameterError, match="need max_len >= 0, got -1"):
+            omega_enumerate(-1, "", 10)
+
+    def test_monte_carlo_needs_samples_and_a_generator(self):
+        with pytest.raises(ParameterError, match="need n_samples >= 1, got 0"):
+            omega_monte_carlo(0, "", 10, rng_from_seed(1))
+        with pytest.raises(TypeError, match="rng"):
+            omega_monte_carlo(10, "", 10)
+
     def test_kraft_sum_is_exactly_one(self):
         for k_max in range(1, 7):
             assert kraft_sum(k_max) == Fraction(1)
