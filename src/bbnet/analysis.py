@@ -113,7 +113,9 @@ def measure_tau_E(traj: Trajectory, t0: int, c_n: int) -> float:
     if not 0 <= t0 < c_n:
         raise ParameterError(f"need 0 <= t0 < c_n, got t0={t0}, c_n={c_n}")
     if c_n > traj.last_t:
-        raise ParameterError(f"window end {c_n} beyond trajectory (last step {traj.last_t})")
+        raise ParameterError(
+            f"window end {c_n} beyond trajectory (last step {traj.last_t})"
+        )
     return float(traj.infected_density[t0 : c_n + 1].mean())
 
 

@@ -72,7 +72,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             w=args.w, t_max_steps=args.steps, reimitation=args.reimitation,
             master_seed=args.seed if args.seed is not None else 0,
         )
-    _, _, traj = simulate_cell(cfg, 0, cfg.cells()[0], 0, cfg.t_max_steps)
+    _, _, traj = simulate_cell(cfg, 0, 0, cfg.t_max_steps)
     if args.out:
         with open(args.out, "w") as fh:
             traj.to_csv(fh)
@@ -170,9 +170,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ParameterError) else 1
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -240,12 +240,11 @@ def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
 def simulate_cell(
     config: ExperimentConfig,
     cell_index: int,
-    cell: tuple[int, int, float, float],
     seed_index: int,
     t_max_steps: int,
     graph_dir: str | Path | None = None,
 ) -> tuple[np.ndarray, EpidemicParams, Trajectory]:
-    """One run of grid cell ``cell`` (index cell_index): (own fitness, SIS params, trajectory).
+    """One run of one grid cell: (own fitness, SIS params, trajectory).
 
     The run's Generator is drawn in a fixed order: graph growth, program
     bits, initial infected set, step uniforms. Scoring the programs draws
@@ -253,7 +252,7 @@ def simulate_cell(
     graph_<cell>_<seed>.edges (filenames are unique, so parallel workers
     never collide).
     """
-    n, m, nu, delta = cell
+    n, m, nu, delta = config.cells()[cell_index]
     seed = derive_seed(config.master_seed, cell_index, seed_index)
     rng = rng_from_seed(seed)
     g = generate_ba(NetworkParams(n=n, m=m, seed=seed), rng)
@@ -275,16 +274,15 @@ def simulate_cell(
 def run_cell_seed(
     config: ExperimentConfig,
     cell_index: int,
-    cell: tuple[int, int, float, float],
     seed_index: int,
     omega: OmegaEstimate,
     graph_dir: str | Path | None = None,
 ) -> RunRecord:
     """Execute one grid cell with one derived seed, for at least c(N) steps."""
-    n, m, nu, delta = cell
+    n, m, nu, delta = config.cells()[cell_index]
     started = time.perf_counter()
     horizon = max(config.t_max_steps, c_of_N(n, config.c_exponent))
-    own, params, traj = simulate_cell(config, cell_index, cell, seed_index, horizon, graph_dir)
+    own, params, traj = simulate_cell(config, cell_index, seed_index, horizon, graph_dir)
     stat = detect_stationarity(traj.infected_density, config.stat_window, config.stat_tol)
     lam = params.spreading_rate
     report = emergence_report(
@@ -317,9 +315,8 @@ def run_experiment(
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
     _check_workers(workers)
     omega = estimate_omega(config)
-    grid = config.cells()
-    cells, seeds = zip(*itertools.product(range(len(grid)), range(config.n_seeds)))
-    args = (itertools.repeat(config), cells, [grid[c] for c in cells], seeds,
+    cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
+    args = (itertools.repeat(config), cells, seeds,
             itertools.repeat(omega), itertools.repeat(graph_dir))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -195,7 +195,6 @@ class TestComplexityProxy:
             complexity_proxy(-1)
 
 
-
 class TestEmergenceReport:
     # fired at step 1, within c(100) = 10, so only tau_E decides the condition
     EARLY = StationarityResult(t_s=1, rho_hat=0.5)
@@ -212,6 +211,7 @@ class TestEmergenceReport:
             assert rep.c_bar_isolated == complexity_proxy(x)
         with pytest.raises(ParameterError, match="need x >= 0, got -3"):
             emergence_report(traj, self.omega(0.1), 3, 1.0, 100, 0.5, 1, [4, -3, 0], self.EARLY)
+
     def test_no_diffusion(self):
         traj = make_traj([0.5] + [0.0] * 30)
         rep = emergence_report(
