@@ -77,8 +77,8 @@ def detect_stationarity(
     """
     if window < 2:
         raise ParameterError(f"need window >= 2, got {window}")
-    if not tol > 0:
-        raise ParameterError(f"need tol > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"need finite tol > 0, got {tol}")
     s = np.asarray(series, dtype=float)
     n = len(s)
     if n < 2 * window:

@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import fields
 from pathlib import Path
+from typing import TextIO
 
 from .analysis import detect_stationarity
 from .errors import ParameterError
@@ -35,14 +37,16 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     return config
 
 
+def _output(path: str | None) -> AbstractContextManager[TextIO]:
+    """The --out file opened for writing, or stdout (left open on exit)."""
+    return open(path, "w") if path else nullcontext(sys.stdout)
+
+
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
     params = NetworkParams(n=args.n, m=args.m, m0=args.m0, seed=args.seed)
     g = generate_ba(params)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_edge_list(g, fh, args.m, args.seed)
-    else:
-        write_edge_list(g, sys.stdout, args.m, args.seed)
+    with _output(args.out) as fh:
+        write_edge_list(g, fh, args.m, args.seed)
     return 0
 
 
@@ -53,31 +57,17 @@ def _cmd_omega(args: argparse.Namespace) -> int:
         rng = rng_from_seed(args.seed)
         est = omega_monte_carlo(args.samples, args.w, args.t_max, rng, args.k_max)
     line = json.dumps(est.to_record(), sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(line + "\n")
-    else:
-        print(line)
+    with _output(args.out) as fh:
+        print(line, file=fh)
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    """Run the first cell of the config (or of the flags) with seed index 0."""
-    if args.config:
-        cfg = _load_config(args.config, args.seed)
-    else:
-        cfg = ExperimentConfig(
-            n_values=[args.n], m_values=[args.m],
-            nu_values=[args.nu], delta_values=[args.delta],
-            rho0=args.rho0, k_max=args.k_max, t_max=args.t_max,
-            w=args.w, t_max_steps=args.steps, reimitation=args.reimitation,
-            master_seed=args.seed if args.seed is not None else 0,
-        )
+    """Run cell 0 of the config with seed index 0 for t_max_steps steps."""
+    cfg = _load_config(args.config, args.seed)
     _, _, traj = simulate_cell(cfg, 0, 0, cfg.t_max_steps)
-    if args.out:
-        with open(args.out, "w") as fh:
-            traj.to_csv(fh)
-    else:
-        traj.to_csv(sys.stdout)
+    with _output(args.out) as fh:
+        traj.to_csv(fh)
     stat = detect_stationarity(traj.infected_density, cfg.stat_window, cfg.stat_tol)
     if stat.fired:
         print(f"stationary at t={stat.t_s}, rho_hat={stat.rho_hat:.9f}", file=sys.stderr)
@@ -132,19 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_omega)
 
-    p = sub.add_parser("simulate", help="run one simulation cell, emit trajectory CSV")
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--nu", type=float, default=0.2)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--rho0", type=float, default=defaults["rho0"])
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--t-max", type=int, default=1000, dest="t_max")
-    p.add_argument("--k-max", type=int, default=K_MAX_DEFAULT, dest="k_max")
-    p.add_argument("--w", type=str, default="")
-    p.add_argument("--reimitation", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("simulate", help="run cell 0 of a config file, emit trajectory CSV")
+    p.add_argument("--config", type=str, required=True)
+    p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_simulate)
 

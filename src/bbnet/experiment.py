@@ -194,33 +194,41 @@ def _bool_from_text(text: str) -> bool:
     return text == "true"
 
 
+def _finite_from_text(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {text!r}")
+    return x
+
+
 _f9 = "{:.9f}".format
 
 # records.csv, one entry per column in order: (header, attribute of the
 # RunRecord, with "report." for its EmergenceReport, value -> text,
 # text -> value). A stationarity detector that never fired writes t_s as -1
-# and rho_hat as nan.
+# and rho_hat as nan, and a delta = 0 cell writes lambda as inf. No other
+# float column reads a non-finite value back, so summary.json stays strict JSON.
 _RECORD_SCHEMA = [
     ("N", "n", str, int),
     ("m", "m", str, int),
-    ("nu", "nu", _f9, float),
-    ("delta", "delta", _f9, float),
-    ("lambda", "lam", _f9, float),
-    ("C", "c_exponent", _f9, float),
+    ("nu", "nu", _f9, _finite_from_text),
+    ("delta", "delta", _f9, _finite_from_text),
+    ("lambda", "lam", _f9, lambda s: math.inf if s == "inf" else _finite_from_text(s)),
+    ("C", "c_exponent", _f9, _finite_from_text),
     ("c_of_N", "report.c_of_n", str, int),
     ("t_s", "report.t_s",
      lambda v: "-1" if v is None else str(v),
      lambda s: None if int(s) < 0 else int(s)),
     ("rho_hat", "report.rho_hat",
      lambda v: "nan" if v is None else _f9(v),
-     lambda s: None if math.isnan(float(s)) else float(s)),
-    ("rho_theory", "report.rho_theory", _f9, float),
-    ("tau_E", "report.tau_e", _f9, float),
-    ("omega_hat", "report.omega_hat", _f9, float),
+     lambda s: None if s == "nan" else _finite_from_text(s)),
+    ("rho_theory", "report.rho_theory", _f9, _finite_from_text),
+    ("tau_E", "report.tau_e", _f9, _finite_from_text),
+    ("omega_hat", "report.omega_hat", _f9, _finite_from_text),
     ("condition_met", "report.condition_met", lambda v: "true" if v else "false", _bool_from_text),
     ("c_best", "report.c_best", str, int),
-    ("c_bar_isolated", "report.c_bar_isolated", _f9, float),
-    ("eeac_proxy", "report.eeac_proxy", _f9, float),
+    ("c_bar_isolated", "report.c_bar_isolated", _f9, _finite_from_text),
+    ("eeac_proxy", "report.eeac_proxy", _f9, _finite_from_text),
 ]
 RECORD_COLUMNS = [header for header, _, _, _ in _RECORD_SCHEMA]
 

@@ -11,6 +11,10 @@ from bbnet.graph import NetworkParams, generate_ba, read_edge_list
 from bbnet.machines import omega_enumerate
 
 
+# stands for the path of write_config's file in a parametrized command line
+CONFIG = object()
+
+
 def write_config(tmp_path, **overrides):
     cfg = dict(
         n_values=[40],
@@ -127,10 +131,10 @@ class TestOmega:
 
 class TestSimulate:
     def test_nu_zero_first_row(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, nu_values=[0.0], rho0=0.5, t_max_steps=5, t_max=50,
+                           master_seed=4)
         out = tmp_path / "traj.csv"
-        code = main(["simulate", "--n", "40", "--m", "2", "--nu", "0", "--delta", "1",
-                     "--rho0", "0.5", "--steps", "5", "--t-max", "50", "--seed", "4",
-                     "--out", str(out)])
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,infected_density,best_carrier_density,max_displayed"
@@ -141,6 +145,62 @@ class TestSimulate:
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 30 + 2  # header + rows 0..30
+
+    def test_seed_overrides_master_seed(self, tmp_path):
+        # the default config has master_seed 5, so --seed 11 must run as master_seed 11
+        (tmp_path / "seeded").mkdir()
+        seeded = write_config(tmp_path / "seeded", master_seed=11)
+        cfg = write_config(tmp_path)
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert main(["simulate", "--config", str(seeded), "--out", str(a)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--seed", "11", "--out", str(b)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize(
+        "words",
+        [["--config", CONFIG, "--n", "40"], ["--config", CONFIG, "--m", "2"],
+         ["--config", CONFIG, "--nu", "0"], ["--config", CONFIG, "--delta", "1"],
+         ["--config", CONFIG, "--rho0", "0.5"], ["--config", CONFIG, "--steps", "5"],
+         ["--config", CONFIG, "--t-max", "50"], ["--config", CONFIG, "--k-max", "2"],
+         ["--config", CONFIG, "--w", "101"], ["--config", CONFIG, "--reimitation"],
+         ["--seed", "5"]],
+        ids=["n", "m", "nu", "delta", "rho0", "steps", "t-max", "k-max", "w", "reimitation",
+             "no-config"],
+    )
+    def test_removed_flag_or_no_config_exits_2_before_any_run(self, tmp_path, monkeypatch,
+                                                              words):
+        def no_run(*args):
+            raise AssertionError("a cell ran from a refused command line")
+
+        monkeypatch.setattr(cli, "simulate_cell", no_run)
+        cfg = str(write_config(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *(cfg if word is CONFIG else word for word in words)])
+        assert exc.value.code == 2
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "words",
+        [["gen-graph", "--n", "30", "--m", "2", "--seed", "9"],
+         ["omega", "--method", "enumerate", "--max-len", "12", "--t-max", "50", "--k-max", "2"],
+         ["omega", "--method", "monte-carlo", "--samples", "500", "--t-max", "50",
+          "--k-max", "2", "--seed", "3"],
+         ["simulate", "--config", CONFIG]],
+        ids=["gen-graph", "omega-enumerate", "omega-monte-carlo", "simulate"],
+    )
+    def test_stdout_matches_out_file(self, tmp_path, capsys, words):
+        cfg = str(write_config(tmp_path))
+        argv = [cfg if word is CONFIG else word for word in words]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        to_file = capsys.readouterr()
+        assert to_file.out == ""
+        assert main(argv) == 0
+        to_stdout = capsys.readouterr()
+        assert to_stdout.out.encode() == out.read_bytes()
+        assert to_stdout.err == to_file.err
 
 
 class TestSweepReport:
@@ -153,14 +213,19 @@ class TestSweepReport:
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
     def test_report_reaggregates(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # a delta 0 cell writes lambda as inf, and summary.json stays strict JSON
+        cfg = write_config(tmp_path, delta_values=[0.0, 1.0])
         d = tmp_path / "out"
         main(["sweep", "--config", str(cfg), "--out", str(d)])
         rep_dir = tmp_path / "rep"
         assert main(["report", "--records", str(d / "records.csv"),
                      "--out", str(rep_dir)]) == 0
-        summary = json.loads((rep_dir / "summary.json").read_text())
-        full = json.loads((d / "summary.json").read_text())
+
+        def refuse(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        summary = json.loads((rep_dir / "summary.json").read_text(), parse_constant=refuse)
+        full = json.loads((d / "summary.json").read_text(), parse_constant=refuse)
         assert summary["per_n"] == full["per_n"]
 
     def test_emit_graphs_writes_edge_lists(self, tmp_path):
@@ -192,9 +257,10 @@ class TestSweepReport:
         [dict(n_values=[1e2]), dict(m_values=[True]), dict(m_values=[40]), dict(t0=7),
          dict(omega_max_len=27), dict(w=["01"]), dict(w=["0", "1"]), dict(rho0=True),
          dict(c_exponent=True), dict(stat_tol=True), dict(nu_values=[True]),
-         dict(delta_values=[True])],
+         dict(delta_values=[True]), dict(stat_tol=float("inf"))],
         ids=["float-N", "bool-m", "m-ge-N", "t0-ge-c", "enum-guard", "w-list", "w-list-of-bits",
-             "bool-rho0", "bool-c_exponent", "bool-stat_tol", "bool-nu", "bool-delta"],
+             "bool-rho0", "bool-c_exponent", "bool-stat_tol", "bool-nu", "bool-delta",
+             "stat_tol-inf"],
     )
     def test_bad_config_exit_2_before_omega(self, tmp_path, monkeypatch, capsys, overrides):
         def no_omega(config):
@@ -224,8 +290,9 @@ class TestSweepReport:
         d = tmp_path / "out"
         main(["sweep", "--config", str(cfg), "--out", str(d)])
         good = (d / "records.csv").read_text().splitlines()
-        # N not a number; condition_met neither "true" nor "false"
-        for column, value in ((0, "forty"), (12, "TRUE")):
+        # N not a number; condition_met neither "true" nor "false"; a non-finite
+        # eeac_proxy or tau_E would be written into summary.json as NaN or Infinity
+        for column, value in ((0, "forty"), (12, "TRUE"), (15, "nan"), (10, "inf")):
             lines = list(good)
             row = lines[1].split(",")
             row[column] = value
@@ -234,6 +301,7 @@ class TestSweepReport:
             assert main(["report", "--records", str(d / "records.csv"),
                          "--out", str(tmp_path / "r")]) == 2
             assert "row 1" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

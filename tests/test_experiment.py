@@ -127,6 +127,7 @@ class TestConfig:
             dict(t_max_steps=0),
             dict(stat_window=1),
             dict(stat_tol=0.0),
+            dict(stat_tol=float("inf")),
             dict(n_seeds=0),
             dict(omega_samples=0),
             dict(omega_max_len=-5, omega_method="monte-carlo"),  # checked under both methods
@@ -137,7 +138,7 @@ class TestConfig:
              "w-list", "w-list-of-bits", "bool-rho0", "bool-c_exponent", "bool-stat_tol",
              "bool-nu", "bool-delta", "N-lt-2", "m-lt-1", "nu-gt-1", "delta-lt-0", "rho0-gt-1",
              "c_exponent-0", "k_max-0", "t_max-0", "t_max_steps-0", "stat_window-1",
-             "stat_tol-0", "n_seeds-0", "omega_samples-0", "mc-max_len-negative",
+             "stat_tol-0", "stat_tol-inf", "n_seeds-0", "omega_samples-0", "mc-max_len-negative",
              "int-reimitation", "str-imitate_infected_only"],
     )
     def test_rejected_before_any_run(self, overrides):
@@ -157,12 +158,13 @@ class TestConfig:
             (dict(c_exponent=1.5), lambda: c_of_N(50, 1.5)),
             (dict(stat_window=1), lambda: detect_stationarity((), 1, 0.05)),
             (dict(stat_tol=0.0), lambda: detect_stationarity((), 3, 0.0)),
+            (dict(stat_tol=float("inf")), lambda: detect_stationarity((), 3, float("inf"))),
             (dict(k_max=0), lambda: check_k_max(0)),
             (dict(t_max=0), lambda: check_input("", 0)),
             (dict(w="012"), lambda: check_input("012", 100)),
         ],
         ids=["N", "N-past-key-bound", "m", "m-ge-N", "nu", "delta", "rho0", "C", "stat_window", "stat_tol",
-             "k_max", "t_max", "w"],
+             "stat_tol-inf", "k_max", "t_max", "w"],
     )
     def test_delegated_rule_reports_owner_message(self, overrides, owner_call):
         # the config asks the layer that owns the rule, so the two texts match
@@ -285,14 +287,16 @@ class TestRecordsCsv:
 
     def test_reread_rewrites_the_same_bytes(self, tmp_path):
         # nu 0.9 at m 2 clamps rho_theory (2 exp(-1/1.8) > 1); at N 30 the
-        # 11-step series is shorter than two windows, so stationarity never fires
-        cfg = tiny_config(n_values=[30, 400], nu_values=[0.1, 0.9], t_max_steps=10,
-                          stat_window=6, stat_tol=0.5)
+        # 11-step series is shorter than two windows, so stationarity never
+        # fires; a delta 0 cell writes lambda as inf
+        cfg = tiny_config(n_values=[30, 400], nu_values=[0.1, 0.9], delta_values=[0.0, 1.0],
+                          t_max_steps=10, stat_window=6, stat_tol=0.5)
         run_sweep_to_dir(cfg, tmp_path)
         original = (tmp_path / "records.csv").read_bytes()
         rows = [line.split(",") for line in original.decode().splitlines()[1:]]
         assert {row[9] == "1.000000000" for row in rows} == {True, False}
         assert {row[7] == "-1" for row in rows} == {True, False}
+        assert {row[4] == "inf" for row in rows} == {True, False}
         with open(tmp_path / "records.csv") as fh:
             back = read_records_csv(fh)
         buf = io.StringIO()
@@ -303,8 +307,11 @@ class TestRecordsCsv:
         records, _ = run_experiment(tiny_config(n_seeds=2))
         buf = io.StringIO()
         write_records_csv(records, buf)
-        # "x" in every column; tau_E not a number; condition_met neither "true" nor "false"
-        bad = [(column, "x") for column in range(len(RECORD_COLUMNS))]
+        # "x" in every column; nan and inf in every column that cannot hold them;
+        # tau_E not a number; condition_met neither "true" nor "false"
+        bad = [(column, value) for column, header in enumerate(RECORD_COLUMNS)
+               for value in ("x", "nan", "inf", "-inf")
+               if (header, value) not in (("lambda", "inf"), ("rho_hat", "nan"))]
         for column, value in bad + [(10, "fast"), (12, "TRUE")]:
             lines = buf.getvalue().splitlines()
             row = lines[2].split(",")
