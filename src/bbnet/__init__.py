@@ -21,9 +21,7 @@ from .analysis import (
 )
 from .dynamics import (
     EpidemicParams,
-    SimState,
     Trajectory,
-    init_state,
     run_sim,
     step,
 )

@@ -18,8 +18,10 @@ snapshot, giving one communication round:
 Every node consumes exactly three uniforms per step, in node-id order and
 then rule order (a, b, c), whether or not each rule applies. That keeps the
 stream layout independent of the state, so a run is a pure function of
-(seed, inputs). A susceptible node carries its own value, so ``carried``
-is what every node displays.
+(seed, inputs). The state is two arrays, ``infected`` and ``carried``; a
+susceptible node carries its own value, so ``carried`` is what every node
+displays. ``step`` maps one snapshot and its uniforms to the next, and
+``run_sim`` starts a run and draws the uniforms.
 
 A step reads only the adjacency rows it needs, each fetched with
 ``Graph.gather``. Infected-neighbour counts are pushed from the infected
@@ -71,16 +73,6 @@ class EpidemicParams:
 
 
 @dataclass
-class SimState:
-    """Population snapshot between steps (arrays indexed by node id)."""
-
-    infected: np.ndarray  # bool
-    own: np.ndarray  # int64, fixed at init
-    carried: np.ndarray  # int64, the displayed value: own while susceptible
-    infected_count: int  # number of infected nodes
-
-
-@dataclass
 class Trajectory:
     """Per-step series; row t is the state after t steps (row 0 = initial)."""
 
@@ -101,37 +93,6 @@ class Trajectory:
             )
 
 
-def init_state(
-    g: Graph, own: np.ndarray, params: EpidemicParams, rng: np.random.Generator
-) -> SimState:
-    """Give each node its own fitness and infect a random initial set.
-
-    ``own[i]`` is node i's fitness. Exactly max(1, round(rho0 * N)) nodes are
-    infected, chosen uniformly without replacement; an infected node
-    initially carries its own value.
-    """
-    if g.n < 1:
-        raise ParameterError("empty graph")
-    own = np.asarray(own, dtype=np.int64)
-    if len(own) != g.n:
-        raise ParameterError(f"need {g.n} fitness values, got {len(own)}")
-    n_init = max(1, round(params.rho0 * g.n))
-    infected = np.zeros(g.n, dtype=bool)
-    infected[rng.choice(g.n, size=n_init, replace=False)] = True
-    return SimState(
-        infected=infected,
-        own=own,
-        carried=own.copy(),
-        infected_count=int(n_init),
-    )
-
-
-def _neighbor_count(g: Graph, rows: np.ndarray) -> np.ndarray:
-    """For every node, how many of its neighbours are in ``rows``."""
-    nbrs, _ = g.gather(rows)
-    return np.bincount(nbrs, minlength=g.n)
-
-
 def _neighbor_max(g: Graph, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Largest ``values[j]`` over the neighbours j of each of ``rows``.
 
@@ -142,60 +103,43 @@ def _neighbor_max(g: Graph, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(values[nbrs], offsets)
 
 
-def _apply_rules(
-    state: SimState, g: Graph, params: EpidemicParams, u: np.ndarray
-) -> SimState:
-    """One synchronous update given the (n, 3) uniform matrix."""
-    infected = state.infected
-    n_inf = _neighbor_count(g, np.flatnonzero(infected))
+def step(
+    g: Graph, params: EpidemicParams, own: np.ndarray, infected: np.ndarray,
+    carried: np.ndarray, u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous round given the (n, 3) uniform matrix ``u``.
+
+    Takes the time-t ``(infected, carried)`` and returns the new pair as
+    fresh arrays; writes into none of its inputs.
+    """
+    infected_nbrs, _ = g.gather(np.flatnonzero(infected))
+    n_inf = np.bincount(infected_nbrs, minlength=g.n)
     # (1 - nu)**k looked up per node from a table of every count present:
     # the same bits as raising per node, at a fraction of the cost.
     survive = (1.0 - params.nu) ** np.arange(int(n_inf.max(initial=0)) + 1)
     p_infect = 1.0 - survive[n_inf]
     new_inf = (~infected) & (u[:, 0] < p_infect)
     cured = infected & (u[:, 1] < params.delta)
-    carried = np.where(cured, state.own, state.carried)
+    new_carried = np.where(cured, own, carried)
 
     # Neighbour maxima only over the rows that imitate, of the values
-    # displayed at time t (state.carried). A newly infected node has an
-    # infected neighbour, so its row is not empty, and masking the
-    # susceptible with the int64 minimum leaves a real value to copy.
+    # displayed at time t (carried). A newly infected node has an infected
+    # neighbour, so its row is not empty, and masking the susceptible with
+    # the int64 minimum leaves a real value to copy.
     new_rows = np.flatnonzero(new_inf)
     if len(new_rows):
-        source = state.carried
+        source = carried
         if params.imitate_infected_only:
             source = np.where(infected, source, np.iinfo(np.int64).min)
-        carried[new_rows] = _neighbor_max(g, new_rows, source)
+        new_carried[new_rows] = _neighbor_max(g, new_rows, source)
     if params.reimitation:
         upd = infected & ~cured & (u[:, 2] < params.nu) & (g.degrees > 0)
         upd_rows = np.flatnonzero(upd)
         if len(upd_rows):
-            nbr_max = _neighbor_max(g, upd_rows, state.carried)
-            carried[upd_rows] = np.maximum(carried[upd_rows], nbr_max)
+            nbr_max = _neighbor_max(g, upd_rows, carried)
+            new_carried[upd_rows] = np.maximum(new_carried[upd_rows], nbr_max)
 
-    now_infected = (infected & ~cured) | new_inf
-    return SimState(
-        infected=now_infected,
-        own=state.own,
-        carried=carried,
-        infected_count=int(np.count_nonzero(now_infected)),
-    )
-
-
-def step(state: SimState, g: Graph, params: EpidemicParams, rng: np.random.Generator) -> SimState:
-    """Advance one communication round (see module docstring for the rules)."""
-    u = rng.random((g.n, 3))
-    return _apply_rules(state, g, params, u)
-
-
-def _record(state: SimState, global_best: int) -> tuple[float, float, int]:
-    displayed = state.carried
-    n = len(displayed)
-    return (
-        state.infected_count / n,
-        float(np.count_nonzero(displayed == global_best)) / n,
-        int(displayed.max()),
-    )
+    return (infected & ~cured) | new_inf, new_carried
 
 
 def run_sim(
@@ -205,20 +149,34 @@ def run_sim(
     t_max_steps: int,
     rng: np.random.Generator,
 ) -> Trajectory:
-    """Initialize and run t_max_steps rounds, recording one row per step.
+    """Infect a random initial set and run t_max_steps rounds, one row per step.
 
-    Row 0 is the initial condition; row t is the state after round t.
+    ``own[i]`` is node i's fitness. Exactly max(1, round(rho0 * N)) nodes
+    start infected, chosen uniformly without replacement, and every node
+    starts carrying its own value. Each round draws an (N, 3) uniform matrix
+    from ``rng``. Row 0 is the initial condition; row t is the state after
+    round t.
     """
     if t_max_steps < 1:
         raise ParameterError(f"need t_max_steps >= 1, got {t_max_steps}")
-    state = init_state(g, own, params, rng)
-    global_best = int(state.own.max())
+    n = g.n
+    if n < 1:
+        raise ParameterError("empty graph")
+    own = np.asarray(own, dtype=np.int64)
+    if len(own) != n:
+        raise ParameterError(f"need {n} fitness values, got {len(own)}")
+    infected = np.zeros(n, dtype=bool)
+    infected[rng.choice(n, size=max(1, round(params.rho0 * n)), replace=False)] = True
+    carried = own  # step writes into none of its inputs, so sharing is safe
+    global_best = own.max()
 
     inf = np.empty(t_max_steps + 1)
     best = np.empty(t_max_steps + 1)
     mx = np.empty(t_max_steps + 1, dtype=np.int64)
-    inf[0], best[0], mx[0] = _record(state, global_best)
-    for t in range(1, t_max_steps + 1):
-        state = step(state, g, params, rng)
-        inf[t], best[t], mx[t] = _record(state, global_best)
+    for t in range(t_max_steps + 1):
+        if t > 0:
+            infected, carried = step(g, params, own, infected, carried, rng.random((n, 3)))
+        inf[t] = np.count_nonzero(infected) / n
+        best[t] = np.count_nonzero(carried == global_best) / n
+        mx[t] = carried.max()
     return Trajectory(inf, best, mx)

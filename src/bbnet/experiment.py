@@ -326,6 +326,7 @@ def run_experiment(
     cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
     args = (itertools.repeat(config), cells, seeds,
             itertools.repeat(omega), itertools.repeat(graph_dir))
+    workers = min(workers, len(cells))  # a pool starts all its workers at its first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_cell_seed, *args))
@@ -412,6 +413,8 @@ def read_records_csv(inp: TextIO) -> list[RunRecord]:
         records.append(
             RunRecord(cell_index=0, seed_index=i, report=EmergenceReport(**report), **run)
         )
+    if not records:
+        raise ParameterError("records.csv holds no rows")
     return records
 
 

@@ -25,7 +25,6 @@ from bbnet.machines import (
     sample_programs,
     table_bits,
 )
-from bbnet.dynamics import SimState, init_state
 from bbnet.rng import rng_from_seed
 
 
@@ -133,18 +132,14 @@ def test_criterion_5_dynamics_oracle_and_busy_beaver():
     """Path-3 one-step distribution vs exact 8-outcome enumeration; BB(2) = 4."""
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     params = EpidemicParams(nu=0.5, delta=0.5)
-    base = SimState(
-        infected=np.array([False, True, False]),
-        own=np.array([3, 7, 5], dtype=np.int64),
-        carried=np.array([3, 7, 5], dtype=np.int64),
-        infected_count=1,
-    )
+    own = np.array([3, 7, 5], dtype=np.int64)
+    infected = np.array([False, True, False])
     rng = rng_from_seed(777)
     n_trials = 100_000
     counts: dict[tuple, int] = {}
     for _ in range(n_trials):
-        nxt = step(base, g, params, rng)
-        key = tuple(nxt.infected.tolist())
+        nxt, _ = step(g, params, own, infected, own, rng.random((3, 3)))
+        key = tuple(nxt.tolist())
         counts[key] = counts.get(key, 0) + 1
     # three independent fair flips -> 8 equally likely infected-set outcomes
     assert len(counts) == 8
@@ -227,11 +222,8 @@ def test_criterion_7_limit_case_protocol_recovery():
         d_est = approx_diameter(g)
         own = population_fitness(sample_programs(rng, 500), "", 500)
         params = EpidemicParams(nu=1.0, delta=0.0, rho0=1.0, reimitation=True)
-        state = init_state(g, own, params, rng)
-        best = int(state.own.max())
-        for _ in range(d_est):
-            state = step(state, g, params, rng)
-        assert (state.carried == best).all(), f"seed {seed}: diffusion incomplete"
+        traj = run_sim(g, own, params, d_est, rng)
+        assert traj.best_carrier_density[-1] == 1.0, f"seed {seed}: diffusion incomplete"
     record_criterion(7, "limit case nu=1, delta=0 recovers full imitation within diameter steps")
 
 

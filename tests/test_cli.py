@@ -303,6 +303,15 @@ class TestSweepReport:
             assert "row 1" in capsys.readouterr().err
             assert not (tmp_path / "r").exists()
 
+    def test_report_header_only_exit_2(self, tmp_path, capsys):
+        # a sweep never writes zero rows, so a header alone is a truncated file
+        records = tmp_path / "records.csv"
+        records.write_text(",".join(experiment.RECORD_COLUMNS) + "\n")
+        out = tmp_path / "r"
+        assert main(["report", "--records", str(records), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: records.csv holds no rows\n"
+        assert not out.exists()
+
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         cfg.write_bytes(b"\xff\xfe" + cfg.read_bytes())

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bbnet import experiment
 from bbnet.analysis import c_of_N, detect_stationarity
 from bbnet.dynamics import EpidemicParams
 from bbnet.errors import ParameterError
@@ -239,6 +240,29 @@ class TestRunExperiment:
         run_sweep_to_dir(cfg, d2, workers=2)
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("workers, runs, pool_sizes", [(64, 2, [2]), (3, 4, [3]), (5, 1, [])])
+    def test_pool_no_larger_than_the_grid(self, monkeypatch, workers, runs, pool_sizes):
+        # a pool starts all its workers at once; this one starts none and maps in-process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        records, _ = run_experiment(tiny_config(n_seeds=runs), workers=workers)
+        assert [r.seed_index for r in records] == list(range(runs))
+        assert sizes == pool_sizes
 
     def test_horizon_covers_c_of_n(self):
         # c(N) = 10 for N=100 but t_max_steps=4: horizon must stretch
