@@ -21,15 +21,17 @@ Programs exist only as (k, table bits as an integer) pairs, read in turn by
 one generator, ``_programs``, from any iterator of '0'/'1' blocks:
 ``sample_programs`` and ``omega_monte_carlo`` feed it a Generator's 4096-bit
 blocks (``_blocks``), and the tests feed it chosen strings.
-``population_fitness`` and ``omega_monte_carlo`` each memoize outcomes per
-call on that pair, and only a miss turns the table bits into interpreter
-rows (``_rows_from_int``) for ``run(rows, inp)``. Exact enumeration runs
-partial tables instead (Brady's tree normal form, "The determination of the
-value of Rado's noncomputable function Sigma(k) for four-state Turing
-machines", 1983): a run starts with no entry fixed and branches over an
-entry's rows when it reads it, so only tables that some run reaches are
-run. Each of the three checks w and t_max once (``_Input``) before any
-program runs.
+All three scorers run partial tables (Brady's tree normal form, "The
+determination of the value of Rado's noncomputable function Sigma(k) for
+four-state Turing machines", 1983): a run starts with no entry fixed and
+branches over an entry's rows when it reads it, so only tables that some
+run reaches are run, and one run decides every table that agrees on the
+entries it read. Exact enumeration walks every branch.
+``population_fitness`` and ``omega_monte_carlo`` score each distinct pair
+once through a tree that one call owns (``_cached_outcome``): a lookup
+follows the pair's table bits down from the run with no entry fixed, and
+runs only a node that no earlier lookup built. Each of the three checks w
+and t_max once (``_Input``) before any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -228,12 +230,6 @@ def _field_codes(k: int) -> tuple[range, int, list[Row]]:
     return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, rows
 
 
-def _rows_from_int(k: int, t_int: int) -> tuple[Row, ...]:
-    """The interpreter rows of the table whose bits ``t_int`` holds, MSB first."""
-    shifts, mask, rows = _field_codes(k)
-    return tuple([rows[t_int >> s & mask] for s in shifts])
-
-
 def check_input(w: str, t_max: int) -> None:
     """Refuse an input that is not a bit string or a step budget that is not an integer >= 1."""
     if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
@@ -288,7 +284,7 @@ def _halt_reachable(rows: Sequence[Row]) -> bool:
 def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
     """Execute a program's interpreter rows on a two-way-infinite binary tape.
 
-    ``rows`` are a program's ``_rows_from_int``; ``inp`` is the input w and
+    ``rows`` are a table's entries as ``Row``s; ``inp`` is the input w and
     the budget t_max, checked once for every run of a population. The tape
     holds w from cell 0 rightward (everything else 0); the head starts at
     cell 0 in state 0. Runs until the halt transition fires or t_max steps
@@ -358,14 +354,58 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
     return inp.never
 
 
+class _Branch:
+    """A partial table whose run read ``entry`` while it was unfixed.
+
+    ``children`` maps each row that entry has been fixed to so far to the
+    node of that table; field values that decode to the same row share it.
+    """
+
+    __slots__ = ("entry", "table", "children")
+
+    def __init__(self, entry: int, table: list[Row]):
+        self.entry, self.table, self.children = entry, table, {}
+
+    def fix(self, row: Row, inp: _Input) -> MachineOutcome | _Branch:
+        """The node of this table with ``entry`` fixed to ``row``."""
+        table = self.table.copy()
+        table[self.entry] = row
+        return _node(table, inp)
+
+
+def _node(table: list[Row], inp: _Input) -> MachineOutcome | _Branch:
+    """One run of a partial table: its outcome, or a branch over the unfixed entry it read."""
+    out = run(table, inp)
+    return out if out.unfixed is None else _Branch(out.unfixed, table)
+
+
+def _root(k: int, inp: _Input) -> MachineOutcome | _Branch:
+    """The node of the k-state table with no entry fixed."""
+    return _node([_unfixed(e) for e in range(2 * k)], inp)
+
+
 def _cached_outcome(memo: dict, k: int, t_int: int, inp: _Input) -> MachineOutcome:
-    """Outcome of program (k, t_int) from ``memo``, which one call owns; run on a miss."""
-    out = memo.get((k, t_int))
-    if out is None:
-        if k < 1 or not 0 <= t_int < 1 << table_bits(k):
-            raise ParameterError(f"malformed program (k={k}, table_int={t_int})")
-        out = memo[k, t_int] = run(_rows_from_int(k, t_int), inp)
-    return out
+    """Outcome of program (k, t_int) from ``memo``, the partial-table trees that one call owns.
+
+    ``memo[k]`` is the root of k's tree. A lookup walks down from it: at each
+    branch it fixes the entry that the branch's run read to that entry's row
+    in t_int, and runs only a node not built yet. The leaf it reaches is the
+    outcome of every table that agrees with t_int on the entries fixed on
+    the way, since a run applies only the entries it reads.
+    """
+    if k < 1 or not 0 <= t_int < 1 << table_bits(k):
+        raise ParameterError(f"malformed program (k={k}, table_int={t_int})")
+    shifts, mask, rows = _field_codes(k)
+    node = memo.get(k)
+    if node is None:
+        node = memo[k] = _root(k, inp)
+    while type(node) is _Branch:
+        row = rows[t_int >> shifts[node.entry] & mask]
+        child = node.children.get(row)
+        if child is None:
+            child = node.children[row] = node.fix(row, inp)
+        node = child
+    return node
 
 
 def population_fitness(
@@ -373,12 +413,17 @@ def population_fitness(
 ) -> np.ndarray:
     """Busy-beaver score of each (k, table_int) program on input w under the step budget.
 
-    Memoized within the call: identical programs recur constantly when sampling.
+    Each distinct program is scored once, through one partial-table tree per
+    state count (``_cached_outcome``): identical programs recur constantly
+    when sampling, and most runs decide their table after reading a few of
+    its entries.
     """
     inp = _Input(w, t_max)
     memo: dict = {}
-    scores = [_cached_outcome(memo, k, t_int, inp).score for k, t_int in programs]
-    return np.array(scores, dtype=np.int64)
+    scores = dict.fromkeys((k, t_int) for k, t_int in programs)
+    for k, t_int in scores:
+        scores[k, t_int] = _cached_outcome(memo, k, t_int, inp).score
+    return np.array([scores[k, t_int] for k, t_int in programs], dtype=np.int64)
 
 
 def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
@@ -404,17 +449,13 @@ def _halting_encodings(k: int, inp: _Input) -> int:
     ew = table_bits(k) // entries
     options = collections.Counter(_field_codes(k)[2]).items()
     total = 0
-    todo = [([_unfixed(e) for e in range(entries)], 1, entries)]
+    todo = [(_root(k, inp), 1, entries)]
     while todo:
-        table, weight, free = todo.pop()
-        out = run(table, inp)
-        if out.halted:
+        node, weight, free = todo.pop()
+        if type(node) is _Branch:
+            todo.extend((node.fix(row, inp), weight * n, free - 1) for row, n in options)
+        elif node.halted:
             total += weight << (ew * free)
-        elif out.unfixed is not None:
-            for row, n in options:
-                branch = table.copy()
-                branch[out.unfixed] = row
-                todo.append((branch, weight * n, free - 1))
     return total
 
 
@@ -458,15 +499,16 @@ def omega_monte_carlo(
 ) -> OmegaEstimate:
     """Fraction of sampled programs that halt within t_max on w.
 
-    Programs are read from the Generator's bit stream as in sample_programs.
+    Programs are read from the Generator's bit stream as in sample_programs,
+    and each distinct program is scored once, as in population_fitness.
     """
     if n_samples < 1:
         raise ParameterError(f"need n_samples >= 1, got {n_samples}")
     check_k_max(k_max)
     inp = _Input(w, t_max)
     memo: dict = {}
-    programs = itertools.islice(_programs(_blocks(rng), k_max), n_samples)
-    hits = sum(_cached_outcome(memo, k, t_int, inp).halted for k, t_int in programs)
+    counts = collections.Counter(itertools.islice(_programs(_blocks(rng), k_max), n_samples))
+    hits = sum(n for (k, t_int), n in counts.items() if _cached_outcome(memo, k, t_int, inp).halted)
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)

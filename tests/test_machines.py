@@ -22,9 +22,10 @@ from bbnet.machines import (
     sample_programs,
     table_bits,
     _Input,
+    _blocks,
+    _cached_outcome,
     _field_codes,
     _programs,
-    _rows_from_int,
 )
 from bbnet import machines
 from bbnet.rng import rng_from_seed
@@ -38,6 +39,13 @@ HALTER = (1, 0b111111)
 SPINNER = (1, 0b100100)
 HALTER_TABLE = (1, ((1, 1, HALT), (1, 1, HALT)))
 SPINNER_TABLE = (1, ((1, 0, 0), (1, 0, 0)))
+
+
+def _rows_from_int(k, t_int):
+    """The interpreter rows of the whole table whose bits ``t_int`` holds, MSB first: the
+    full-table oracle beside the partial-table trees of ``_cached_outcome``."""
+    shifts, mask, rows = _field_codes(k)
+    return tuple([rows[t_int >> s & mask] for s in shifts])
 
 
 def read_program(bits, k_max=6):
@@ -193,12 +201,22 @@ class TestEncoding:
 
 class TestArguments:
     @pytest.mark.parametrize(
-        "program", [(0, 0), (2, -1), (2, 1 << 16)], ids=["k-0", "table-negative", "table-too-wide"]
+        "programs",
+        [
+            [HALTER, (0, 0)],
+            [HALTER, (2, -1)],
+            [HALTER, (2, 1 << 16)],
+            [(2, 0b1100_1101_1010_1100), (2, -1)],
+            [(2, 0b1100_1101_1010_1100), (2, 1 << 16)],
+        ],
+        ids=["k-0", "table-negative", "table-too-wide",
+             "table-negative-after-k2", "table-too-wide-after-k2"],
     )
-    def test_malformed_program_rejected(self, program):
-        # a k=2 table has 16 bits; wider integers must not be masked into range
+    def test_malformed_program_rejected(self, programs):
+        # a k=2 table has 16 bits; wider integers must not be masked into range,
+        # even once a k=2 tree exists that their masked fields would walk
         with pytest.raises(ParameterError):
-            population_fitness([HALTER, program], "", 10)
+            population_fitness(programs, "", 10)
 
     @pytest.mark.parametrize(
         "call",
@@ -244,7 +262,7 @@ class TestArguments:
         def work(*args):
             raise AssertionError("a program ran before the input was checked")
 
-        for name in ("_halt_reachable", "_rows_from_int", "run"):
+        for name in ("_halt_reachable", "run"):
             monkeypatch.setattr(machines, name, work)
         with pytest.raises(ParameterError):
             call()
@@ -531,6 +549,11 @@ class TestFitness:
             assert own.dtype == np.int64
             assert own.tolist() == [outcome(table_from_int(*p), w, 100).score for p in programs]
 
+    def test_pairs_given_as_lists(self):
+        # pairs read back from JSON are lists; they score as the tuples do
+        programs = [HALTER, SPINNER, HALTER]
+        assert population_fitness([list(p) for p in programs], "", 10).tolist() == [1, 0, 1]
+
     def test_memo_is_per_call(self):
         # k=2 entries are write, move and a 2-bit next-state field v; v = 0
         # and v = 3 both mean state 0. Only the first entry differs here.
@@ -546,6 +569,23 @@ class TestFitness:
             assert own.tolist() == [outcome(table_from_int(*p), w, t_max).score
                                     for p in programs], (w, t_max)
         assert population_fitness(programs[:2], "101", 100).tolist() == [3, 3]
+
+    @pytest.mark.parametrize("w", ["", "1", "101", "0110111"])
+    def test_tree_matches_full_table_runs(self, w):
+        # one partial-table tree per (w, t_max), each leaf against the run of the whole table
+        table_int = 0b1100_1101_1010_1100
+        programs = [(2, table_int), (2, table_int | 0b0011 << 12)]
+        for seed, k_max in enumerate((1, 2, 3, 6)):
+            programs += sample_programs(rng_from_seed(500 + seed), 5000, k_max)
+        distinct = dict.fromkeys(programs)
+        for k, t_int in distinct:
+            assert _rows_from_int(k, t_int) == rows_of(table_from_int(k, t_int))
+        for t_max in (1, 5, 37, 1000):
+            inp = _Input(w, t_max)
+            expected = {p: run(_rows_from_int(*p), inp) for p in distinct}
+            memo: dict = {}
+            for p in programs:
+                assert _cached_outcome(memo, *p, inp) == expected[p], (p, t_max)
 
 
 def _distinct_tables(k):
@@ -667,6 +707,28 @@ class TestOmega:
         monkeypatch.setattr(machines, "run", counted)
         assert omega_enumerate(18, "101", 1000, 6).numerator == 133040
         assert len(calls) <= 2442
+
+    def test_monte_carlo_runs_only_reached_tables(self, monkeypatch):
+        # one run per partial table the trees reach; one per distinct table is 23,948
+        calls = []
+
+        def counted(rows, inp):
+            calls.append(1)
+            return run(rows, inp)
+
+        monkeypatch.setattr(machines, "run", counted)
+        assert omega_monte_carlo(50_000, "", 1000, rng_from_seed(0), 6).value == 0.42848
+        assert len(calls) <= 7100
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_monte_carlo_matches_full_table_runs(self, seed):
+        # the same value and Generator state as one full-table run per sample
+        rng, oracle = rng_from_seed(seed), rng_from_seed(seed)
+        inp = _Input("", 1000)
+        programs = itertools.islice(_programs(_blocks(oracle), 6), 20_000)
+        hits = sum(run(_rows_from_int(k, t_int), inp).halted for k, t_int in programs)
+        assert omega_monte_carlo(20_000, "", 1000, rng, 6).value == hits / 20_000
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
     def test_unfixed_entry_read_is_reported(self):
         # state 0 comes back to the 1 it wrote and reads it after two steps
