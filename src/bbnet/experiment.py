@@ -38,7 +38,7 @@ from .machines import (
     T_MAX_DEFAULT,
     OmegaEstimate,
     check_input,
-    check_k_max,
+    check_int,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
@@ -114,7 +114,7 @@ class ExperimentConfig:
         n_min = min(self.n_values)
         c_min = c_of_N(n_min, self.c_exponent)
         detect_stationarity((), self.stat_window, self.stat_tol)
-        check_k_max(self.k_max)
+        check_int("k_max", self.k_max, 1)
         check_input(self.w, self.t_max)
         # The rules below belong to the sweep, or their layer checks them
         # only inside the call that does the work.

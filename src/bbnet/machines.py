@@ -26,12 +26,13 @@ determination of the value of Rado's noncomputable function Sigma(k) for
 four-state Turing machines", 1983): a run starts with no entry fixed and
 branches over an entry's rows when it reads it, so only tables that some
 run reaches are run, and one run decides every table that agrees on the
-entries it read. Exact enumeration walks every branch.
-``population_fitness`` and ``omega_monte_carlo`` score each distinct pair
-once through a tree that one call owns (``_cached_outcome``): a lookup
-follows the pair's table bits down from the run with no entry fixed, and
-runs only a node that no earlier lookup built. Each of the three checks w
-and t_max once (``_Input``) before any program runs.
+entries it read. Exact enumeration walks every branch, each partial table
+on its stack. ``population_fitness`` and ``omega_monte_carlo`` score each
+distinct pair once through the per-k trees of the call's ``_Input``
+(``_cached_outcome``): a lookup follows the pair's fields down from the run
+with no entry fixed, and runs only a node that no earlier lookup built, on
+the pair's rows of the entries read on the way. Every integer argument,
+counts and pair fields alike, passes ``check_int`` before any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -74,6 +75,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -98,10 +100,17 @@ def encoding_length(k: int) -> int:
     return k + table_bits(k)
 
 
-def check_k_max(k_max: int) -> None:
-    """Refuse a state cap below 1."""
-    if k_max < 1:
-        raise ParameterError(f"need k_max >= 1, got {k_max}")
+def check_int(name: str, value: int, least: int, below: int | None = None) -> int:
+    """``value`` as a Python int if it is an integer (numpy's too, not a bool) in [least, below)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ParameterError(f"need an integer {name}, got {value!r}")
+        value = operator.index(value)
+    if value < least:
+        raise ParameterError(f"need {name} >= {least}, got {value}")
+    if below is not None and value >= below:
+        raise ParameterError(f"need {name} < {below}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,9 +197,8 @@ def sample_programs(
     Generator's 4096-bit blocks, concatenated; the blocks drawn are exactly
     those that the bits consumed reach into.
     """
-    if count < 1:
-        raise ParameterError(f"need count >= 1, got {count}")
-    check_k_max(k_max)
+    count = check_int("count", count, 1)
+    k_max = check_int("k_max", k_max, 1)
     return list(itertools.islice(_programs(_blocks(rng), k_max), count))
 
 
@@ -215,11 +223,11 @@ def _unfixed(entry: int) -> Row:
 
 
 @functools.cache
-def _field_codes(k: int) -> tuple[range, int, list[Row]]:
+def _field_codes(k: int) -> tuple[range, int, list[Row], tuple[Row, ...]]:
     """Where the 2k table fields of a k-state program sit, and what each field value means.
 
-    Returns the fields' right shifts (first entry first), the field mask, and
-    every field value decoded as an interpreter ``Row``.
+    Returns the fields' right shifts (first entry first), the field mask, every
+    field value decoded as an interpreter ``Row``, and the table with no entry fixed.
     """
     b_width = k.bit_length()
     ew = 2 + b_width
@@ -227,30 +235,31 @@ def _field_codes(k: int) -> tuple[range, int, list[Row]]:
     for code in range(1 << ew):
         nxt = (code & ((1 << b_width) - 1)) % (k + 1)
         rows.append(_row(code >> (1 + b_width), (code >> b_width) & 1, HALT if nxt == k else nxt))
-    return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, rows
+    blank = tuple(_unfixed(e) for e in range(2 * k))
+    return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, rows, blank
 
 
-def check_input(w: str, t_max: int) -> None:
-    """Refuse an input that is not a bit string or a step budget that is not an integer >= 1."""
-    if not isinstance(t_max, int) or isinstance(t_max, bool) or t_max < 1:
-        raise ParameterError(f"need an integer t_max >= 1, got {t_max!r}")
+def check_input(w: str, t_max: int) -> int:
+    """Refuse an input that is not a bit string or a step budget below 1; return the budget."""
+    t_max = check_int("t_max", t_max, 1)
     if not isinstance(w, str) or not set(w) <= {"0", "1"}:
         raise ParameterError(f"input w must be a bit string, got {w!r}")
+    return t_max
 
 
 class _Input:
-    """Input w under a step budget, checked once and shared by every run of a population.
+    """Input w under a step budget, checked once and shared by every run of one call.
 
     Holds the initial tape (w from cell ``origin`` rightward, with room for
-    ``t_max`` moves either way), the tape cell of w's last 1, and the
-    outcomes that runs return, so that no run builds one of its own.
+    ``t_max`` moves either way), the tape cell of w's last 1, the outcomes
+    that runs return, so that no run builds one of its own, and the root of
+    each state count's tree (``_cached_outcome``).
     """
 
-    __slots__ = ("t_max", "tape", "origin", "last1", "never", "_halted")
+    __slots__ = ("t_max", "tape", "origin", "last1", "never", "_halted", "roots")
 
     def __init__(self, w: str, t_max: int):
-        check_input(w, t_max)
-        self.t_max = t_max
+        self.t_max = t_max = check_input(w, t_max)
         self.origin = origin = t_max + 1
         tape = bytearray(2 * t_max + len(w) + 3)
         tape[origin:origin + len(w)] = bytes(int(c) for c in w)
@@ -258,6 +267,7 @@ class _Input:
         self.last1 = origin + w.rfind("1") if "1" in w else -1
         self.never = MachineOutcome(halted=False, steps=t_max, score=0)
         self._halted: dict[tuple[int, int], MachineOutcome] = {}
+        self.roots: dict[int, MachineOutcome | _Branch] = {}
 
     def halted(self, steps: int, score: int) -> MachineOutcome:
         """The outcome of a run that halted at step ``steps`` with ``score`` 1s on the tape."""
@@ -361,51 +371,36 @@ class _Branch:
     node of that table; field values that decode to the same row share it.
     """
 
-    __slots__ = ("entry", "table", "children")
+    __slots__ = ("entry", "children")
 
-    def __init__(self, entry: int, table: list[Row]):
-        self.entry, self.table, self.children = entry, table, {}
-
-    def fix(self, row: Row, inp: _Input) -> MachineOutcome | _Branch:
-        """The node of this table with ``entry`` fixed to ``row``."""
-        table = self.table.copy()
-        table[self.entry] = row
-        return _node(table, inp)
+    def __init__(self, entry: int):
+        self.entry, self.children = entry, {}
 
 
-def _node(table: list[Row], inp: _Input) -> MachineOutcome | _Branch:
-    """One run of a partial table: its outcome, or a branch over the unfixed entry it read."""
-    out = run(table, inp)
-    return out if out.unfixed is None else _Branch(out.unfixed, table)
+def _cached_outcome(inp: _Input, k: int, t_int: int) -> MachineOutcome:
+    """Outcome of program (k, t_int) on ``inp``, through the partial-table tree ``inp.roots[k]``.
 
-
-def _root(k: int, inp: _Input) -> MachineOutcome | _Branch:
-    """The node of the k-state table with no entry fixed."""
-    return _node([_unfixed(e) for e in range(2 * k)], inp)
-
-
-def _cached_outcome(memo: dict, k: int, t_int: int, inp: _Input) -> MachineOutcome:
-    """Outcome of program (k, t_int) from ``memo``, the partial-table trees that one call owns.
-
-    ``memo[k]`` is the root of k's tree. A lookup walks down from it: at each
-    branch it fixes the entry that the branch's run read to that entry's row
-    in t_int, and runs only a node not built yet. The leaf it reaches is the
-    outcome of every table that agrees with t_int on the entries fixed on
-    the way, since a run applies only the entries it reads.
+    At each branch a lookup takes the child for the row t_int gives the
+    entry the branch's run read; a child not built yet runs the blank table
+    with t_int's rows on the entries read on the way. The leaf reached is the
+    outcome of every table that agrees with t_int on those entries, since a
+    run applies only the entries it reads. The pair is not checked here.
     """
-    if k < 1 or not 0 <= t_int < 1 << table_bits(k):
-        raise ParameterError(f"malformed program (k={k}, table_int={t_int})")
-    shifts, mask, rows = _field_codes(k)
-    node = memo.get(k)
-    if node is None:
-        node = memo[k] = _root(k, inp)
-    while type(node) is _Branch:
-        row = rows[t_int >> shifts[node.entry] & mask]
-        child = node.children.get(row)
-        if child is None:
-            child = node.children[row] = node.fix(row, inp)
-        node = child
-    return node
+    shifts, mask, rows, blank = _field_codes(k)
+    read = []
+    children, key = inp.roots, k
+    while True:
+        node = children.get(key)
+        if node is None:
+            table = list(blank)
+            for entry in read:
+                table[entry] = rows[t_int >> shifts[entry] & mask]
+            out = run(table, inp)
+            node = children[key] = out if out.unfixed is None else _Branch(out.unfixed)
+        if type(node) is not _Branch:
+            return node
+        read.append(node.entry)
+        children, key = node.children, rows[t_int >> shifts[node.entry] & mask]
 
 
 def population_fitness(
@@ -413,26 +408,21 @@ def population_fitness(
 ) -> np.ndarray:
     """Busy-beaver score of each (k, table_int) program on input w under the step budget.
 
-    Each distinct program is scored once, through one partial-table tree per
-    state count (``_cached_outcome``): identical programs recur constantly
-    when sampling, and most runs decide their table after reading a few of
-    its entries.
+    Each distinct program is checked (``check_int``) and scored once,
+    through one partial-table tree per state count (``_cached_outcome``):
+    identical programs recur constantly when sampling, and most runs decide
+    their table after reading a few of its entries.
     """
     inp = _Input(w, t_max)
-    memo: dict = {}
-    scores = dict.fromkeys((k, t_int) for k, t_int in programs)
-    for k, t_int in scores:
-        scores[k, t_int] = _cached_outcome(memo, k, t_int, inp).score
-    return np.array([scores[k, t_int] for k, t_int in programs], dtype=np.int64)
-
-
-def _state_counts(k_max: int, max_len: int) -> Iterator[tuple[int, int, int]]:
-    """(k, encoding length, header variants) of each state count with |p| <= max_len."""
-    for k in range(1, k_max + 1):
-        length = encoding_length(k)
-        if length <= max_len:
-            # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
-            yield k, length, 2 if k == k_max else 1
+    # The field types are part of the key, so a bool or a float that equals
+    # an int field is checked even when an equal int pair came first.
+    keys = [(k, t_int, type(k), type(t_int)) for k, t_int in programs]
+    scores = dict.fromkeys(keys)
+    for key in scores:
+        k = check_int("k", key[0], 1)
+        t_int = check_int("table_int", key[1], 0, 1 << table_bits(k))
+        scores[key] = _cached_outcome(inp, k, t_int).score
+    return np.array([scores[key] for key in keys], dtype=np.int64)
 
 
 def _halting_encodings(k: int, inp: _Input) -> int:
@@ -447,14 +437,17 @@ def _halting_encodings(k: int, inp: _Input) -> int:
     """
     entries = 2 * k
     ew = table_bits(k) // entries
-    options = collections.Counter(_field_codes(k)[2]).items()
+    _, _, rows, blank = _field_codes(k)
+    options = collections.Counter(rows).items()
     total = 0
-    todo = [(_root(k, inp), 1, entries)]
+    todo = [(blank, 1, entries)]
     while todo:
-        node, weight, free = todo.pop()
-        if type(node) is _Branch:
-            todo.extend((node.fix(row, inp), weight * n, free - 1) for row, n in options)
-        elif node.halted:
+        table, weight, free = todo.pop()
+        out = run(table, inp)
+        if out.unfixed is not None:
+            head, tail = table[:out.unfixed], table[out.unfixed + 1:]
+            todo.extend((head + (row,) + tail, weight * n, free - 1) for row, n in options)
+        elif out.halted:
             total += weight << (ew * free)
     return total
 
@@ -475,19 +468,24 @@ def omega_enumerate(
     the entries it read. A lower bound on the full halting probability when
     max_len cuts it short.
     """
-    if max_len < 0:
-        raise ParameterError(f"need max_len >= 0, got {max_len}")
+    max_len = check_int("max_len", max_len, 0)
     if max_len > ENUM_LENGTH_GUARD:
         raise ParameterError(
             f"enumeration above {ENUM_LENGTH_GUARD} bits is refused (got max_len={max_len})"
         )
-    check_k_max(k_max)
+    k_max = check_int("k_max", k_max, 1)
     inp = _Input(w, t_max)
     numerator = 0
-    for k, length, variants in _state_counts(k_max, max_len):
-        numerator += variants * _halting_encodings(k, inp) << (max_len - length)
+    for k in range(1, k_max + 1):
+        length = encoding_length(k)
+        if length <= max_len:
+            # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
+            variants = 2 if k == k_max else 1
+            numerator += variants * _halting_encodings(k, inp) << (max_len - length)
     value = numerator / (1 << max_len)
-    return OmegaEstimate("enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=t_max)
+    return OmegaEstimate(
+        "enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=inp.t_max
+    )
 
 
 def omega_monte_carlo(
@@ -502,13 +500,11 @@ def omega_monte_carlo(
     Programs are read from the Generator's bit stream as in sample_programs,
     and each distinct program is scored once, as in population_fitness.
     """
-    if n_samples < 1:
-        raise ParameterError(f"need n_samples >= 1, got {n_samples}")
-    check_k_max(k_max)
+    n_samples = check_int("n_samples", n_samples, 1)
+    k_max = check_int("k_max", k_max, 1)
     inp = _Input(w, t_max)
-    memo: dict = {}
     counts = collections.Counter(itertools.islice(_programs(_blocks(rng), k_max), n_samples))
-    hits = sum(n for (k, t_int), n in counts.items() if _cached_outcome(memo, k, t_int, inp).halted)
+    hits = sum(n for (k, t_int), n in counts.items() if _cached_outcome(inp, k, t_int).halted)
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
-    return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=t_max)
+    return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=inp.t_max)

@@ -22,7 +22,7 @@ from bbnet.experiment import (
     write_summary_json,
 )
 from bbnet.graph import NetworkParams
-from bbnet.machines import check_input, check_k_max
+from bbnet.machines import check_input, check_int
 from bbnet.rng import derive_seed, splitmix64
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -160,7 +160,7 @@ class TestConfig:
             (dict(stat_window=1), lambda: detect_stationarity((), 1, 0.05)),
             (dict(stat_tol=0.0), lambda: detect_stationarity((), 3, 0.0)),
             (dict(stat_tol=float("inf")), lambda: detect_stationarity((), 3, float("inf"))),
-            (dict(k_max=0), lambda: check_k_max(0)),
+            (dict(k_max=0), lambda: check_int("k_max", 0, 1)),
             (dict(t_max=0), lambda: check_input("", 0)),
             (dict(w="012"), lambda: check_input("012", 100)),
         ],

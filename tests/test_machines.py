@@ -1,6 +1,7 @@
 """Program encoding, machine execution, and halting-mass estimators."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -44,7 +45,7 @@ SPINNER_TABLE = (1, ((1, 0, 0), (1, 0, 0)))
 def _rows_from_int(k, t_int):
     """The interpreter rows of the whole table whose bits ``t_int`` holds, MSB first: the
     full-table oracle beside the partial-table trees of ``_cached_outcome``."""
-    shifts, mask, rows = _field_codes(k)
+    shifts, mask, rows, _ = _field_codes(k)
     return tuple([rows[t_int >> s & mask] for s in shifts])
 
 
@@ -208,15 +209,36 @@ class TestArguments:
             [HALTER, (2, 1 << 16)],
             [(2, 0b1100_1101_1010_1100), (2, -1)],
             [(2, 0b1100_1101_1010_1100), (2, 1 << 16)],
+            [(True, 3)],
+            [(1, 3), (True, 3)],
+            [(1, 63), (1, 63.0)],
+            [(1.0, 63)],
+            [("1", 63)],
+            np.array([[1.0, 63.0]]),
         ],
         ids=["k-0", "table-negative", "table-too-wide",
-             "table-negative-after-k2", "table-too-wide-after-k2"],
+             "table-negative-after-k2", "table-too-wide-after-k2",
+             "k-bool", "k-bool-after-equal-int", "table-float-after-equal-int",
+             "k-float", "k-str", "float-array"],
     )
     def test_malformed_program_rejected(self, programs):
         # a k=2 table has 16 bits; wider integers must not be masked into range,
-        # even once a k=2 tree exists that their masked fields would walk
+        # even once a k=2 tree exists that their masked fields would walk. A
+        # bool or float field is refused even where it equals an int pair's.
         with pytest.raises(ParameterError):
             population_fitness(programs, "", 10)
+
+    def test_numpy_integer_pairs_score(self):
+        # earlier tests warm the field cache under int keys that equal these
+        machines._field_codes.cache_clear()
+        assert population_fitness(np.array([[1, 63]]), "", 10).tolist() == [1]
+        machines._field_codes.cache_clear()
+        assert population_fitness([(np.int64(1), 63)], "", np.int64(10)).tolist() == [1]
+        # 1 << table_bits(7) overflows int64, so the bound must be taken on ints
+        expected = outcome(table_from_int(7, 1), "", 10).score
+        assert population_fitness([(np.int64(7), 1)], "", 10).tolist() == [expected]
+        est = omega_monte_carlo(np.int64(10), "", np.int64(10), rng_from_seed(1), np.int64(2))
+        assert json.loads(json.dumps(est.to_record()))["params"] == {"t_max": 10, "n_samples": 10}
 
     @pytest.mark.parametrize(
         "call",
@@ -227,9 +249,17 @@ class TestArguments:
             lambda rng: omega_monte_carlo(10, "", 100, rng, k_max=0),
             lambda rng: omega_monte_carlo(10, "", 0, rng),
             lambda rng: omega_monte_carlo(10, "2", 100, rng),
+            lambda rng: sample_programs(rng, 2.5),
+            lambda rng: sample_programs(rng, True),
+            lambda rng: sample_programs(rng, 5, k_max=2.5),
+            lambda rng: omega_monte_carlo(2.5, "", 10, rng),
+            lambda rng: omega_monte_carlo(True, "", 10, rng),
+            lambda rng: omega_monte_carlo(10, "", 10, rng, k_max=True),
         ],
         ids=["sample-k-max-0", "sample-count-0", "sample-count-negative",
-             "mc-k-max-0", "mc-t-max-0", "mc-w-2"],
+             "mc-k-max-0", "mc-t-max-0", "mc-w-2",
+             "sample-count-float", "sample-count-bool", "sample-k-max-float",
+             "mc-n-samples-float", "mc-n-samples-bool", "mc-k-max-bool"],
     )
     def test_rejected_before_drawing(self, call):
         rng = rng_from_seed(1)
@@ -252,11 +282,16 @@ class TestArguments:
             lambda: omega_enumerate(18, "", True),
             lambda: omega_monte_carlo(10, ["1"], 10, rng_from_seed(1)),
             lambda: omega_monte_carlo(10, "", 10.5, rng_from_seed(1)),
+            lambda: omega_enumerate(18.0, "", 10),
+            lambda: omega_enumerate(True, "", 10),
+            lambda: omega_enumerate(18, "", 10, k_max=2.5),
+            lambda: omega_enumerate(18, "", 10, k_max=True),
         ],
         ids=["fitness-w-2", "fitness-t-max-0", "fitness-empty-w-2",
              "enum-w-2", "enum-t-max-0",
              "fitness-w-list", "fitness-t-max-float", "fitness-t-max-bool",
-             "enum-w-int", "enum-t-max-bool", "mc-w-list", "mc-t-max-float"],
+             "enum-w-int", "enum-t-max-bool", "mc-w-list", "mc-t-max-float",
+             "enum-max-len-float", "enum-max-len-bool", "enum-k-max-float", "enum-k-max-bool"],
     )
     def test_bad_input_rejected_before_any_run(self, call, monkeypatch):
         def work(*args):
@@ -583,9 +618,8 @@ class TestFitness:
         for t_max in (1, 5, 37, 1000):
             inp = _Input(w, t_max)
             expected = {p: run(_rows_from_int(*p), inp) for p in distinct}
-            memo: dict = {}
             for p in programs:
-                assert _cached_outcome(memo, *p, inp) == expected[p], (p, t_max)
+                assert _cached_outcome(inp, *p) == expected[p], (p, t_max)
 
 
 def _distinct_tables(k):
