@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .machines import OmegaEstimate
 
 
@@ -58,8 +58,7 @@ def theoretical_prevalence(m: int, lam: float) -> float:
     Depends on (m, lambda) only through the product m*lambda; can exceed 1
     outside the small-m*lambda regime (callers clamp for reporting).
     """
-    if m < 1:
-        raise ParameterError(f"need m >= 1, got {m}")
+    m = check_int("m", m, 1)
     if not lam > 0:
         raise ParameterError(f"need lambda > 0, got {lam}")
     return 2.0 * math.exp(-1.0 / (m * lam))
@@ -75,8 +74,7 @@ def detect_stationarity(
     (falling back to the last window when the tail is empty). Returns a
     non-result if the detector never fires.
     """
-    if window < 2:
-        raise ParameterError(f"need window >= 2, got {window}")
+    window = check_int("window", window, 2)
     if not 0 < tol < math.inf:
         raise ParameterError(f"need finite tol > 0, got {tol}")
     s = np.asarray(series, dtype=float)
@@ -97,8 +95,7 @@ def detect_stationarity(
 
 def c_of_N(n: int, c_exponent: float) -> int:
     """Cycle bound ceil(N^C) for 0 < C <= 1."""
-    if n < 1:
-        raise ParameterError(f"need N >= 1, got {n}")
+    n = check_int("N", n, 1)
     if not 0.0 < c_exponent <= 1.0:
         raise ParameterError(f"need 0 < C <= 1, got {c_exponent}")
     x = float(n) ** c_exponent
@@ -121,9 +118,7 @@ def measure_tau_E(traj: Trajectory, t0: int, c_n: int) -> float:
 
 def complexity_proxy(x: int) -> int:
     """Bit length of a natural number: 0 for 0, else floor(log2 x) + 1."""
-    if x < 0:
-        raise ParameterError(f"need x >= 0, got {x}")
-    return int(x).bit_length()
+    return check_int("x", x, 0).bit_length()
 
 
 def emergence_report(
@@ -148,7 +143,7 @@ def emergence_report(
     condition = tau_e > omega.value and stationarity.fired and stationarity.t_s <= c_n
 
     rho_raw = 0.0 if lam == 0 else theoretical_prevalence(m, lam)
-    c_best = complexity_proxy(int(traj.max_displayed[c_n]))
+    c_best = complexity_proxy(traj.max_displayed[c_n])
     # complexity_proxy of each score: how many of 2**0 .. 2**62 are <= it
     own = np.asarray(own_fitness, dtype=np.int64)
     if (own < 0).any():

@@ -39,7 +39,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .graph import Graph
 
 
@@ -157,8 +157,7 @@ def run_sim(
     from ``rng``. Row 0 is the initial condition; row t is the state after
     round t.
     """
-    if t_max_steps < 1:
-        raise ParameterError(f"need t_max_steps >= 1, got {t_max_steps}")
+    t_max_steps = check_int("t_max_steps", t_max_steps, 1)
     n = g.n
     if n < 1:
         raise ParameterError("empty graph")

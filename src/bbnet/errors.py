@@ -1,5 +1,28 @@
-"""The one exception type bbnet raises for out-of-contract input."""
+"""The one exception type bbnet raises for out-of-contract input, and the one integer rule.
+
+Every layer refuses bad input with ``ParameterError`` (the CLI's exit code
+2). The integer parameters of every layer, from the BA graph's N and m to a
+sweep's worker count, pass ``check_int``, so each is refused in the same
+words. Seeds are not among them: they take any int and are masked to 64 bits.
+"""
+
+from __future__ import annotations
+
+import operator
 
 
 class ParameterError(ValueError):
     """An operation received out-of-contract parameters, a config or a file it cannot use."""
+
+
+def check_int(name: str, value: int, least: int, below: int | None = None) -> int:
+    """``value`` as a Python int if it is an integer (numpy's too, not a bool) in [least, below)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ParameterError(f"need an integer {name}, got {value!r}")
+        value = operator.index(value)
+    if value < least:
+        raise ParameterError(f"need {name} >= {least}, got {value}")
+    if below is not None and value >= below:
+        raise ParameterError(f"need {name} < {below}, got {value}")
+    return value

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import EmergenceReport, c_of_N, detect_stationarity, emergence_report
 from .dynamics import EpidemicParams, Trajectory, run_sim
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .graph import NetworkParams, generate_ba, write_edge_list
 from .machines import (
     ENUM_LENGTH_GUARD,
@@ -38,7 +38,6 @@ from .machines import (
     T_MAX_DEFAULT,
     OmegaEstimate,
     check_input,
-    check_int,
     omega_enumerate,
     omega_monte_carlo,
     population_fitness,
@@ -118,24 +117,18 @@ class ExperimentConfig:
         check_input(self.w, self.t_max)
         # The rules below belong to the sweep, or their layer checks them
         # only inside the call that does the work.
-        if self.t_max_steps < 1:
-            raise ParameterError(f"t_max_steps must be >= 1, got {self.t_max_steps}")
+        check_int("t_max_steps", self.t_max_steps, 1)
         if not 0 <= self.t0 < c_min:
             raise ParameterError(
                 f"t0 must lie in [0, c(N)) for every N, got t0={self.t0}, c({n_min})={c_min}"
             )
-        if self.n_seeds < 1:
-            raise ParameterError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        check_int("n_seeds", self.n_seeds, 1)
         if self.omega_method not in OMEGA_METHODS:
             raise ParameterError(
                 f"omega_method must be one of {OMEGA_METHODS}, got {self.omega_method!r}"
             )
-        if not 0 <= self.omega_max_len <= ENUM_LENGTH_GUARD:
-            raise ParameterError(
-                f"omega_max_len must lie in [0, {ENUM_LENGTH_GUARD}], got {self.omega_max_len}"
-            )
-        if self.omega_samples < 1:
-            raise ParameterError(f"omega_samples must be >= 1, got {self.omega_samples}")
+        check_int("omega_max_len", self.omega_max_len, 0, ENUM_LENGTH_GUARD + 1)
+        check_int("omega_samples", self.omega_samples, 1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -310,18 +303,13 @@ def run_cell_seed(
     )
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ParameterError(f"need workers >= 1, got {workers}")
-
-
 def run_experiment(
     config: ExperimentConfig,
     workers: int = 1,
     graph_dir: str | Path | None = None,
 ) -> tuple[list[RunRecord], dict]:
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
-    _check_workers(workers)
+    workers = check_int("workers", workers, 1)
     omega = estimate_omega(config)
     cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
     args = (itertools.repeat(config), cells, seeds,
@@ -425,7 +413,7 @@ def run_sweep_to_dir(
     emit_graphs: bool = False,
 ) -> tuple[list[RunRecord], dict]:
     """run_experiment plus artifact emission into out_dir, made only once workers is accepted."""
-    _check_workers(workers)
+    workers = check_int("workers", workers, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records, summary = run_experiment(

@@ -16,19 +16,14 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .rng import rng_from_seed
 
 
 # _from_half_edges sorts the keys a * n + b < n * n, which fit int64 while
-# n * n <= 2**63.
+# n * n <= 2**63. NetworkParams and Graph.from_edges check a node count
+# against it before anything N-sized exists.
 _MAX_NODES = math.isqrt(2**63)
-
-
-def _check_node_count(n: int) -> None:
-    """Refuse a node count that the CSR key cannot hold, before anything N-sized exists."""
-    if not 0 <= n <= _MAX_NODES:
-        raise ParameterError(f"need 0 <= n <= {_MAX_NODES}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -45,13 +40,10 @@ class NetworkParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int("n", self.n, 2, _MAX_NODES + 1))
+        object.__setattr__(self, "m", check_int("m", self.m, 1))
         if self.m0 == -1:
             object.__setattr__(self, "m0", self.m + 1)
-        if self.n < 2:
-            raise ParameterError(f"need n >= 2, got {self.n}")
-        _check_node_count(self.n)
-        if self.m < 1:
-            raise ParameterError(f"need m >= 1, got {self.m}")
         if not (self.m <= self.m0 <= self.n):
             raise ParameterError(
                 f"need m <= m0 <= n, got m={self.m}, m0={self.m0}, n={self.n}"
@@ -79,6 +71,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; rejects self-loops and duplicates."""
+        n = check_int("n", n, 0, _MAX_NODES + 1)
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         e = e.reshape(0, 2) if e.shape == (0,) else e
         if e.ndim != 2 or e.shape[1] != 2:
@@ -99,7 +92,6 @@ class Graph:
 
     @classmethod
     def _from_half_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        _check_node_count(n)
         a = np.concatenate([u, v])
         b = np.concatenate([v, u])
         # Sorting a * n + b orders the half-edges by row, then by neighbour,

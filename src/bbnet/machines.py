@@ -75,11 +75,10 @@ import collections
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 
 HALT = -1
 K_MAX_DEFAULT = 6
@@ -98,19 +97,6 @@ def table_bits(k: int) -> int:
 def encoding_length(k: int) -> int:
     """Total bits of a k-state program: k header bits + the table."""
     return k + table_bits(k)
-
-
-def check_int(name: str, value: int, least: int, below: int | None = None) -> int:
-    """``value`` as a Python int if it is an integer (numpy's too, not a bool) in [least, below)."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
-            raise ParameterError(f"need an integer {name}, got {value!r}")
-        value = operator.index(value)
-    if value < least:
-        raise ParameterError(f"need {name} >= {least}, got {value}")
-    if below is not None and value >= below:
-        raise ParameterError(f"need {name} < {below}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -172,7 +158,7 @@ def _programs(blocks: Iterator[str], k_max: int) -> Iterator[tuple[int, int]]:
     and consumed bits are dropped, so about one block is held. When the
     blocks run out the programs end; a partial program is not yielded.
     """
-    lengths = [encoding_length(k) for k in range(k_max + 1)]
+    lengths = [0]  # encoding_length(k) at index k, for every k read so far
     bits, i = "", 0
     for block in blocks:
         bits, i = bits[i:] + block, 0
@@ -180,7 +166,14 @@ def _programs(blocks: Iterator[str], k_max: int) -> Iterator[tuple[int, int]]:
         while True:
             z = bits.find("0", i, i + k_max)
             # the header is k bits long: k - 1 ones and a zero, or k_max ones
-            k = z + 1 - i if z >= 0 else k_max
+            if z >= 0:
+                k = z + 1 - i
+            elif i + k_max <= n:
+                k = k_max
+            else:
+                break  # ones to the end of the bits taken: the header runs on
+            if k >= len(lengths):
+                lengths.extend(map(encoding_length, range(len(lengths), k + 1)))
             end = i + lengths[k]
             if end > n:
                 break
@@ -478,10 +471,11 @@ def omega_enumerate(
     numerator = 0
     for k in range(1, k_max + 1):
         length = encoding_length(k)
-        if length <= max_len:
-            # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
-            variants = 2 if k == k_max else 1
-            numerator += variants * _halting_encodings(k, inp) << (max_len - length)
+        if length > max_len:
+            break  # the lengths grow with k
+        # k == k_max is reachable both as (k_max-1) ones + zero and as k_max ones.
+        variants = 2 if k == k_max else 1
+        numerator += variants * _halting_encodings(k, inp) << (max_len - length)
     value = numerator / (1 << max_len)
     return OmegaEstimate(
         "enumeration", value, 0.0, l_max=max_len, numerator=numerator, t_max=inp.t_max

@@ -88,7 +88,7 @@ class TestGenGraph:
 
         monkeypatch.setattr(cli, "generate_ba", grow)
         assert main(["gen-graph", "--n", "3037000500", "--m", "1"]) == 2
-        assert "need 0 <= n <= 3037000499" in capsys.readouterr().err
+        assert "need n < 3037000500, got 3037000500" in capsys.readouterr().err
 
 
 class TestOmega:

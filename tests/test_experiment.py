@@ -10,7 +10,7 @@ import pytest
 from bbnet import experiment
 from bbnet.analysis import c_of_N, detect_stationarity
 from bbnet.dynamics import EpidemicParams
-from bbnet.errors import ParameterError
+from bbnet.errors import ParameterError, check_int
 from bbnet.experiment import (
     RECORD_COLUMNS,
     ExperimentConfig,
@@ -22,7 +22,7 @@ from bbnet.experiment import (
     write_summary_json,
 )
 from bbnet.graph import NetworkParams
-from bbnet.machines import check_input, check_int
+from bbnet.machines import check_input
 from bbnet.rng import derive_seed, splitmix64
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -349,6 +350,24 @@ class TestSampling:
 
     def test_deterministic_given_seed(self):
         assert sample_programs(rng_from_seed(5), 50) == sample_programs(rng_from_seed(5), 50)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_k_max_reads_the_same_stream(self, seed):
+        # no header in these streams reaches 64 ones, so k_max 64 and 10**6
+        # read the same programs from the same blocks
+        large, small = rng_from_seed(seed), rng_from_seed(seed)
+        assert sample_programs(large, 5, k_max=10**6) == sample_programs(small, 5, k_max=64)
+        assert large.bit_generator.state == small.bit_generator.state
+
+    def test_large_k_max_costs_nothing_up_front(self):
+        # k_max only caps the header: the reader holds no k_max-sized table
+        tracemalloc.start()
+        try:
+            sample_programs(rng_from_seed(0), 5, k_max=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRun:
@@ -774,6 +793,18 @@ class TestOmega:
     def test_exact_numerators(self, w, numerator):
         # exact values: a non-halting proof that fires on a halter lowers them
         assert omega_enumerate(18, w, 1000, 6).numerator == numerator
+
+    def test_enumeration_stops_past_max_len(self, monkeypatch):
+        # encoding lengths grow with k: k = 3 (27 bits) is the last one asked
+        asked = []
+
+        def length(k):
+            asked.append(k)
+            return encoding_length(k)
+
+        monkeypatch.setattr(machines, "encoding_length", length)
+        assert omega_enumerate(18, "", 10, 10**6).numerator == 87248
+        assert asked == [1, 2, 3]
 
     def test_estimate_record_shape(self):
         rec = omega_enumerate(7, "", 10).to_record()
