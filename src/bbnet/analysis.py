@@ -17,7 +17,6 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ParameterError, check_int
-from .machines import OmegaEstimate
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,8 @@ def c_of_N(n: int, c_exponent: float) -> int:
 
 def measure_tau_E(traj: Trajectory, t0: int, c_n: int) -> float:
     """Mean infected density over steps t0..c_n inclusive."""
-    if not 0 <= t0 < c_n:
+    t0, c_n = check_int("t0", t0, 0), check_int("c_n", c_n, 0)
+    if t0 >= c_n:
         raise ParameterError(f"need 0 <= t0 < c_n, got t0={t0}, c_n={c_n}")
     if c_n > traj.last_t:
         raise ParameterError(
@@ -123,7 +123,7 @@ def complexity_proxy(x: int) -> int:
 
 def emergence_report(
     traj: Trajectory,
-    omega: OmegaEstimate,
+    omega_hat: float,
     m: int,
     lam: float,
     n: int,
@@ -140,7 +140,7 @@ def emergence_report(
     """
     c_n = c_of_N(n, c_exponent)
     tau_e = measure_tau_E(traj, t0, c_n)
-    condition = tau_e > omega.value and stationarity.fired and stationarity.t_s <= c_n
+    condition = tau_e > omega_hat and stationarity.fired and stationarity.t_s <= c_n
 
     rho_raw = 0.0 if lam == 0 else theoretical_prevalence(m, lam)
     c_best = complexity_proxy(traj.max_displayed[c_n])
@@ -151,7 +151,7 @@ def emergence_report(
     c_bar = float(np.searchsorted(1 << np.arange(63, dtype=np.int64), own, side="right").mean())
     return EmergenceReport(
         tau_e=tau_e,
-        omega_hat=omega.value,
+        omega_hat=omega_hat,
         condition_met=condition,
         c_of_n=c_n,
         rho_theory=min(rho_raw, 1.0),

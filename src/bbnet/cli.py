@@ -10,15 +10,14 @@ import argparse
 import json
 import sys
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import fields
 from pathlib import Path
 from typing import TextIO
 
 from .analysis import detect_stationarity
 from .errors import ParameterError
 from .experiment import (
-    OMEGA_METHODS,
     ExperimentConfig,
+    estimate_omega,
     read_records_csv,
     run_sweep_to_dir,
     simulate_cell,
@@ -26,8 +25,6 @@ from .experiment import (
     write_summary_json,
 )
 from .graph import NetworkParams, generate_ba, write_edge_list
-from .machines import K_MAX_DEFAULT, T_MAX_DEFAULT, omega_enumerate, omega_monte_carlo
-from .rng import rng_from_seed
 
 
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
@@ -51,11 +48,8 @@ def _cmd_gen_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_omega(args: argparse.Namespace) -> int:
-    if args.method == "enumerate":
-        est = omega_enumerate(args.max_len, args.w, args.t_max, args.k_max)
-    else:
-        rng = rng_from_seed(args.seed)
-        est = omega_monte_carlo(args.samples, args.w, args.t_max, rng, args.k_max)
+    """The config's omega, the one its sweep compares tau_E with."""
+    est = estimate_omega(_load_config(args.config, args.seed))
     line = json.dumps(est.to_record(), sort_keys=True)
     with _output(args.out) as fh:
         print(line, file=fh)
@@ -101,7 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Busy-beaver populations on scale-free networks under SIS imitation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    config_run = argparse.ArgumentParser(add_help=False)
+    config_run.add_argument("--config", type=str, required=True)
+    config_run.add_argument("--seed", type=int, default=None, help="override master_seed")
+    config_run.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("gen-graph", help="emit a Barabasi-Albert graph as an edge list")
     p.add_argument("--n", type=int, required=True)
@@ -111,27 +108,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_gen_graph)
 
-    p = sub.add_parser("omega", help="estimate the halting probability")
-    p.add_argument("--method", choices=OMEGA_METHODS, required=True)
-    p.add_argument("--max-len", type=int, default=defaults["omega_max_len"], dest="max_len")
-    p.add_argument("--samples", type=int, default=defaults["omega_samples"])
-    p.add_argument("--t-max", type=int, default=T_MAX_DEFAULT, dest="t_max")
-    p.add_argument("--k-max", type=int, default=K_MAX_DEFAULT, dest="k_max")
-    p.add_argument("--w", type=str, default="")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
+    p = sub.add_parser("omega", parents=[config_run],
+                       help="estimate a config's halting probability, as its sweep does")
     p.set_defaults(func=_cmd_omega)
 
-    p = sub.add_parser("simulate", help="run cell 0 of a config file, emit trajectory CSV")
-    p.add_argument("--config", type=str, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p.add_argument("--out", type=str, default=None)
+    p = sub.add_parser("simulate", parents=[config_run],
+                       help="run cell 0 of a config file, emit trajectory CSV")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run the full experiment grid from a config file")
-    p.add_argument("--config", type=str, required=True)
-    p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p.add_argument("--out", type=str, default=None)
+    p = sub.add_parser("sweep", parents=[config_run],
+                       help="run the full experiment grid from a config file")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit-graphs", action="store_true", dest="emit_graphs",
                    help="also write graph_<cell>_<seed>.edges per run")

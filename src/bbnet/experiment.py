@@ -227,7 +227,11 @@ RECORD_COLUMNS = [header for header, _, _, _ in _RECORD_SCHEMA]
 
 
 def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
-    """One omega estimate per sweep (it does not depend on the grid cell)."""
+    """The config's one omega estimate: it does not depend on the grid cell.
+
+    The only place that picks the estimator and seeds it, for a sweep and
+    for ``bbnet omega`` alike.
+    """
     if config.omega_method == "enumerate":
         return omega_enumerate(
             config.omega_max_len, config.w, config.t_max, config.k_max
@@ -276,7 +280,7 @@ def run_cell_seed(
     config: ExperimentConfig,
     cell_index: int,
     seed_index: int,
-    omega: OmegaEstimate,
+    omega_hat: float,
     graph_dir: str | Path | None = None,
 ) -> RunRecord:
     """Execute one grid cell with one derived seed, for at least c(N) steps."""
@@ -287,7 +291,7 @@ def run_cell_seed(
     stat = detect_stationarity(traj.infected_density, config.stat_window, config.stat_tol)
     lam = params.spreading_rate
     report = emergence_report(
-        traj, omega, m, lam, n, config.c_exponent, config.t0, own, stat
+        traj, omega_hat, m, lam, n, config.c_exponent, config.t0, own, stat
     )
     return RunRecord(
         cell_index=cell_index,
@@ -310,10 +314,10 @@ def run_experiment(
 ) -> tuple[list[RunRecord], dict]:
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
     workers = check_int("workers", workers, 1)
-    omega = estimate_omega(config)
+    omega_hat = estimate_omega(config).value
     cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
     args = (itertools.repeat(config), cells, seeds,
-            itertools.repeat(omega), itertools.repeat(graph_dir))
+            itertools.repeat(omega_hat), itertools.repeat(graph_dir))
     workers = min(workers, len(cells))  # a pool starts all its workers at its first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

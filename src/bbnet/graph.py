@@ -42,8 +42,9 @@ class NetworkParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int("n", self.n, 2, _MAX_NODES + 1))
         object.__setattr__(self, "m", check_int("m", self.m, 1))
-        if self.m0 == -1:
-            object.__setattr__(self, "m0", self.m + 1)
+        # no bound of its own: -1 stands for m + 1, and the range has the two rules below
+        m0 = check_int("m0", self.m0, -math.inf)
+        object.__setattr__(self, "m0", self.m + 1 if m0 == -1 else m0)
         if not (self.m <= self.m0 <= self.n):
             raise ParameterError(
                 f"need m <= m0 <= n, got m={self.m}, m0={self.m0}, n={self.n}"

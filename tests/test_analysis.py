@@ -17,7 +17,6 @@ from bbnet.analysis import (
 )
 from bbnet.dynamics import Trajectory
 from bbnet.errors import ParameterError
-from bbnet.machines import OmegaEstimate
 
 
 def make_traj(densities, max_displayed=None):
@@ -169,6 +168,20 @@ class TestTauE:
         with pytest.raises(ParameterError, match="beyond trajectory"):
             measure_tau_E(make_traj([0.1] * 5), 1, 10)
 
+    @pytest.mark.parametrize(
+        "t0,c_n,message",
+        [(1.5, 10, "need an integer t0, got 1.5"), (1, 10.5, "need an integer c_n, got 10.5"),
+         (True, 10, "need an integer t0, got True")],
+        ids=["float-t0", "float-c_n", "bool-t0"],
+    )
+    def test_non_integer_window_rejected(self, t0, c_n, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            measure_tau_E(make_traj([0.1] * 20), t0, c_n)
+
+    def test_numpy_integers_give_the_same_mean(self):
+        traj = make_traj(np.linspace(0.0, 1.0, 21))
+        assert measure_tau_E(traj, np.int64(1), np.int64(10)) == measure_tau_E(traj, 1, 10)
+
     def test_serialization_invariance(self):
         import io
 
@@ -199,24 +212,18 @@ class TestEmergenceReport:
     # fired at step 1, within c(100) = 10, so only tau_E decides the condition
     EARLY = StationarityResult(t_s=1, rho_hat=0.5)
 
-    def omega(self, value):
-        return OmegaEstimate("enumeration", value, 0.0, l_max=18)
-
     def test_c_bar_matches_complexity_proxy(self):
         # the array bit length of own fitness against the scalar proxy, one value at a time
         traj = make_traj([0.5] * 20)
         for x in [0, 1, 2**62] + [2**j + d for j in range(1, 62) for d in (-1, 1)]:
-            rep = emergence_report(traj, self.omega(0.1), 3, 1.0, 100, 0.5, 1, np.array([x]),
-                                   self.EARLY)
+            rep = emergence_report(traj, 0.1, 3, 1.0, 100, 0.5, 1, np.array([x]), self.EARLY)
             assert rep.c_bar_isolated == complexity_proxy(x)
         with pytest.raises(ParameterError, match="need x >= 0, got -3"):
-            emergence_report(traj, self.omega(0.1), 3, 1.0, 100, 0.5, 1, [4, -3, 0], self.EARLY)
+            emergence_report(traj, 0.1, 3, 1.0, 100, 0.5, 1, [4, -3, 0], self.EARLY)
 
     def test_no_diffusion(self):
         traj = make_traj([0.5] + [0.0] * 30)
-        rep = emergence_report(
-            traj, self.omega(0.3), 3, 0.25, 100, 0.5, 1, [1, 0, 1, 0], self.EARLY
-        )
+        rep = emergence_report(traj, 0.3, 3, 0.25, 100, 0.5, 1, [1, 0, 1, 0], self.EARLY)
         assert rep.tau_e == 0.0
         assert not rep.condition_met
         assert rep.eeac_proxy == 0.0
@@ -224,7 +231,7 @@ class TestEmergenceReport:
     def test_full_diffusion(self):
         traj = make_traj([1.0] * 30, max_displayed=[10] * 30)
         own = [10, 0, 0, 0]
-        rep = emergence_report(traj, self.omega(0.3), 3, 1.0, 100, 0.5, 1, own, self.EARLY)
+        rep = emergence_report(traj, 0.3, 3, 1.0, 100, 0.5, 1, own, self.EARLY)
         assert rep.tau_e == 1.0
         assert rep.condition_met
         assert rep.c_best == 4
@@ -234,26 +241,25 @@ class TestEmergenceReport:
     def test_condition_monotone_in_tau(self):
         t_low = make_traj([0.2] * 30)
         t_high = make_traj([0.9] * 30)
-        om = self.omega(0.5)
-        low = emergence_report(t_low, om, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
-        high = emergence_report(t_high, om, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
+        low = emergence_report(t_low, 0.5, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
+        high = emergence_report(t_high, 0.5, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
         assert not low.condition_met
         assert high.condition_met
 
     def test_rho_theory_clamped(self):
         traj = make_traj([0.5] * 30)
-        rep = emergence_report(traj, self.omega(0.1), 5, 10.0, 100, 0.5, 1, [1], self.EARLY)
+        rep = emergence_report(traj, 0.1, 5, 10.0, 100, 0.5, 1, [1], self.EARLY)
         assert rep.rho_theory == 1.0
 
     def test_nu_zero_lambda_zero_allowed(self):
         traj = make_traj([0.5] + [0.0] * 30)
-        rep = emergence_report(traj, self.omega(0.1), 3, 0.0, 100, 0.5, 1, [1], self.EARLY)
+        rep = emergence_report(traj, 0.1, 3, 0.0, 100, 0.5, 1, [1], self.EARLY)
         assert rep.rho_theory == 0.0
 
     def test_late_stationarity_invalidates_condition(self):
         traj = make_traj([0.9] * 30)
         stat = StationarityResult(t_s=25, rho_hat=0.9)
-        rep = emergence_report(traj, self.omega(0.1), 3, 0.25, 100, 0.5, 1, [1], stat)
+        rep = emergence_report(traj, 0.1, 3, 0.25, 100, 0.5, 1, [1], stat)
         # c(100) = 10 < 25: condition would hold on tau alone but is invalidated
         assert rep.tau_e > rep.omega_hat
         assert not rep.condition_met
@@ -261,10 +267,10 @@ class TestEmergenceReport:
     def test_timely_stationarity_keeps_condition(self):
         traj = make_traj([0.9] * 30)
         stat = StationarityResult(t_s=8, rho_hat=0.9)
-        rep = emergence_report(traj, self.omega(0.1), 3, 0.25, 100, 0.5, 1, [1], stat)
+        rep = emergence_report(traj, 0.1, 3, 0.25, 100, 0.5, 1, [1], stat)
         assert rep.condition_met
 
     def test_short_trajectory_raises(self):
         traj = make_traj([0.5] * 5)
         with pytest.raises(ParameterError, match="beyond trajectory"):
-            emergence_report(traj, self.omega(0.1), 3, 0.25, 100, 0.5, 1, [1], self.EARLY)
+            emergence_report(traj, 0.1, 3, 0.25, 100, 0.5, 1, [1], self.EARLY)

@@ -9,7 +9,8 @@ programs with k_max=6 per run, so its programs reach past the first 4096-bit
 block of the Generator's bit stream. The gen-graph pin covers the edge-list
 writer: a 5000-node BA graph with m=3 has about 15,000 edges, all written
 from one array chunk. A change that alters any digest changes
-output bytes and must say why.
+output bytes and must say why. `bbnet omega` on the configs of sweeps A and
+B must print the omega_hat that the sweep writes to summary.json.
 
 The digests rest on numpy Generator methods, whose algorithms numpy may
 change between releases while PCG64's raw stream stays fixed. The stream
@@ -76,6 +77,19 @@ def test_sweep_artifacts_pinned(tmp_path, name, cfg):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
     assert {f: sha256(out / f) for f in PINS[name]} == PINS[name]
+
+
+@pytest.mark.parametrize("seed_words", [[], ["--seed", "3"]], ids=["master-seed", "seed-3"])
+@pytest.mark.parametrize("name, cfg", [("A", SWEEP_A), ("B", SWEEP_B)])
+def test_omega_is_the_sweeps_omega(tmp_path, capsys, name, cfg, seed_words):
+    # pin A's enumeration and pin B's Monte-Carlo stream, each with and without --seed
+    config = str(write_config(tmp_path, cfg))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", config, "--out", str(out), *seed_words]) == 0
+    capsys.readouterr()
+    assert main(["omega", "--config", config, *seed_words]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert round(value, 9) == json.loads((out / "summary.json").read_text())["omega_hat"]
 
 
 def test_simulate_trajectory_pinned(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from bbnet import cli, experiment
 from bbnet.cli import main
 from bbnet.graph import NetworkParams, generate_ba, read_edge_list
-from bbnet.machines import omega_enumerate
+from bbnet.machines import omega_enumerate, omega_monte_carlo
+from bbnet.rng import OMEGA_STREAM_TAG, derive_seed, rng_from_seed
 
 
 # stands for the path of write_config's file in a parametrized command line
@@ -92,41 +93,63 @@ class TestGenGraph:
 
 
 class TestOmega:
-    def test_enumerate_matches_module(self, capsys):
-        assert main(["omega", "--method", "enumerate", "--max-len", "18",
-                     "--t-max", "100", "--k-max", "2"]) == 0
+    def test_enumerate_matches_module(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["omega", "--config", str(cfg)]) == 0
         rec = json.loads(capsys.readouterr().out)
         expected = omega_enumerate(18, "", 100, k_max=2)
-        assert rec["method"] == "enumeration"
-        assert rec["value"] == pytest.approx(expected.value, rel=1e-12)
-        assert rec["stderr"] == 0.0
+        assert rec == expected.to_record()
+        assert rec["method"] == "enumeration" and rec["stderr"] == 0.0
 
-    def test_monte_carlo_record(self, capsys):
-        assert main(["omega", "--method", "monte-carlo", "--samples", "2000",
-                     "--t-max", "50", "--k-max", "2", "--seed", "3"]) == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["method"] == "monte-carlo"
-        assert 0.0 < rec["value"] < 1.0
-        assert rec["params"]["n_samples"] == 2000
+    def test_monte_carlo_record(self, tmp_path, capsys):
+        # the sweep's own omega stream: derived from master_seed (5 in write_config), or --seed
+        cfg = write_config(tmp_path, omega_method="monte-carlo", omega_samples=2000, t_max=50)
+        for words, master_seed in (([], 5), (["--seed", "3"], 3)):
+            assert main(["omega", "--config", str(cfg), *words]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            rng = rng_from_seed(derive_seed(master_seed, OMEGA_STREAM_TAG, 0))
+            assert rec == omega_monte_carlo(2000, "", 50, rng, k_max=2).to_record()
+            assert rec["method"] == "monte-carlo" and rec["params"]["n_samples"] == 2000
 
-    def test_guard_exit_2(self, capsys):
-        assert main(["omega", "--method", "enumerate", "--max-len", "30"]) == 2
+    def test_guard_exit_2(self, tmp_path, capsys):
+        assert main(["omega", "--config", str(write_config(tmp_path, omega_max_len=30))]) == 2
+        assert capsys.readouterr().err == "error: need omega_max_len < 27, got 30\n"
 
     @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--method", "monte-carlo", "--k-max", "0"],
-            ["--method", "enumerate", "--k-max", "0"],
-            ["--method", "enumerate", "--max-len", "5", "--t-max", "0"],
-            ["--method", "enumerate", "--max-len", "5", "--w", "2"],
-        ],
-        ids=["mc-k-max-0", "enum-k-max-0", "short-t-max-0", "short-w-2"],
+        "overrides",
+        [dict(omega_method="monte-carlo", k_max=0), dict(k_max=0),
+         dict(omega_max_len=5, t_max=0), dict(omega_max_len=5, w="2"), dict(omega_max_len=27)],
+        ids=["mc-k-max-0", "enum-k-max-0", "short-t-max-0", "short-w-2", "enum-guard"],
     )
-    def test_bad_estimator_argument_exit_2(self, capsys, flags):
-        assert main(["omega", *flags]) == 2
+    def test_bad_estimator_argument_exit_2(self, tmp_path, monkeypatch, capsys, overrides):
+        def no_omega(config):
+            raise AssertionError("omega estimated for an invalid config")
+
+        monkeypatch.setattr(cli, "estimate_omega", no_omega)
+        assert main(["omega", "--config", str(write_config(tmp_path, **overrides))]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "words",
+        [["--config", CONFIG, "--method", "enumerate"], ["--config", CONFIG, "--max-len", "18"],
+         ["--config", CONFIG, "--samples", "500"], ["--config", CONFIG, "--t-max", "50"],
+         ["--config", CONFIG, "--k-max", "2"], ["--config", CONFIG, "--w", "101"],
+         ["--method", "enumerate"], ["--seed", "3"]],
+        ids=["method", "max-len", "samples", "t-max", "k-max", "w", "method-no-config",
+             "no-config"],
+    )
+    def test_removed_flag_or_no_config_exits_2_before_omega(self, tmp_path, monkeypatch,
+                                                            words):
+        def no_omega(config):
+            raise AssertionError("omega estimated from a refused command line")
+
+        monkeypatch.setattr(cli, "estimate_omega", no_omega)
+        cfg = str(write_config(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["omega", *(cfg if word is CONFIG else word for word in words)])
+        assert exc.value.code == 2
 
 
 class TestSimulate:
@@ -182,16 +205,16 @@ class TestSimulate:
 
 class TestOutput:
     @pytest.mark.parametrize(
-        "words",
-        [["gen-graph", "--n", "30", "--m", "2", "--seed", "9"],
-         ["omega", "--method", "enumerate", "--max-len", "12", "--t-max", "50", "--k-max", "2"],
-         ["omega", "--method", "monte-carlo", "--samples", "500", "--t-max", "50",
-          "--k-max", "2", "--seed", "3"],
-         ["simulate", "--config", CONFIG]],
+        "words,overrides",
+        [(["gen-graph", "--n", "30", "--m", "2", "--seed", "9"], {}),
+         (["omega", "--config", CONFIG], dict(omega_max_len=12, t_max=50)),
+         (["omega", "--config", CONFIG, "--seed", "3"],
+          dict(omega_method="monte-carlo", omega_samples=500, t_max=50)),
+         (["simulate", "--config", CONFIG], {})],
         ids=["gen-graph", "omega-enumerate", "omega-monte-carlo", "simulate"],
     )
-    def test_stdout_matches_out_file(self, tmp_path, capsys, words):
-        cfg = str(write_config(tmp_path))
+    def test_stdout_matches_out_file(self, tmp_path, capsys, words, overrides):
+        cfg = str(write_config(tmp_path, **overrides))
         argv = [cfg if word is CONFIG else word for word in words]
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Graph construction, degree statistics, and edge-list round trips."""
 
 import io
+import re
 import warnings
 from collections import deque
 
@@ -197,6 +198,29 @@ class TestParams:
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             NetworkParams(seed=0, **kwargs)
+
+    @pytest.mark.parametrize("m0", [3.0, "3", True], ids=["float", "str", "bool"])
+    def test_non_integer_m0_rejected(self, m0):
+        with pytest.raises(ParameterError, match=re.escape(f"need an integer m0, got {m0!r}")):
+            NetworkParams(n=10, m=2, m0=m0)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [(dict(n=10, m=5, m0=4), "need m <= m0 <= n, got m=5, m0=4, n=10"),
+         (dict(n=10, m=2, m0=-5), "need m <= m0 <= n, got m=2, m0=-5, n=10"),
+         (dict(n=10, m=1, m0=1),
+          "need m0 >= 2 (a one-node seed has no degree to attach to), got m0=1")],
+        ids=["below-m", "negative", "one-node-seed"],
+    )
+    def test_integer_m0_keeps_its_messages(self, kwargs, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            NetworkParams(**kwargs)
+
+    def test_numpy_m0_grows_the_same_graph(self):
+        p = NetworkParams(n=50, m=2, m0=np.int64(3), seed=4)
+        assert type(p.m0) is int
+        a, b = generate_ba(p), generate_ba(NetworkParams(n=50, m=2, m0=3, seed=4))
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
     def test_node_count_past_key_bound(self):
         # the CSR key bound is checked on the params, so generate_ba never sees such an n
