@@ -22,6 +22,7 @@ from .analysis import (
 from .dynamics import (
     EpidemicParams,
     Trajectory,
+    count_infected_neighbours,
     run_sim,
     step,
 )

@@ -18,23 +18,32 @@ snapshot, giving one communication round:
 Every node consumes exactly three uniforms per step, in node-id order and
 then rule order (a, b, c), whether or not each rule applies. That keeps the
 stream layout independent of the state, so a run is a pure function of
-(seed, inputs). The state is two arrays, ``infected`` and ``carried``; a
-susceptible node carries its own value, so ``carried`` is what every node
-displays. ``step`` maps one snapshot and its uniforms to the next, and
+(seed, inputs). The state is three arrays: ``infected``, ``carried`` and
+``n_inf``. A susceptible node carries its own value, so ``carried`` is what
+every node displays; ``n_inf`` is each node's number of infected
+neighbours. ``step`` maps one snapshot and its uniforms to the next, and
 ``run_sim`` starts a run and draws the uniforms.
 
 A step reads only the adjacency rows it needs, each fetched with
-``Graph.gather``. Infected-neighbour counts are pushed from the infected
-rows with one ``bincount``. The neighbourhood maximum is taken only over the
-rows of nodes that imitate this step: the newly infected and, with
-``reimitation``, the re-imitating. Rows may be empty anywhere. The
-per-node oracle that the step is checked against, ``_step_reference``,
-lives in ``tests/test_dynamics.py``.
+``Graph.gather``. The neighbourhood maximum is taken only over the rows of
+nodes that imitate this step: the newly infected and, with
+``reimitation``, the re-imitating. The counts are carried from step to
+step. A step pushes counts with ``bincount`` from the newly infected rows,
+which it has already gathered for their maximum. To these it adds the
+counts pushed from the rows of the nodes that stay infected, or else the
+given counts less those pushed from the cured rows, whichever reads fewer
+rows. At delta = 1 no node stays infected and at delta = 0 none is cured,
+so there the newly infected rows are the only rows a step gathers.
+``count_infected_neighbours`` makes the counts from scratch, for the
+initial state. Rows may be empty anywhere. The per-node oracle that the
+step is checked against, ``_step_reference``, lives in
+``tests/test_dynamics.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import TextIO
 
 import numpy as np
@@ -59,6 +68,10 @@ class EpidemicParams:
     imitate_infected_only: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("nu", "delta", "rho0"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ParameterError(f"need a real number {name}, got {value!r}")
         if not 0.0 <= self.nu <= 1.0:
             raise ParameterError(f"need 0 <= nu <= 1, got {self.nu}")
         if not 0.0 <= self.delta <= 1.0:
@@ -93,53 +106,92 @@ class Trajectory:
             )
 
 
-def _neighbor_max(g: Graph, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Largest ``values[j]`` over the neighbours j of each of ``rows``.
+def count_infected_neighbours(g: Graph, infected: np.ndarray) -> np.ndarray:
+    """Each node's number of infected neighbours, counted from the infected rows."""
+    nbrs, _ = g.gather(np.flatnonzero(infected))
+    return np.bincount(nbrs, minlength=g.n)
 
-    Every row must be non-empty: ``reduceat`` reads an empty row as the
-    first neighbour of the next one.
+
+def _form(value: object) -> str:
+    """An array's dtype and shape, or another value's type, for a refusal message."""
+    if hasattr(value, "dtype") and hasattr(value, "shape"):
+        return f"{value.dtype} of shape {value.shape}"
+    return type(value).__name__
+
+
+def _check_state(
+    n: int, own: np.ndarray, infected: np.ndarray, carried: np.ndarray, n_inf: np.ndarray,
+    u: np.ndarray,
+) -> None:
+    """Refuse a state or uniform matrix that does not fit an n-node graph.
+
+    Reads attributes only, so it costs the same at every n.
     """
-    nbrs, offsets = g.gather(rows)
-    return np.maximum.reduceat(values[nbrs], offsets)
+    if getattr(u, "shape", None) != (n, 3):
+        raise ParameterError(f"need u of shape ({n}, 3), got {_form(u)}")
+    if getattr(infected, "dtype", None) != np.bool_ or infected.shape != (n,):
+        raise ParameterError(f"need a bool infected of shape ({n},), got {_form(infected)}")
+    for name, array in (("own", own), ("carried", carried), ("n_inf", n_inf)):
+        if getattr(array, "shape", None) != (n,):
+            raise ParameterError(f"need {name} of shape ({n},), got {_form(array)}")
 
 
 def step(
     g: Graph, params: EpidemicParams, own: np.ndarray, infected: np.ndarray,
-    carried: np.ndarray, u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    carried: np.ndarray, n_inf: np.ndarray, u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One synchronous round given the (n, 3) uniform matrix ``u``.
 
-    Takes the time-t ``(infected, carried)`` and returns the new pair as
-    fresh arrays; writes into none of its inputs.
+    Takes the time-t ``(infected, carried, n_inf)``, where ``n_inf`` is
+    ``count_infected_neighbours(g, infected)``, and returns the new triple
+    as fresh arrays; writes into none of its inputs. Raises
+    ``ParameterError`` when ``u`` is not ``(n, 3)``, ``infected`` is not a
+    bool ``(n,)`` array, or ``own``, ``carried`` or ``n_inf`` is not ``(n,)``.
     """
-    infected_nbrs, _ = g.gather(np.flatnonzero(infected))
-    n_inf = np.bincount(infected_nbrs, minlength=g.n)
+    _check_state(g.n, own, infected, carried, n_inf, u)
     # (1 - nu)**k looked up per node from a table of every count present:
     # the same bits as raising per node, at a fraction of the cost.
     survive = (1.0 - params.nu) ** np.arange(int(n_inf.max(initial=0)) + 1)
     p_infect = 1.0 - survive[n_inf]
     new_inf = (~infected) & (u[:, 0] < p_infect)
     cured = infected & (u[:, 1] < params.delta)
+    stays = infected & ~cured
     new_carried = np.where(cured, own, carried)
 
     # Neighbour maxima only over the rows that imitate, of the values
     # displayed at time t (carried). A newly infected node has an infected
     # neighbour, so its row is not empty, and masking the susceptible with
-    # the int64 minimum leaves a real value to copy.
+    # the int64 minimum leaves a real value to copy. reduceat needs every
+    # row non-empty: it reads an empty row as the next row's first value.
     new_rows = np.flatnonzero(new_inf)
+    new_nbrs, offsets = g.gather(new_rows)
     if len(new_rows):
         source = carried
         if params.imitate_infected_only:
             source = np.where(infected, source, np.iinfo(np.int64).min)
-        new_carried[new_rows] = _neighbor_max(g, new_rows, source)
+        new_carried[new_rows] = np.maximum.reduceat(source[new_nbrs], offsets)
     if params.reimitation:
-        upd = infected & ~cured & (u[:, 2] < params.nu) & (g.degrees > 0)
-        upd_rows = np.flatnonzero(upd)
+        upd_rows = np.flatnonzero(stays & (u[:, 2] < params.nu) & (g.degrees > 0))
         if len(upd_rows):
-            nbr_max = _neighbor_max(g, upd_rows, carried)
+            nbrs, offsets = g.gather(upd_rows)
+            nbr_max = np.maximum.reduceat(carried[nbrs], offsets)
             new_carried[upd_rows] = np.maximum(new_carried[upd_rows], nbr_max)
 
-    return (infected & ~cured) | new_inf, new_carried
+    # The nodes infected after this step are those infected now, less the
+    # cured, plus the newly infected, whose rows are already gathered. Count
+    # the nodes that stay from their rows when they are no more than the
+    # cured; otherwise take the cured rows' counts off n_inf. The counts are
+    # exact integers, so both ways give the same array.
+    n_stay, n_cured = np.count_nonzero(stays), np.count_nonzero(cured)
+    next_n_inf = np.bincount(new_nbrs, minlength=g.n)
+    if n_stay <= n_cured:
+        if n_stay:
+            next_n_inf += count_infected_neighbours(g, stays)
+    else:
+        next_n_inf += n_inf
+        if n_cured:
+            next_n_inf -= count_infected_neighbours(g, cured)
+    return stays | new_inf, new_carried, next_n_inf
 
 
 def run_sim(
@@ -153,20 +205,27 @@ def run_sim(
 
     ``own[i]`` is node i's fitness. Exactly max(1, round(rho0 * N)) nodes
     start infected, chosen uniformly without replacement, and every node
-    starts carrying its own value. Each round draws an (N, 3) uniform matrix
+    starts carrying its own value. Their infected-neighbour counts are made
+    once, with ``count_infected_neighbours``; from then on each ``step``
+    hands the next counts on. Each round draws an (N, 3) uniform matrix
     from ``rng``. Row 0 is the initial condition; row t is the state after
-    round t.
+    round t. Raises ``ParameterError`` unless ``own`` is a 1-D integer
+    array (or list) of N values.
     """
     t_max_steps = check_int("t_max_steps", t_max_steps, 1)
     n = g.n
     if n < 1:
         raise ParameterError("empty graph")
-    own = np.asarray(own, dtype=np.int64)
+    own = np.asarray(own)
+    if own.ndim != 1 or own.dtype.kind not in "iu" or not np.can_cast(own.dtype, np.int64):
+        raise ParameterError(f"need a 1-D integer own, got {_form(own)}")
+    own = own.astype(np.int64, copy=False)
     if len(own) != n:
         raise ParameterError(f"need {n} fitness values, got {len(own)}")
     infected = np.zeros(n, dtype=bool)
     infected[rng.choice(n, size=max(1, round(params.rho0 * n)), replace=False)] = True
     carried = own  # step writes into none of its inputs, so sharing is safe
+    n_inf = count_infected_neighbours(g, infected)
     global_best = own.max()
 
     inf = np.empty(t_max_steps + 1)
@@ -174,7 +233,9 @@ def run_sim(
     mx = np.empty(t_max_steps + 1, dtype=np.int64)
     for t in range(t_max_steps + 1):
         if t > 0:
-            infected, carried = step(g, params, own, infected, carried, rng.random((n, 3)))
+            infected, carried, n_inf = step(
+                g, params, own, infected, carried, n_inf, rng.random((n, 3))
+            )
         inf[t] = np.count_nonzero(infected) / n
         best[t] = np.count_nonzero(carried == global_best) / n
         mx[t] = carried.max()

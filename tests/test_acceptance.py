@@ -15,7 +15,7 @@ import pytest
 from conftest import iter_encodings, kraft_sum, outcome, record_criterion, table_from_int
 
 from bbnet.analysis import detect_stationarity, theoretical_prevalence
-from bbnet.dynamics import EpidemicParams, run_sim, step
+from bbnet.dynamics import EpidemicParams, count_infected_neighbours, run_sim, step
 from bbnet.experiment import ExperimentConfig, run_experiment, run_sweep_to_dir
 from bbnet.graph import Graph, NetworkParams, approx_diameter, degree_ccdf, fit_power_law, generate_ba
 from bbnet.machines import (
@@ -134,11 +134,12 @@ def test_criterion_5_dynamics_oracle_and_busy_beaver():
     params = EpidemicParams(nu=0.5, delta=0.5)
     own = np.array([3, 7, 5], dtype=np.int64)
     infected = np.array([False, True, False])
+    n_inf = count_infected_neighbours(g, infected)
     rng = rng_from_seed(777)
     n_trials = 100_000
     counts: dict[tuple, int] = {}
     for _ in range(n_trials):
-        nxt, _ = step(g, params, own, infected, own, rng.random((3, 3)))
+        nxt, _, _ = step(g, params, own, infected, own, n_inf, rng.random((3, 3)))
         key = tuple(nxt.tolist())
         counts[key] = counts.get(key, 0) + 1
     # three independent fair flips -> 8 equally likely infected-set outcomes

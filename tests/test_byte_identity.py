@@ -1,4 +1,4 @@
-"""Byte-identity pins: SHA-256 of the artifacts of three fixed sweeps, one
+"""Byte-identity pins: SHA-256 of the artifacts of four fixed sweeps, one
 simulate and one gen-graph.
 
 Run-to-run determinism (acceptance criterion 8) cannot show that a refactor
@@ -6,7 +6,9 @@ kept the outputs; these digests can. Sweep A is criterion 8's config. Sweep B
 covers the other branches: a non-empty input w, delta < 1, a Monte-Carlo omega
 estimate, reimitation and infected-only imitation. Sweep C samples 2000
 programs with k_max=6 per run, so its programs reach past the first 4096-bit
-block of the Generator's bit stream. The gen-graph pin covers the edge-list
+block of the Generator's bit stream. Sweep D carries infected nodes from
+step to step without either protocol flag: delta 0 (no node is cured) and
+delta 0.3 (some nodes stay infected). The gen-graph pin covers the edge-list
 writer: a 5000-node BA graph with m=3 has about 15,000 edges, all written
 from one array chunk. A change that alters any digest changes
 output bytes and must say why. `bbnet omega` on the configs of sweeps A and
@@ -43,6 +45,7 @@ SWEEP_C = dict(
     rho0=0.2, k_max=6, t_max=200, t_max_steps=50, stat_window=3, stat_tol=0.05,
     n_seeds=2, master_seed=5, omega_method="monte-carlo", omega_samples=2000,
 )
+SWEEP_D = dict(SWEEP_A, delta_values=[0.0, 0.3], n_seeds=2, master_seed=11)
 
 PINS = {
     "A": {
@@ -56,6 +59,10 @@ PINS = {
     "C": {
         "records.csv": "403824170c2c20be18fa011e51a55859bf2321e17b0599b50234c2b8fb574315",
         "summary.json": "bb349360756a11a6901e37783cb3bf4f745f3f196f2d1feea1089cfa18c64f2d",
+    },
+    "D": {
+        "records.csv": "d007fe8813faaaace228c070fad3f2302c820dc1befbabf39b5b8a485ec2bc4e",
+        "summary.json": "8a4f2ce8c82018c17960f10265fbfcbdd349fedce5e9342d3e5116e011ddceeb",
     },
 }
 SIMULATE_B = "127f6538e6e00caa0c671dc7dcc3797e3185aac503ea96d611a2b2223d16af7b"
@@ -72,7 +79,9 @@ def write_config(tmp_path, cfg):
     return path
 
 
-@pytest.mark.parametrize("name, cfg", [("A", SWEEP_A), ("B", SWEEP_B), ("C", SWEEP_C)])
+@pytest.mark.parametrize(
+    "name, cfg", [("A", SWEEP_A), ("B", SWEEP_B), ("C", SWEEP_C), ("D", SWEEP_D)]
+)
 def test_sweep_artifacts_pinned(tmp_path, name, cfg):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
