@@ -29,13 +29,11 @@ A step reads only the adjacency rows it needs, each fetched with
 nodes that imitate this step: the newly infected and, with
 ``reimitation``, the re-imitating. The counts are carried from step to
 step. A step pushes counts with ``bincount`` from the newly infected rows,
-which it has already gathered for their maximum. To these it adds the
-counts pushed from the rows of the nodes that stay infected, or else the
-given counts less those pushed from the cured rows, whichever reads fewer
-rows. At delta = 1 no node stays infected and at delta = 0 none is cured,
-so there the newly infected rows are the only rows a step gathers.
-``count_infected_neighbours`` makes the counts from scratch, for the
-initial state. Rows may be empty anywhere. The per-node oracle that the
+which it has already gathered for their maximum, and adds those pushed
+from the rows of the nodes that stay infected. At delta = 1 no node stays
+infected, so there the newly infected rows are the only rows a step
+gathers. ``count_infected_neighbours`` makes the counts from scratch, for
+the initial state. Rows may be empty anywhere. The per-node oracle that the
 step is checked against, ``_step_reference``, lives in
 ``tests/test_dynamics.py``.
 """
@@ -134,6 +132,8 @@ def _check_state(
     for name, array in (("own", own), ("carried", carried), ("n_inf", n_inf)):
         if getattr(array, "shape", None) != (n,):
             raise ParameterError(f"need {name} of shape ({n},), got {_form(array)}")
+    if n_inf.dtype.kind not in "iu":
+        raise ParameterError(f"need an integer n_inf, got {_form(n_inf)}")
 
 
 def step(
@@ -142,11 +142,13 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One synchronous round given the (n, 3) uniform matrix ``u``.
 
-    Takes the time-t ``(infected, carried, n_inf)``, where ``n_inf`` is
-    ``count_infected_neighbours(g, infected)``, and returns the new triple
-    as fresh arrays; writes into none of its inputs. Raises
+    Takes the time-t ``(infected, carried, n_inf)``, where ``n_inf`` must be
+    exactly ``count_infected_neighbours(g, infected)``, and returns the new
+    triple as fresh arrays; writes into none of its inputs. Raises
     ``ParameterError`` when ``u`` is not ``(n, 3)``, ``infected`` is not a
-    bool ``(n,)`` array, or ``own``, ``carried`` or ``n_inf`` is not ``(n,)``.
+    bool ``(n,)`` array, ``own``, ``carried`` or ``n_inf`` is not ``(n,)``,
+    or ``n_inf`` is not an integer array. The values of ``n_inf`` are not
+    checked, since that would cost a pass over the array.
     """
     _check_state(g.n, own, infected, carried, n_inf, u)
     # (1 - nu)**k looked up per node from a table of every count present:
@@ -163,13 +165,16 @@ def step(
     # neighbour, so its row is not empty, and masking the susceptible with
     # the int64 minimum leaves a real value to copy. reduceat needs every
     # row non-empty: it reads an empty row as the next row's first value.
+    # The counts for the next step start from the newly infected rows.
     new_rows = np.flatnonzero(new_inf)
-    new_nbrs, offsets = g.gather(new_rows)
+    next_n_inf = np.zeros(g.n, dtype=np.intp)
     if len(new_rows):
+        new_nbrs, offsets = g.gather(new_rows)
         source = carried
         if params.imitate_infected_only:
             source = np.where(infected, source, np.iinfo(np.int64).min)
         new_carried[new_rows] = np.maximum.reduceat(source[new_nbrs], offsets)
+        next_n_inf = np.bincount(new_nbrs, minlength=g.n)
     if params.reimitation:
         upd_rows = np.flatnonzero(stays & (u[:, 2] < params.nu) & (g.degrees > 0))
         if len(upd_rows):
@@ -177,20 +182,11 @@ def step(
             nbr_max = np.maximum.reduceat(carried[nbrs], offsets)
             new_carried[upd_rows] = np.maximum(new_carried[upd_rows], nbr_max)
 
-    # The nodes infected after this step are those infected now, less the
-    # cured, plus the newly infected, whose rows are already gathered. Count
-    # the nodes that stay from their rows when they are no more than the
-    # cured; otherwise take the cured rows' counts off n_inf. The counts are
-    # exact integers, so both ways give the same array.
-    n_stay, n_cured = np.count_nonzero(stays), np.count_nonzero(cured)
-    next_n_inf = np.bincount(new_nbrs, minlength=g.n)
-    if n_stay <= n_cured:
-        if n_stay:
-            next_n_inf += count_infected_neighbours(g, stays)
-    else:
-        next_n_inf += n_inf
-        if n_cured:
-            next_n_inf -= count_infected_neighbours(g, cured)
+    # The nodes infected after this step are those that stay infected plus
+    # the newly infected, whose counts are made above. The rows of the nodes
+    # that stay are gathered only when some do: at delta = 1 none do.
+    if stays.any():
+        next_n_inf += count_infected_neighbours(g, stays)
     return stays | new_inf, new_carried, next_n_inf
 
 
