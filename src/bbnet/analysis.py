@@ -136,7 +136,8 @@ def emergence_report(
 
     The condition also requires the stationarity detector to have fired
     within c(N): a detector that fired later (or not at all) invalidates
-    condition_met.
+    condition_met. c_bar_isolated is the mean complexity_proxy of the own
+    scores, taken once per distinct score.
     """
     c_n = c_of_N(n, c_exponent)
     tau_e = measure_tau_E(traj, t0, c_n)
@@ -144,11 +145,8 @@ def emergence_report(
 
     rho_raw = 0.0 if lam == 0 else theoretical_prevalence(m, lam)
     c_best = complexity_proxy(traj.max_displayed[c_n])
-    # complexity_proxy of each score: how many of 2**0 .. 2**62 are <= it
-    own = np.asarray(own_fitness, dtype=np.int64)
-    if (own < 0).any():
-        raise ParameterError(f"need x >= 0, got {own[own < 0][0]}")
-    c_bar = float(np.searchsorted(1 << np.arange(63, dtype=np.int64), own, side="right").mean())
+    values, counts = np.unique(own_fitness, return_counts=True)
+    c_bar = sum(complexity_proxy(v) * int(c) for v, c in zip(values, counts)) / len(own_fitness)
     return EmergenceReport(
         tau_e=tau_e,
         omega_hat=omega_hat,

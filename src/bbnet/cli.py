@@ -10,10 +10,10 @@ import argparse
 import json
 import sys
 from contextlib import AbstractContextManager, nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
 
-from .analysis import detect_stationarity
 from .errors import ParameterError
 from .experiment import (
     ExperimentConfig,
@@ -29,9 +29,7 @@ from .graph import NetworkParams, generate_ba, write_edge_list
 
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     config = ExperimentConfig.from_json_file(path)
-    if seed_override is not None:
-        config.master_seed = seed_override
-    return config
+    return config if seed_override is None else replace(config, master_seed=seed_override)
 
 
 def _output(path: str | None) -> AbstractContextManager[TextIO]:
@@ -57,12 +55,10 @@ def _cmd_omega(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    """Run cell 0 of the config with seed index 0 for t_max_steps steps."""
-    cfg = _load_config(args.config, args.seed)
-    _, _, traj = simulate_cell(cfg, 0, 0, cfg.t_max_steps)
+    """Write the run a sweep scores for (cell 0, seed 0), and print its stationarity verdict."""
+    _, _, traj, stat = simulate_cell(_load_config(args.config, args.seed), 0, 0)
     with _output(args.out) as fh:
         traj.to_csv(fh)
-    stat = detect_stationarity(traj.infected_density, cfg.stat_window, cfg.stat_tol)
     if stat.fired:
         print(f"stationary at t={stat.t_s}, rho_hat={stat.rho_hat:.9f}", file=sys.stderr)
     else:

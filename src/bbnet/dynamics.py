@@ -70,6 +70,10 @@ class EpidemicParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ParameterError(f"need a real number {name}, got {value!r}")
+        for name in ("reimitation", "imitate_infected_only"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ParameterError(f"need a bool {name}, got {value!r}")
         if not 0.0 <= self.nu <= 1.0:
             raise ParameterError(f"need 0 <= nu <= 1, got {self.nu}")
         if not 0.0 <= self.delta <= 1.0:

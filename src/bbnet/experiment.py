@@ -28,7 +28,8 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .analysis import EmergenceReport, c_of_N, detect_stationarity, emergence_report
+from .analysis import (EmergenceReport, StationarityResult, c_of_N, detect_stationarity,
+                       emergence_report)
 from .dynamics import EpidemicParams, Trajectory, run_sim
 from .errors import ParameterError, check_int
 from .graph import NetworkParams, generate_ba, write_edge_list
@@ -71,9 +72,9 @@ def _describe(kind: str) -> str:
     return _KINDS[kind][1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one sweep; every field is echoed into summary.json."""
+    """One sweep, echoed into summary.json. Frozen: checked when made and by dataclasses.replace."""
 
     n_values: list[int]
     m_values: list[int]
@@ -246,16 +247,15 @@ def simulate_cell(
     config: ExperimentConfig,
     cell_index: int,
     seed_index: int,
-    t_max_steps: int,
     graph_dir: str | Path | None = None,
-) -> tuple[np.ndarray, EpidemicParams, Trajectory]:
-    """One run of one grid cell: (own fitness, SIS params, trajectory).
+) -> tuple[np.ndarray, EpidemicParams, Trajectory, StationarityResult]:
+    """One run of one grid cell: (own fitness, SIS params, trajectory, stationarity).
 
-    The run's Generator is drawn in a fixed order: graph growth, program
-    bits, initial infected set, step uniforms. Scoring the programs draws
-    nothing. With graph_dir set, the topology is exported as
-    graph_<cell>_<seed>.edges (filenames are unique, so parallel workers
-    never collide).
+    The one place that sets a run's length, max(t_max_steps, c(N)) steps, and
+    its stationarity verdict, for ``bbnet sweep`` and ``bbnet simulate`` alike.
+    The run's Generator is drawn in a fixed order: graph growth, program bits,
+    initial infected set, step uniforms; scoring draws nothing. With graph_dir
+    set, the topology is exported as graph_<cell>_<seed>.edges, which no other run writes.
     """
     n, m, nu, delta = config.cells()[cell_index]
     seed = derive_seed(config.master_seed, cell_index, seed_index)
@@ -273,7 +273,10 @@ def simulate_cell(
         reimitation=config.reimitation,
         imitate_infected_only=config.imitate_infected_only,
     )
-    return own, params, run_sim(g, own, params, t_max_steps, rng)
+    steps = max(config.t_max_steps, c_of_N(n, config.c_exponent))
+    traj = run_sim(g, own, params, steps, rng)
+    stat = detect_stationarity(traj.infected_density, config.stat_window, config.stat_tol)
+    return own, params, traj, stat
 
 
 def run_cell_seed(
@@ -283,12 +286,10 @@ def run_cell_seed(
     omega_hat: float,
     graph_dir: str | Path | None = None,
 ) -> RunRecord:
-    """Execute one grid cell with one derived seed, for at least c(N) steps."""
+    """Score one grid cell's run with one derived seed (``simulate_cell``) against omega_hat."""
     n, m, nu, delta = config.cells()[cell_index]
     started = time.perf_counter()
-    horizon = max(config.t_max_steps, c_of_N(n, config.c_exponent))
-    own, params, traj = simulate_cell(config, cell_index, seed_index, horizon, graph_dir)
-    stat = detect_stationarity(traj.infected_density, config.stat_window, config.stat_tol)
+    own, params, traj, stat = simulate_cell(config, cell_index, seed_index, graph_dir)
     lam = params.spreading_rate
     report = emergence_report(
         traj, omega_hat, m, lam, n, config.c_exponent, config.t0, own, stat

@@ -169,6 +169,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert out.read_text().count("\n") == 30 + 2  # header + rows 0..30
 
+    def test_writes_and_judges_the_run_the_sweep_scored(self, tmp_path, capsys):
+        # t_max_steps 4 < c(100) = 10: the run, as the sweep scores it, is 10 steps long
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(
+            n_values=[100], m_values=[3], nu_values=[0.25], delta_values=[1.0],
+            t_max_steps=4, stat_window=2, stat_tol=0.05, t_max=200,
+        )))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        verdict = capsys.readouterr().err.strip()
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        record = (tmp_path / "sweep" / "records.csv").read_text().splitlines()
+        row = dict(zip(record[0].split(","), record[1].split(",")))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(11))
+        assert verdict == "stationary at t=4, rho_hat=0.267142857"
+        assert verdict == f"stationary at t={row['t_s']}, rho_hat={row['rho_hat']}"
+        tau_e = sum(float(r[1]) for r in rows[1:11]) / 10  # rows t0 = 1 .. c(N) = 10
+        assert f"{tau_e:.9f}" == row["tau_E"] == "0.219000000"
+
     def test_seed_overrides_master_seed(self, tmp_path):
         # the default config has master_seed 5, so --seed 11 must run as master_seed 11
         (tmp_path / "seeded").mkdir()

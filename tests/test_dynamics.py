@@ -1,6 +1,7 @@
 """SIS imitation dynamics: exact small-case oracles and invariants."""
 
 import io
+import re
 from typing import Sequence
 
 import numpy as np
@@ -159,6 +160,18 @@ class TestParams:
     def test_numpy_numbers_taken(self):
         params = EpidemicParams(nu=np.float32(0.5), delta=np.int64(1), rho0=1)
         assert params.spreading_rate == 0.5
+
+    @pytest.mark.parametrize("name", ["reimitation", "imitate_infected_only"])
+    @pytest.mark.parametrize("value", ["no", 1, 0, 1.0, None, np.int64(1)], ids=repr)
+    def test_non_bool_flag_refused(self, name, value):
+        kwargs = {"nu": 0.5, "delta": 0.5, name: value}
+        with pytest.raises(ParameterError, match=f"^need a bool {name}, got {re.escape(repr(value))}$"):
+            EpidemicParams(**kwargs)
+
+    @pytest.mark.parametrize("flag", [False, True, np.False_, np.True_], ids=repr)
+    def test_python_and_numpy_bool_flags_taken(self, flag):
+        params = EpidemicParams(nu=0.5, delta=0.5, reimitation=flag, imitate_infected_only=flag)
+        assert params.reimitation is flag and params.imitate_infected_only is flag
 
 
 class TestInit:

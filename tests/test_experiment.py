@@ -187,6 +187,18 @@ class TestConfig:
         echoed = ExperimentConfig.from_json_file(path).to_dict()
         assert {key: echoed[key] for key in data} == data
 
+    def test_frozen_and_checked_again_on_replace(self):
+        # checked when made, so no later change can skip the check
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_values = [1]
+        with pytest.raises(ParameterError) as owner:
+            NetworkParams(n=1, m=2)
+        with pytest.raises(ParameterError) as replaced:
+            dataclasses.replace(cfg, n_values=[1])
+        assert str(replaced.value) == str(owner.value)
+        assert dataclasses.replace(cfg, master_seed=3) == tiny_config(master_seed=3)
+
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
         p = tmp_path / "cfg.json"
@@ -265,10 +277,15 @@ class TestRunExperiment:
         assert sizes == pool_sizes
 
     def test_horizon_covers_c_of_n(self):
-        # c(N) = 10 for N=100 but t_max_steps=4: horizon must stretch
+        # c(N) = 10 for N=100 but t_max_steps=4: simulate_cell stretches the run,
+        # judges all of it, and the record scores that run and that verdict
         cfg = tiny_config(n_values=[100], t_max_steps=4)
         records, _ = run_experiment(cfg)
         assert records[0].report.c_of_n == 10
+        _, _, traj, stat = experiment.simulate_cell(cfg, 0, 0)
+        assert traj.last_t == 10
+        assert stat == detect_stationarity(traj.infected_density, cfg.stat_window, cfg.stat_tol)
+        assert (records[0].report.t_s, records[0].report.rho_hat) == (stat.t_s, stat.rho_hat)
 
 
 class TestRecordsCsv:
