@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from statistics import median
@@ -74,7 +73,9 @@ def _describe(kind: str) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep, echoed into summary.json. Frozen: checked when made and by dataclasses.replace."""
+    """One sweep, echoed into summary.json. Frozen: checked when made and by
+    dataclasses.replace. The grid lists are stored as tuples, so that no
+    change in place can get round the check; ``to_dict`` writes them as lists."""
 
     n_values: list[int]
     m_values: list[int]
@@ -98,6 +99,10 @@ class ExperimentConfig:
     imitate_infected_only: bool = False
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("list[") and isinstance(value, list):
+                object.__setattr__(self, f.name, tuple(value))
         self.validate()
 
     def validate(self) -> None:
@@ -153,7 +158,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     def cells(self) -> list[tuple[int, int, float, float]]:
         """Grid cells in sweep order: product of N, m, nu, delta values."""
@@ -321,6 +326,9 @@ def run_experiment(
             itertools.repeat(omega_hat), itertools.repeat(graph_dir))
     workers = min(workers, len(cells))  # a pool starts all its workers at its first submit
     if workers > 1:
+        # imported here: the pool's modules cost every other call their load time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_cell_seed, *args))
     else:

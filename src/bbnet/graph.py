@@ -71,7 +71,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list; rejects self-loops and duplicates."""
+        """Build a graph from an edge list; rejects self-loops, ids outside
+        0..n-1 and duplicates, in that order.
+
+        Each check is one reduction over the whole list; the first offending
+        edge is looked up only once a check has failed.
+        """
         n = check_int("n", n, 0, _MAX_NODES + 1)
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         e = e.reshape(0, 2) if e.shape == (0,) else e
@@ -80,15 +85,19 @@ class Graph:
         u, v = e.T
         if (u == v).any():
             raise ParameterError(f"self-loop at node {u[u == v][0]}")
-        outside = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))
-        if len(outside):
-            raise ParameterError(f"edge ({u[outside[0]]},{v[outside[0]]}) outside 0..{n - 1}")
+        if e.size and (e.min() < 0 or e.max() >= n):
+            bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))[0]
+            raise ParameterError(f"edge ({u[bad]},{v[bad]}) outside 0..{n - 1}")
         g = cls._from_half_edges(n, u, v)
-        # A duplicate edge is the same neighbour twice in one sorted row.
-        rows = g._row_ids()
-        dup = np.flatnonzero((np.diff(g.indices) == 0) & (np.diff(rows) == 0))
-        if len(dup):
-            raise ParameterError(f"duplicate edge ({rows[dup[0]]}, {g.indices[dup[0]]})")
+        # A duplicate edge is the same neighbour twice in one sorted row:
+        # slot i repeats slot i - 1, and no row starts at i.
+        repeat = np.zeros(len(g.indices) + 1, dtype=bool)
+        repeat[1:-1] = g.indices[1:] == g.indices[:-1]
+        repeat[g.indptr] = False
+        if repeat.any():
+            i = int(repeat.argmax())
+            row = int(np.searchsorted(g.indptr, i, side="right")) - 1
+            raise ParameterError(f"duplicate edge ({row}, {g.indices[i]})")
         return g
 
     @classmethod
@@ -333,17 +342,42 @@ def approx_diameter(g: Graph) -> int:
 _WRITE_CHUNK = 1 << 16
 
 
+def _id_text(ids: np.ndarray, width: int) -> str:
+    """``ids`` in decimal, each followed by ``' '`` at an even position and by
+    ``'\n'`` at an odd one, so consecutive pairs make "u v" rows.
+
+    Every id lies in 0..10**width - 1 and below ``_MAX_NODES`` < 2**32, so
+    uint32 holds it exactly. Its digits are taken by repeated ``// 10`` into
+    a (ids, width + 1) byte matrix; one mask drops the leading zeros.
+    """
+    x = ids.astype(np.uint32)
+    cells = np.empty((len(x), width + 1), dtype=np.uint8)
+    cells[0::2, width] = ord(" ")
+    cells[1::2, width] = ord("\n")
+    rest = x
+    for col in range(width - 1, -1, -1):
+        q = rest // 10
+        cells[:, col] = rest - q * 10 + ord("0")
+        rest = q
+    # column col is a leading zero of every id below 10**(width - 1 - col);
+    # the last digit and the separator are always kept
+    floors = np.zeros(width + 1, dtype=np.uint32)
+    floors[:width - 1] = 10 ** np.arange(width - 1, 0, -1, dtype=np.uint32)
+    return cells[x[:, None] >= floors].tobytes().decode("ascii")
+
+
 def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
     """Emit the bit-exact edge-list format: header "N m seed", then "u v" rows.
 
     Rows have u < v and are sorted lexicographically. Each chunk of
-    ``_WRITE_CHUNK`` edges is formatted by one ``%`` over its flattened ids.
+    ``_WRITE_CHUNK`` edges is formatted by ``_id_text`` as one byte matrix
+    and written at once.
     """
     out.write(f"{g.n} {m} {seed}\n")
     edges = g.edges()
+    width = len(str(max(g.n - 1, 0)))
     for lo in range(0, len(edges), _WRITE_CHUNK):
-        part = edges[lo:lo + _WRITE_CHUNK]
-        out.write(("%d %d\n" * len(part)) % tuple(part.ravel().tolist()))
+        out.write(_id_text(edges[lo:lo + _WRITE_CHUNK].ravel(), width))
 
 
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:

@@ -1,8 +1,12 @@
 """Sweep orchestration: determinism, record layout, aggregation."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,6 +203,15 @@ class TestConfig:
         assert str(replaced.value) == str(owner.value)
         assert dataclasses.replace(cfg, master_seed=3) == tiny_config(master_seed=3)
 
+    @pytest.mark.parametrize("name", ["n_values", "m_values", "nu_values", "delta_values"])
+    def test_grid_lists_cannot_change_in_place(self, name):
+        # a list appended to after the check would reach the first run unchecked
+        cfg = tiny_config()
+        with pytest.raises(AttributeError):
+            getattr(cfg, name).append(1)
+        assert cfg == tiny_config()
+        assert type(cfg.to_dict()[name]) is list
+
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
         p = tmp_path / "cfg.json"
@@ -271,10 +284,19 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         records, _ = run_experiment(tiny_config(n_seeds=runs), workers=workers)
         assert [r.seed_index for r in records] == list(range(runs))
         assert sizes == pool_sizes
+
+    def test_import_leaves_the_pool_unloaded(self):
+        # only a sweep with workers > 1 builds a pool; every other call skips its modules
+        src = str(Path(experiment.__file__).parents[1])
+        code = ("import sys, bbnet, bbnet.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_horizon_covers_c_of_n(self):
         # c(N) = 10 for N=100 but t_max_steps=4: simulate_cell stretches the run,

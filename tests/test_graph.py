@@ -570,6 +570,46 @@ class TestArrayPathsMatchLoops:
         for name, g in ORACLE_GRAPHS:
             assert written(g, 1, 0) == write_oracle(g, 1, 0), name
 
+    def test_write_at_digit_width_boundaries(self):
+        # each id one below and at a power of ten, up to the six digits of n - 1
+        edges = [(10**k - 1, 10**k) for k in range(1, 6)] + [(0, 1), (0, 100_000)]
+        g = Graph.from_edges(100_001, edges)
+        assert written(g, 2, 5) == write_oracle(g, 2, 5)
+        assert written(g, 2, 5).endswith("\n99999 100000\n")
+
+    @pytest.mark.parametrize("n,edges", [(2, [(0, 1)]), (0, []), (1, []), (5, [])],
+                             ids=["two-nodes", "empty", "one-node", "no-edges"])
+    def test_write_small_and_edgeless(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        assert written(g, 1, 9) == write_oracle(g, 1, 9)
+
+    def test_id_text_spans_the_id_range(self):
+        top = bbnet.graph._MAX_NODES - 1
+        ids = np.array([0, top, top, 0, 7, 10], dtype=np.int64)
+        assert bbnet.graph._id_text(ids, 10) == f"0 {top}\n{top} 0\n7 10\n"
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (4, [(0, 1), (2, 5), (-1, 3)], "edge (2,5) outside 0..3"),
+            (4, [(0, 1), (-1, 3), (2, 5)], "edge (-1,3) outside 0..3"),
+            (0, [(0, 1)], "edge (0,1) outside 0..-1"),
+            (4, [(0, 3), (1, 2), (3, 0), (2, 1)], "duplicate edge (0, 3)"),
+            (6, [(3, 5), (1, 2), (5, 3), (4, 5), (5, 4)], "duplicate edge (3, 5)"),
+        ],
+        ids=["past-n", "negative", "no-nodes", "first-row", "after-empty-rows"],
+    )
+    def test_from_edges_names_the_first_bad_edge(self, n, edges, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            Graph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("n,edges", [(4, [(0, 2), (1, 2)]), (7, [(2, 5), (3, 5), (5, 6)])],
+                             ids=["rows-0-1", "empty-rows-around"])
+    def test_equal_neighbours_across_a_row_start_accepted(self, n, edges):
+        # rows 0 and 1 (2 and 3) both end in the same neighbour, with empty rows around
+        g = Graph.from_edges(n, edges)
+        assert edge_pairs(g) == sorted(edges)
+
     def test_gather_lists_rows_in_order(self):
         g = Graph.from_edges(7, [(0, 3), (3, 4), (4, 1), (0, 1), (1, 3)])  # 2, 5, 6 isolated
         rows = np.array([2, 1, 5, 3, 6, 0, 1])
