@@ -11,8 +11,9 @@ diameter's frontier BFS walk rows through one primitive, ``Graph.gather``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class Graph:
         if e.size and (e.min() < 0 or e.max() >= n):
             bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))[0]
             raise ParameterError(f"edge ({u[bad]},{v[bad]}) outside 0..{n - 1}")
-        g = cls._from_half_edges(n, u, v)
+        g = cls._from_half_edges(n, [(u, v)])
         # A duplicate edge is the same neighbour twice in one sorted row:
         # slot i repeats slot i - 1, and no row starts at i.
         repeat = np.zeros(len(g.indices) + 1, dtype=bool)
@@ -101,17 +102,28 @@ class Graph:
         return g
 
     @classmethod
-    def _from_half_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
-        a = np.concatenate([u, v])
-        b = np.concatenate([v, u])
-        # Sorting a * n + b orders the half-edges by row, then by neighbour,
-        # in one pass.
-        key = a * np.int64(n) + b
-        key.sort()
-        degrees = np.bincount(a, minlength=n)
+    def _from_half_edges(cls, n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> "Graph":
+        """The graph of the edges (u[i], v[i]) of every block (u, v).
+
+        Sorting the keys a * n + b orders the half-edges by row, then by
+        neighbour, in one pass. Both directions' keys of every block are
+        written into one array, which the sort and ``key % n`` then turn into
+        ``indices`` in place; the degrees are counted into ``indptr``.
+        """
+        key = np.empty(2 * sum(len(u) for u, _ in blocks), dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        return cls(n, indptr, key % n)
+        lo = 0
+        for u, v in blocks:
+            for a, b in ((u, v), (v, u)):
+                part = key[lo:lo + len(a)]
+                np.multiply(a, n, out=part)
+                part += b
+                indptr[1:] += np.bincount(a, minlength=n)
+                lo += len(a)
+        key.sort()
+        np.cumsum(indptr, out=indptr)
+        np.remainder(key, n, out=key)
+        return cls(n, indptr, key)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -135,16 +147,32 @@ class Graph:
         slots += np.arange(len(slots))
         return self.indices[slots], offsets
 
-    def _row_ids(self) -> np.ndarray:
-        """The row of every half-edge slot of ``indices``."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+    def _edge_blocks(self) -> Iterator[np.ndarray]:
+        """The edges (u, v) with u < v in lexicographic order, as int64
+        ``(k, 2)`` blocks: the upper half of the CSR rows, taken
+        ``_WRITE_CHUNK`` half-edge slots at a time."""
+        slots = len(self.indices)
+        for lo in range(0, slots, _WRITE_CHUNK):
+            hi = min(lo + _WRITE_CHUNK, slots)
+            first = int(np.searchsorted(self.indptr, lo, side="right")) - 1
+            last = int(np.searchsorted(self.indptr, hi, side="left"))
+            # rows first..last-1 hold the slots lo..hi-1; their bounds
+            # clipped to [lo, hi] give each row's share
+            lengths = np.diff(np.clip(self.indptr[first:last + 1], lo, hi))
+            rows = np.repeat(np.arange(first, last, dtype=np.int64), lengths)
+            nbrs = self.indices[lo:hi]
+            upper = rows < nbrs
+            yield np.column_stack((rows[upper], nbrs[upper]))
 
     def edges(self) -> np.ndarray:
         """The ``(E, 2)`` int64 array of edges (u, v) with u < v, in
-        lexicographic order: the upper half of the CSR rows, row after row."""
-        rows = self._row_ids()
-        upper = rows < self.indices
-        return np.column_stack((rows[upper], self.indices[upper]))
+        lexicographic order, filled block by block from ``_edge_blocks``."""
+        out = np.empty((self.num_edges, 2), dtype=np.int64)
+        k = 0
+        for block in self._edge_blocks():
+            out[k:k + len(block)] = block
+            k += len(block)
+        return out
 
 
 @dataclass(frozen=True)
@@ -168,6 +196,9 @@ class DegreeFit:
 
 # Nodes in the first segment of BA growth, and the fewest after a duplicate pick.
 _SEGMENT = 64
+# The most nodes in one segment: a segment's draws and _pool_nodes' arrays
+# stay bounded however large the graph.
+_SEGMENT_CAP = 1 << 14
 
 
 def _pool_nodes(q: np.ndarray, picks: np.ndarray, m0: int, start: int,
@@ -238,7 +269,7 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
         dup = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
         if not len(dup):
             picks[start - m0:stop - m0] = seg
-            start, length = stop, 2 * length
+            start, length = stop, min(2 * length, _SEGMENT_CAP)
             continue
         d = start + int(dup[0])
         picks[start - m0:d - m0] = seg[:d - start]
@@ -253,12 +284,10 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
         picks[d - m0] = chosen
         start, length = d + 1, max(_SEGMENT, length // 2)
 
-    u, v = np.triu_indices(m0, 1)
-    return Graph._from_half_edges(
-        n,
-        np.concatenate([u, picks.ravel()]),
-        np.concatenate([v, np.repeat(np.arange(m0, n, dtype=np.int64), m)]),
-    )
+    return Graph._from_half_edges(n, [
+        np.triu_indices(m0, 1),
+        (picks.ravel(), np.repeat(np.arange(m0, n, dtype=np.int64), m)),
+    ])
 
 
 def degree_ccdf(g: Graph) -> list[tuple[int, float]]:
@@ -337,7 +366,8 @@ def approx_diameter(g: Graph) -> int:
     return int(max(d1.max(), d2.max()))
 
 
-# Edges per write in write_edge_list: the text held at once stays bounded
+# Half-edge slots per block of Graph._edge_blocks, so at most that many edges:
+# what edges() and write_edge_list hold besides their output stays bounded
 # whatever the graph's size.
 _WRITE_CHUNK = 1 << 16
 
@@ -369,23 +399,23 @@ def _id_text(ids: np.ndarray, width: int) -> str:
 def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
     """Emit the bit-exact edge-list format: header "N m seed", then "u v" rows.
 
-    Rows have u < v and are sorted lexicographically. Each chunk of
-    ``_WRITE_CHUNK`` edges is formatted by ``_id_text`` as one byte matrix
+    Rows have u < v and are sorted lexicographically. Each block of
+    ``Graph._edge_blocks`` is formatted by ``_id_text`` as one byte matrix
     and written at once.
     """
     out.write(f"{g.n} {m} {seed}\n")
-    edges = g.edges()
     width = len(str(max(g.n - 1, 0)))
-    for lo in range(0, len(edges), _WRITE_CHUNK):
-        out.write(_id_text(edges[lo:lo + _WRITE_CHUNK].ravel(), width))
+    for block in g._edge_blocks():
+        out.write(_id_text(block.ravel(), width))
 
 
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
     """Parse the edge-list format written by write_edge_list; blank lines are skipped.
 
-    The header holds no m0: the params carry m0 = min(m + 1, n), not read from the file."""
+    The header holds no m0: the params carry m0 = min(m + 1, n), not read from the file.
+    The body is parsed by ``np.loadtxt`` straight from the stream."""
     try:
-        header, body = inp.readline().split(), inp.read()
+        header = inp.readline().split()
     except UnicodeDecodeError as exc:
         raise ParameterError(f"cannot decode edge list: {exc}") from None
     if len(header) != 3:
@@ -396,9 +426,12 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
         raise ParameterError(f"edge-list header fields must be integers, got {header}") from None
     params = NetworkParams(n=n, m=m, m0=min(m + 1, n), seed=seed)
     try:
-        # An all-blank body would make loadtxt warn, so it is read as no edges.
-        edges = (np.loadtxt(body.splitlines(), dtype=np.int64, comments=None, ndmin=2)
-                 if body.strip() else [])
+        with warnings.catch_warnings():
+            # an empty or all-blank body is no edges, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            edges = np.loadtxt(inp, dtype=np.int64, comments=None, ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot decode edge list: {exc}") from None
     except ValueError as exc:
         raise ParameterError(f"malformed edge-list row: {exc}") from None
-    return Graph.from_edges(n, edges), params
+    return Graph.from_edges(n, edges if edges.size else edges.reshape(0, 2)), params

@@ -1,7 +1,9 @@
 """Graph construction, degree statistics, and edge-list round trips."""
 
 import io
+import os
 import re
+import tracemalloc
 import warnings
 from collections import deque
 
@@ -340,6 +342,20 @@ class TestSegmentGrowthMatchesLoop:
         assert any(d == first for d, (first, _) in redrawn)
         assert any(d == last for d, (_, last) in redrawn)
 
+    def test_capped_segments_draw_like_the_loop(self, monkeypatch):
+        lengths = []
+        resolve = bbnet.graph._pool_nodes
+
+        def spy(q, picks, m0, start, raw):
+            if q is raw:
+                lengths.append(len(raw) // picks.shape[1])
+            return resolve(q, picks, m0, start, raw)
+
+        monkeypatch.setattr(bbnet.graph, "_SEGMENT_CAP", 100)
+        monkeypatch.setattr(bbnet.graph, "_pool_nodes", spy)
+        assert_ba_matches_reference(NetworkParams(n=6_000, m=2, seed=4))
+        assert max(lengths) == 100 and lengths.count(100) > 10
+
     @given(
         n=st.integers(2, 250),
         m=st.integers(1, 5),
@@ -484,8 +500,13 @@ class TestEdgeList:
         with pytest.raises(ParameterError, match=message):
             read_edge_list(io.StringIO(header + "\n0 1\n"))
 
-    @pytest.mark.parametrize("text", [b"\xff\xfe4 1 0\n0 1\n", b"4 1 0\n0 1\n\xff\n"],
-                             ids=["header", "body"])
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe4 1 0\n0 1\n", b"4 1 0\n0 1\n\xff\n",
+         # past the first chunk the stream decodes, while loadtxt is parsing
+         b"30001 1 0\n" + "".join(f"{i} {i + 1}\n" for i in range(30_000)).encode() + b"\xff\n"],
+        ids=["header", "body", "deep-in-body"],
+    )
     def test_undecodable_text_rejected(self, text):
         with pytest.raises(ParameterError, match="cannot decode edge list: 'utf-8' codec"):
             read_edge_list(io.TextIOWrapper(io.BytesIO(text), encoding="utf-8"))
@@ -556,7 +577,7 @@ class TestArrayPathsMatchLoops:
             cases.append((g.n, u, v))
         for n, u, v in cases:
             u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-            got, expected = Graph._from_half_edges(n, u, v), lexsort_half_edges(n, u, v)
+            got, expected = Graph._from_half_edges(n, [(u, v)]), lexsort_half_edges(n, u, v)
             assert np.array_equal(got.indptr, expected.indptr)
             assert np.array_equal(got.indices, expected.indices)
             assert got.indices.dtype == np.int64
@@ -646,3 +667,60 @@ class TestArrayPathsMatchLoops:
                 assert edge_pairs(g) == expected
                 check_invariants(g)
         assert 150 <= flaws <= 240  # both verdicts are well exercised
+
+
+def traced_peak(call):
+    """tracemalloc's peak, in bytes, over one ``call()``; a first call beforehand
+    loads what the call loads once per process."""
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The graph layer's tracemalloc peaks, against the bytes of the CSR
+    arrays it builds (N = 2e4, m = 3): no call holds several copies of the graph."""
+
+    @pytest.fixture(scope="class")
+    def grown(self):
+        g = generate_ba(NetworkParams(n=20_000, m=3, seed=0))
+        return g, g.indptr.nbytes + g.indices.nbytes
+
+    def test_half_edge_sort(self, grown):
+        g, csr = grown
+        u, v = (np.ascontiguousarray(col) for col in g.edges().T)
+        assert traced_peak(lambda: Graph._from_half_edges(g.n, [(u, v)])) <= 1.5 * csr
+
+    def test_from_edges(self, grown):
+        g, csr = grown
+        edges = g.edges()
+        assert traced_peak(lambda: Graph.from_edges(g.n, edges)) <= 2 * csr
+
+    def test_read_edge_list(self, grown, tmp_path):
+        g, csr = grown
+        path = tmp_path / "graph.edges"
+        with open(path, "w") as fh:
+            write_edge_list(g, fh, 3, 0)
+
+        def read():
+            with open(path) as fh:
+                return read_edge_list(fh)
+
+        assert traced_peak(read) <= 3 * csr
+
+    def test_generate_ba(self, grown):
+        _, csr = grown
+        assert traced_peak(lambda: generate_ba(NetworkParams(n=20_000, m=3, seed=0))) <= 3 * csr
+
+    def test_write_peak_independent_of_n(self):
+        peaks = []
+        for n in (100_000, 400_000):
+            g = generate_ba(NetworkParams(n=n, m=2, seed=0))
+            with open(os.devnull, "w") as sink:
+                peaks.append(traced_peak(lambda: write_edge_list(g, sink, 2, 0)))
+        assert peaks[1] < 1.25 * peaks[0], peaks
