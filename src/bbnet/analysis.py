@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ def theoretical_prevalence(m: int, lam: float) -> float:
     outside the small-m*lambda regime (callers clamp for reporting).
     """
     m = check_int("m", m, 1)
+    check_real("lambda", lam)
     if not lam > 0:
         raise ParameterError(f"need lambda > 0, got {lam}")
     return 2.0 * math.exp(-1.0 / (m * lam))
@@ -71,9 +72,13 @@ def detect_stationarity(
     Fires at the first t >= 2*window where the last two window means differ
     by at most tol; rho_hat is the mean from t to the end of the series
     (falling back to the last window when the tail is empty). Returns a
-    non-result if the detector never fires.
+    non-result if the detector never fires. The means are cumsum differences,
+    so a gap equal to tol in exact arithmetic is decided by their rounding.
+    Pins A and D of tests/test_byte_identity.py rest on that: a run in each
+    fires at t = 9, though its exact gap at t = 8 already equals tol.
     """
     window = check_int("window", window, 2)
+    check_real("tol", tol)
     if not 0 < tol < math.inf:
         raise ParameterError(f"need finite tol > 0, got {tol}")
     s = np.asarray(series, dtype=float)
@@ -95,6 +100,7 @@ def detect_stationarity(
 def c_of_N(n: int, c_exponent: float) -> int:
     """Cycle bound ceil(N^C) for 0 < C <= 1."""
     n = check_int("N", n, 1)
+    check_real("C", c_exponent)
     if not 0.0 < c_exponent <= 1.0:
         raise ParameterError(f"need 0 < C <= 1, got {c_exponent}")
     x = float(n) ** c_exponent

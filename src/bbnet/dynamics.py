@@ -41,12 +41,11 @@ step is checked against, ``_step_reference``, lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import TextIO
 
 import numpy as np
 
-from .errors import ParameterError, check_int
+from .errors import ParameterError, check_int, check_real
 from .graph import Graph
 
 
@@ -67,9 +66,7 @@ class EpidemicParams:
 
     def __post_init__(self) -> None:
         for name in ("nu", "delta", "rho0"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ParameterError(f"need a real number {name}, got {value!r}")
+            check_real(name, getattr(self, name))
         for name in ("reimitation", "imitate_infected_only"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
@@ -169,22 +166,20 @@ def step(
     # neighbour, so its row is not empty, and masking the susceptible with
     # the int64 minimum leaves a real value to copy. reduceat needs every
     # row non-empty: it reads an empty row as the next row's first value.
-    # The counts for the next step start from the newly infected rows.
+    # Zero rows give empty gathers and zero counts. The counts for the next
+    # step start from the newly infected rows.
     new_rows = np.flatnonzero(new_inf)
-    next_n_inf = np.zeros(g.n, dtype=np.intp)
-    if len(new_rows):
-        new_nbrs, offsets = g.gather(new_rows)
-        source = carried
-        if params.imitate_infected_only:
-            source = np.where(infected, source, np.iinfo(np.int64).min)
-        new_carried[new_rows] = np.maximum.reduceat(source[new_nbrs], offsets)
-        next_n_inf = np.bincount(new_nbrs, minlength=g.n)
+    new_nbrs, offsets = g.gather(new_rows)
+    source = carried
+    if params.imitate_infected_only:
+        source = np.where(infected, source, np.iinfo(np.int64).min)
+    new_carried[new_rows] = np.maximum.reduceat(source[new_nbrs], offsets)
+    next_n_inf = np.bincount(new_nbrs, minlength=g.n)
     if params.reimitation:
         upd_rows = np.flatnonzero(stays & (u[:, 2] < params.nu) & (g.degrees > 0))
-        if len(upd_rows):
-            nbrs, offsets = g.gather(upd_rows)
-            nbr_max = np.maximum.reduceat(carried[nbrs], offsets)
-            new_carried[upd_rows] = np.maximum(new_carried[upd_rows], nbr_max)
+        nbrs, offsets = g.gather(upd_rows)
+        nbr_max = np.maximum.reduceat(carried[nbrs], offsets)
+        new_carried[upd_rows] = np.maximum(new_carried[upd_rows], nbr_max)
 
     # The nodes infected after this step are those that stay infected plus
     # the newly infected, whose counts are made above. The rows of the nodes

@@ -1,14 +1,16 @@
-"""The one exception type bbnet raises for out-of-contract input, and the one integer rule.
+"""The one exception type bbnet raises for out-of-contract input, and the integer and real rules.
 
 Every layer refuses bad input with ``ParameterError`` (the CLI's exit code
 2). The integer parameters of every layer, from the BA graph's N and m to a
 sweep's worker count, pass ``check_int``, so each is refused in the same
 words. Seeds are not among them: they take any int and are masked to 64 bits.
+Real-number parameters pass ``check_real`` before their ranges are checked.
 """
 
 from __future__ import annotations
 
 import operator
+from numbers import Real
 
 
 class ParameterError(ValueError):
@@ -26,3 +28,9 @@ def check_int(name: str, value: int, least: int, below: int | None = None) -> in
     if below is not None and value >= below:
         raise ParameterError(f"need {name} < {below}, got {value}")
     return value
+
+
+def check_real(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a real number (numpy's too, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"need a real number {name}, got {value!r}")

@@ -108,21 +108,20 @@ class Graph:
         Sorting the keys a * n + b orders the half-edges by row, then by
         neighbour, in one pass. Both directions' keys of every block are
         written into one array, which the sort and ``key % n`` then turn into
-        ``indices`` in place; the degrees are counted into ``indptr``.
+        ``indices`` in place. A node occurs there once per edge: its count there is its degree.
         """
         key = np.empty(2 * sum(len(u) for u, _ in blocks), dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
         lo = 0
         for u, v in blocks:
             for a, b in ((u, v), (v, u)):
                 part = key[lo:lo + len(a)]
                 np.multiply(a, n, out=part)
                 part += b
-                indptr[1:] += np.bincount(a, minlength=n)
                 lo += len(a)
         key.sort()
-        np.cumsum(indptr, out=indptr)
         np.remainder(key, n, out=key)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=n), out=indptr[1:])
         return cls(n, indptr, key)
 
     @property
@@ -305,6 +304,7 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
     gamma_hat = 1 + |slope|, mapping the CCDF slope back to the density
     exponent. Requires at least 5 usable points.
     """
+    k_min = check_int("k_min", k_min, 1)
     pts = [(k, f) for k, f in ccdf if k >= k_min and f > 0]
     if len(pts) < 5:
         raise ParameterError(f"need >= 5 CCDF points with k >= {k_min}, got {len(pts)}")

@@ -244,12 +244,12 @@ class _Input:
     """Input w under a step budget, checked once and shared by every run of one call.
 
     Holds the initial tape (w from cell ``origin`` rightward, with room for
-    ``t_max`` moves either way), the tape cell of w's last 1, the outcomes
-    that runs return, so that no run builds one of its own, and the root of
-    each state count's tree (``_cached_outcome``).
+    ``t_max`` moves either way), the tape cell of w's last 1, the outcome of
+    a run that does not halt, and the root of each state count's tree
+    (``_cached_outcome``).
     """
 
-    __slots__ = ("t_max", "tape", "origin", "last1", "never", "_halted", "roots")
+    __slots__ = ("t_max", "tape", "origin", "last1", "never", "roots")
 
     def __init__(self, w: str, t_max: int):
         self.t_max = t_max = check_input(w, t_max)
@@ -259,15 +259,7 @@ class _Input:
         self.tape = bytes(tape)
         self.last1 = origin + w.rfind("1") if "1" in w else -1
         self.never = MachineOutcome(halted=False, steps=t_max, score=0)
-        self._halted: dict[tuple[int, int], MachineOutcome] = {}
         self.roots: dict[int, MachineOutcome | _Branch] = {}
-
-    def halted(self, steps: int, score: int) -> MachineOutcome:
-        """The outcome of a run that halted at step ``steps`` with ``score`` 1s on the tape."""
-        out = self._halted.get((steps, score))
-        if out is None:
-            out = self._halted[steps, score] = MachineOutcome(halted=True, steps=steps, score=score)
-        return out
 
 
 def _halt_reachable(rows: Sequence[Row]) -> bool:
@@ -323,7 +315,7 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
         pos += move
         if state < 0:
             if state == 2 * HALT:
-                return inp.halted(step, tape.count(1))
+                return MachineOutcome(halted=True, steps=step, score=tape.count(1))
             return MachineOutcome(halted=False, steps=step - 1, score=0, unfixed=2 * HALT - 1 - state)
         if pos < r_back:
             r_back = pos
@@ -373,27 +365,24 @@ class _Branch:
 def _cached_outcome(inp: _Input, k: int, t_int: int) -> MachineOutcome:
     """Outcome of program (k, t_int) on ``inp``, through the partial-table tree ``inp.roots[k]``.
 
-    At each branch a lookup takes the child for the row t_int gives the
-    entry the branch's run read; a child not built yet runs the blank table
-    with t_int's rows on the entries read on the way. The leaf reached is the
+    A lookup starts from the blank table and, at each branch, fixes the entry
+    the branch's run read to t_int's row, which keys the child to take; a
+    child not built yet runs the table as fixed so far. The leaf reached is the
     outcome of every table that agrees with t_int on those entries, since a
     run applies only the entries it reads. The pair is not checked here.
     """
     shifts, mask, rows, blank = _field_codes(k)
-    read = []
+    table = list(blank)
     children, key = inp.roots, k
     while True:
         node = children.get(key)
         if node is None:
-            table = list(blank)
-            for entry in read:
-                table[entry] = rows[t_int >> shifts[entry] & mask]
             out = run(table, inp)
             node = children[key] = out if out.unfixed is None else _Branch(out.unfixed)
         if type(node) is not _Branch:
             return node
-        read.append(node.entry)
-        children, key = node.children, rows[t_int >> shifts[node.entry] & mask]
+        key = table[node.entry] = rows[t_int >> shifts[node.entry] & mask]
+        children = node.children
 
 
 def population_fitness(

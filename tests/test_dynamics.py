@@ -239,13 +239,16 @@ class TestInit:
 
 
 class TestStep:
-    def test_nu_zero_no_new_infections(self):
+    @pytest.mark.parametrize("flags", FLAG_COMBOS, ids=FLAG_IDS)
+    def test_nu_zero_no_new_infections(self, flags):
+        # no node imitates, so every step gathers zero rows
         g = path_graph(50)
         rng = rng_from_seed(5)
         own, infected, carried, n_inf = make_state(g, [True] * 25 + [False] * 25, [1] * 50)
+        params = EpidemicParams(nu=0.0, delta=0.3, **flags)
         for _ in range(10):
-            nxt, carried, n_inf = step(g, EpidemicParams(nu=0.0, delta=0.3), own, infected,
-                                       carried, n_inf, rng.random((g.n, 3)))
+            nxt, carried, n_inf = step(g, params, own, infected, carried, n_inf,
+                                       rng.random((g.n, 3)))
             assert not (nxt & ~infected).any()
             infected = nxt
 

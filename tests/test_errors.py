@@ -1,4 +1,7 @@
-"""The one integer rule, ``errors.check_int``, at each argument outside the machine layer that passes it."""
+"""The integer and real rules, ``errors.check_int`` and ``errors.check_real``, at each
+argument outside the machine layer that passes them."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from bbnet.analysis import c_of_N, complexity_proxy, detect_stationarity, theore
 from bbnet.dynamics import EpidemicParams, run_sim
 from bbnet.errors import ParameterError
 from bbnet.experiment import ExperimentConfig, run_experiment, run_sweep_to_dir
-from bbnet.graph import Graph, NetworkParams, generate_ba
+from bbnet.graph import Graph, NetworkParams, degree_ccdf, fit_power_law, generate_ba
 from bbnet.rng import rng_from_seed
 
 GRAPH = generate_ba(NetworkParams(n=30, m=2, seed=3))
@@ -41,10 +44,11 @@ SITES = [
     ("N", lambda v: c_of_N(v, 0.5)),
     ("x", lambda v: complexity_proxy(v)),
     ("workers", lambda v: run_experiment(config(), workers=v)),
+    ("k_min", lambda v: fit_power_law(degree_ccdf(GRAPH), v)),
 ]
 SITE_IDS = ["params-n", "params-m", "from_edges-n", "run_sim-t_max_steps",
             "prevalence-m", "stationarity-window", "c_of_N-N", "complexity-x",
-            "run_experiment-workers"]
+            "run_experiment-workers", "fit_power_law-k_min"]
 
 
 @pytest.mark.parametrize("value", [2.0, True, "3"], ids=repr)
@@ -52,6 +56,25 @@ SITE_IDS = ["params-n", "params-m", "from_edges-n", "run_sim-t_max_steps",
 def test_non_integer_refused_naming_the_argument(name, call, value, monkeypatch):
     monkeypatch.setattr(experiment, "estimate_omega", no_omega)
     with pytest.raises(ParameterError, match=f"^need an integer {name}, got {value!r}$"):
+        call(value)
+
+
+# (argument name, call with that argument set to the value), one per place that
+# asks the real rule about an argument before its range check.
+REAL_SITES = [
+    ("C", lambda v: c_of_N(10, v)),
+    ("tol", lambda v: detect_stationarity(SERIES, 3, v)),
+    ("lambda", lambda v: theoretical_prevalence(3, v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None], ids=repr)
+@pytest.mark.parametrize("name, call", REAL_SITES, ids=["c_of_N-C", "stationarity-tol",
+                                                        "prevalence-lambda"])
+def test_non_real_refused_naming_the_argument(name, call, value):
+    # "0.5" and None raised TypeError at the range check, and c_of_N took True as 1
+    message = re.escape(f"need a real number {name}, got {value!r}")
+    with pytest.raises(ParameterError, match=f"^{message}$"):
         call(value)
 
 

@@ -699,7 +699,7 @@ class TestMemory:
     def test_from_edges(self, grown):
         g, csr = grown
         edges = g.edges()
-        assert traced_peak(lambda: Graph.from_edges(g.n, edges)) <= 2 * csr
+        assert traced_peak(lambda: Graph.from_edges(g.n, edges)) <= 1.4 * csr
 
     def test_read_edge_list(self, grown, tmp_path):
         g, csr = grown
@@ -711,7 +711,7 @@ class TestMemory:
             with open(path) as fh:
                 return read_edge_list(fh)
 
-        assert traced_peak(read) <= 3 * csr
+        assert traced_peak(read) <= 2.25 * csr
 
     def test_generate_ba(self, grown):
         _, csr = grown
