@@ -3,7 +3,7 @@
 Every layer refuses bad input with ``ParameterError`` (the CLI's exit code
 2). The integer parameters of every layer, from the BA graph's N and m to a
 sweep's worker count, pass ``check_int``, so each is refused in the same
-words. Seeds are not among them: they take any int and are masked to 64 bits.
+words. A graph's seed passes it unbounded: any int is masked to 64 bits.
 Real-number parameters pass ``check_real`` before their ranges are checked.
 """
 

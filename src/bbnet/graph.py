@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class NetworkParams:
     """Parameters of the preferential-attachment growth process.
 
     m0 defaults to m + 1, the smallest clique in which every seed node
-    already has degree >= m.
+    already has degree >= m. seed takes any integer; it is masked to 64 bits.
     """
 
     n: int
@@ -46,6 +46,7 @@ class NetworkParams:
         # no bound of its own: -1 stands for m + 1, and the range has the two rules below
         m0 = check_int("m0", self.m0, -math.inf)
         object.__setattr__(self, "m0", self.m + 1 if m0 == -1 else m0)
+        object.__setattr__(self, "seed", check_int("seed", self.seed, -math.inf))
         if not (self.m <= self.m0 <= self.n):
             raise ParameterError(
                 f"need m <= m0 <= n, got m={self.m}, m0={self.m0}, n={self.n}"
@@ -72,24 +73,27 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge list; rejects self-loops, ids outside
-        0..n-1 and duplicates, in that order.
+        """Build a graph from an edge list; rejects ids of a non-integer
+        dtype, self-loops, ids outside 0..n-1 and duplicates, in that order.
 
-        Each check is one reduction over the whole list; the first offending
-        edge is looked up only once a check has failed.
+        Zero rows in any shape are no edges. Whole floats are refused, as by
+        ``check_int``, but not a bool inside a list of ints: numpy makes it an
+        int. Each check is one reduction; the first bad edge is found on failure.
         """
         n = check_int("n", n, 0, _MAX_NODES + 1)
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
-        e = e.reshape(0, 2) if e.shape == (0,) else e
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        e = np.empty((0, 2), dtype=np.int64) if e.shape[:1] == (0,) else e
         if e.ndim != 2 or e.shape[1] != 2:
             raise ParameterError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        if e.dtype.kind not in "iu":
+            raise ParameterError(f"node ids must be integers, got dtype {e.dtype}")
         u, v = e.T
         if (u == v).any():
             raise ParameterError(f"self-loop at node {u[u == v][0]}")
-        if e.size and (e.min() < 0 or e.max() >= n):
+        if len(e) and (e.min() < 0 or e.max() >= n):
             bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))[0]
             raise ParameterError(f"edge ({u[bad]},{v[bad]}) outside 0..{n - 1}")
-        g = cls._from_half_edges(n, [(u, v)])
+        g = cls._from_half_edges(n, [e.astype(np.int64, copy=False).T])
         # A duplicate edge is the same neighbour twice in one sorted row:
         # slot i repeats slot i - 1, and no row starts at i.
         repeat = np.zeros(len(g.indices) + 1, dtype=bool)
@@ -146,47 +150,15 @@ class Graph:
         slots += np.arange(len(slots))
         return self.indices[slots], offsets
 
-    def _edge_blocks(self) -> Iterator[np.ndarray]:
-        """The edges (u, v) with u < v in lexicographic order, as int64
-        ``(k, 2)`` blocks: the upper half of the CSR rows, taken
-        ``_WRITE_CHUNK`` half-edge slots at a time."""
-        slots = len(self.indices)
-        for lo in range(0, slots, _WRITE_CHUNK):
-            hi = min(lo + _WRITE_CHUNK, slots)
-            first = int(np.searchsorted(self.indptr, lo, side="right")) - 1
-            last = int(np.searchsorted(self.indptr, hi, side="left"))
-            # rows first..last-1 hold the slots lo..hi-1; their bounds
-            # clipped to [lo, hi] give each row's share
-            lengths = np.diff(np.clip(self.indptr[first:last + 1], lo, hi))
-            rows = np.repeat(np.arange(first, last, dtype=np.int64), lengths)
-            nbrs = self.indices[lo:hi]
-            upper = rows < nbrs
-            yield np.column_stack((rows[upper], nbrs[upper]))
-
-    def edges(self) -> np.ndarray:
-        """The ``(E, 2)`` int64 array of edges (u, v) with u < v, in
-        lexicographic order, filled block by block from ``_edge_blocks``."""
-        out = np.empty((self.num_edges, 2), dtype=np.int64)
-        k = 0
-        for block in self._edge_blocks():
-            out[k:k + len(block)] = block
-            k += len(block)
-        return out
-
 
 @dataclass(frozen=True)
 class DegreeFit:
     """Power-law exponent fitted to the degree CCDF by log-log regression.
 
-    gamma_hat estimates the density exponent (CCDF slope magnitude + 1);
-    prefactor_hat is the empirical CCDF amplitude exp(intercept), reported
-    but not validated.
-    """
+    gamma_hat estimates the density exponent (CCDF slope magnitude + 1); it
+    must exceed 1, so a flat CCDF, which no power law has, is refused."""
 
     gamma_hat: float
-    k_min_used: int
-    r2: float
-    prefactor_hat: float = field(default=float("nan"))
 
     def __post_init__(self) -> None:
         if not self.gamma_hat > 1:
@@ -308,19 +280,9 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
     pts = [(k, f) for k, f in ccdf if k >= k_min and f > 0]
     if len(pts) < 5:
         raise ParameterError(f"need >= 5 CCDF points with k >= {k_min}, got {len(pts)}")
-    logk = np.log(np.array([k for k, _ in pts], dtype=float))
-    logf = np.log(np.array([f for _, f in pts], dtype=float))
-    slope, intercept = np.polyfit(logk, logf, 1)
-    pred = slope * logk + intercept
-    ss_res = float(np.sum((logf - pred) ** 2))
-    ss_tot = float(np.sum((logf - logf.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return DegreeFit(
-        gamma_hat=1.0 + abs(float(slope)),
-        k_min_used=k_min,
-        r2=r2,
-        prefactor_hat=float(np.exp(intercept)),
-    )
+    logk, logf = np.log(np.array(pts, dtype=float)).T
+    slope, _ = np.polyfit(logk, logf, 1)
+    return DegreeFit(gamma_hat=1.0 + abs(float(slope)))
 
 
 def _bfs_distances(g: Graph, src: int) -> np.ndarray:
@@ -366,9 +328,8 @@ def approx_diameter(g: Graph) -> int:
     return int(max(d1.max(), d2.max()))
 
 
-# Half-edge slots per block of Graph._edge_blocks, so at most that many edges:
-# what edges() and write_edge_list hold besides their output stays bounded
-# whatever the graph's size.
+# Half-edge slots per block of write_edge_list, so at most that many edges:
+# what it holds besides its output stays bounded whatever the graph's size.
 _WRITE_CHUNK = 1 << 16
 
 
@@ -399,21 +360,34 @@ def _id_text(ids: np.ndarray, width: int) -> str:
 def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
     """Emit the bit-exact edge-list format: header "N m seed", then "u v" rows.
 
-    Rows have u < v and are sorted lexicographically. Each block of
-    ``Graph._edge_blocks`` is formatted by ``_id_text`` as one byte matrix
-    and written at once.
-    """
+    m (>= 1) and seed pass ``check_int`` before anything is written; a header
+    with N < 2 or m > N is written but does not read back. Rows have u < v in
+    lexicographic order: the upper half of the CSR rows, ``_WRITE_CHUNK``
+    half-edge slots at a time, each block formatted by ``_id_text`` at once."""
+    m = check_int("m", m, 1)
+    seed = check_int("seed", seed, -math.inf)
     out.write(f"{g.n} {m} {seed}\n")
     width = len(str(max(g.n - 1, 0)))
-    for block in g._edge_blocks():
-        out.write(_id_text(block.ravel(), width))
+    slots = len(g.indices)
+    for lo in range(0, slots, _WRITE_CHUNK):
+        hi = min(lo + _WRITE_CHUNK, slots)
+        first = int(np.searchsorted(g.indptr, lo, side="right")) - 1
+        last = int(np.searchsorted(g.indptr, hi, side="left"))
+        # rows first..last-1 hold the slots lo..hi-1; their bounds
+        # clipped to [lo, hi] give each row's share
+        lengths = np.diff(np.clip(g.indptr[first:last + 1], lo, hi))
+        rows = np.repeat(np.arange(first, last, dtype=np.int64), lengths)
+        nbrs = g.indices[lo:hi]
+        upper = rows < nbrs
+        out.write(_id_text(np.column_stack((rows[upper], nbrs[upper])).ravel(), width))
 
 
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
     """Parse the edge-list format written by write_edge_list; blank lines are skipped.
 
     The header holds no m0: the params carry m0 = min(m + 1, n), not read from the file.
-    The body is parsed by ``np.loadtxt`` straight from the stream."""
+    ``np.loadtxt`` parses the body straight from the stream; an empty body is
+    zero rows, which ``Graph.from_edges`` reads as no edges."""
     try:
         header = inp.readline().split()
     except UnicodeDecodeError as exc:
@@ -434,4 +408,4 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
         raise ParameterError(f"cannot decode edge list: {exc}") from None
     except ValueError as exc:
         raise ParameterError(f"malformed edge-list row: {exc}") from None
-    return Graph.from_edges(n, edges if edges.size else edges.reshape(0, 2)), params
+    return Graph.from_edges(n, edges), params

@@ -1,6 +1,7 @@
 """Shared test plumbing: acceptance-criterion verdicts for the summary, every
-raw program encoding, machine tables written from the program format, a
-graph's neighbour rows, and a reader for trajectory CSVs."""
+raw program encoding, machine tables written from the program format, path
+and star graphs, a graph's neighbour rows and edges, and a reader for
+trajectory CSVs."""
 
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from bbnet.dynamics import Trajectory
 from bbnet.errors import ParameterError
+from bbnet.graph import Graph
 from bbnet.machines import HALT, _Input, encoding_length, run, table_bits
 
 _criterion_results: list[tuple[int, str, str]] = []
@@ -91,9 +93,22 @@ def outcome(table, w, t_max):
     return run(rows_of(table), _Input(w, t_max))
 
 
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(n):
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
 def neighbors(g, i):
     """Node i's row of the CSR graph ``g``: its neighbours, ascending."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]]
+
+
+def edges_oracle(g):
+    """The edges (u, v) of ``g`` with u < v in lexicographic order, by a per-row walk."""
+    return [(u, int(v)) for u in range(g.n) for v in neighbors(g, u) if u < v]
 
 
 def trajectory_from_csv(inp):

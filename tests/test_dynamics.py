@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from conftest import neighbors, trajectory_from_csv
+from conftest import neighbors, path_graph, star_graph, trajectory_from_csv
 
 from bbnet.dynamics import EpidemicParams, count_infected_neighbours, run_sim, step
 from bbnet.errors import ParameterError
@@ -74,14 +74,6 @@ def check_invariants(g, own, infected, carried, n_inf):
 def sampled_fitness(rng, n, t_max):
     """Own fitness of n programs drawn from rng, as a sweep run computes it."""
     return population_fitness(sample_programs(rng, n), "", t_max)
-
-
-def path_graph(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(n):
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
 def make_state(g, infected, own, carried=None):

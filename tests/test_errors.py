@@ -1,17 +1,26 @@
 """The integer and real rules, ``errors.check_int`` and ``errors.check_real``, at each
 argument outside the machine layer that passes them."""
 
+import io
 import re
 
 import numpy as np
 import pytest
+from conftest import edges_oracle
 
 from bbnet import experiment
 from bbnet.analysis import c_of_N, complexity_proxy, detect_stationarity, theoretical_prevalence
 from bbnet.dynamics import EpidemicParams, run_sim
 from bbnet.errors import ParameterError
 from bbnet.experiment import ExperimentConfig, run_experiment, run_sweep_to_dir
-from bbnet.graph import Graph, NetworkParams, degree_ccdf, fit_power_law, generate_ba
+from bbnet.graph import (
+    Graph,
+    NetworkParams,
+    degree_ccdf,
+    fit_power_law,
+    generate_ba,
+    write_edge_list,
+)
 from bbnet.rng import rng_from_seed
 
 GRAPH = generate_ba(NetworkParams(n=30, m=2, seed=3))
@@ -37,6 +46,7 @@ def no_omega(config):
 SITES = [
     ("n", lambda v: NetworkParams(n=v, m=1)),
     ("m", lambda v: NetworkParams(n=10, m=v)),
+    ("seed", lambda v: NetworkParams(n=10, m=2, seed=v)),
     ("n", lambda v: Graph.from_edges(v, [(0, 1)])),
     ("t_max_steps", lambda v: run_sim(GRAPH, OWN, SIS, v, rng_from_seed(1))),
     ("m", lambda v: theoretical_prevalence(v, 1.0)),
@@ -45,10 +55,13 @@ SITES = [
     ("x", lambda v: complexity_proxy(v)),
     ("workers", lambda v: run_experiment(config(), workers=v)),
     ("k_min", lambda v: fit_power_law(degree_ccdf(GRAPH), v)),
+    ("m", lambda v: write_edge_list(GRAPH, io.StringIO(), v, 0)),
+    ("seed", lambda v: write_edge_list(GRAPH, io.StringIO(), 2, v)),
 ]
-SITE_IDS = ["params-n", "params-m", "from_edges-n", "run_sim-t_max_steps",
+SITE_IDS = ["params-n", "params-m", "params-seed", "from_edges-n", "run_sim-t_max_steps",
             "prevalence-m", "stationarity-window", "c_of_N-N", "complexity-x",
-            "run_experiment-workers", "fit_power_law-k_min"]
+            "run_experiment-workers", "fit_power_law-k_min", "write_edge_list-m",
+            "write_edge_list-seed"]
 
 
 @pytest.mark.parametrize("value", [2.0, True, "3"], ids=repr)
@@ -82,6 +95,10 @@ def test_non_real_refused_naming_the_argument(name, call, value):
     "call, message",
     [
         (lambda: generate_ba(NetworkParams(n=100.0, m=2)), "need an integer n, got 100.0"),
+        (lambda: generate_ba(NetworkParams(n=10, m=2, seed=1.5)),
+         "need an integer seed, got 1.5"),
+        (lambda: generate_ba(NetworkParams(n=10, m=2, seed=True)),
+         "need an integer seed, got True"),
         (lambda: run_sim(GRAPH, OWN, SIS, 2.5, rng_from_seed(0)),
          "need an integer t_max_steps, got 2.5"),
         (lambda: run_sim(GRAPH, OWN, SIS, True, rng_from_seed(0)),
@@ -93,7 +110,7 @@ def test_non_real_refused_naming_the_argument(name, call, value):
         (lambda: theoretical_prevalence(2.5, 1.0), "need an integer m, got 2.5"),
         (lambda: run_experiment(config(), workers=1.5), "need an integer workers, got 1.5"),
     ],
-    ids=["generate_ba-n-float", "run_sim-steps-float", "run_sim-steps-bool",
+    ids=["generate_ba-n-float", "generate_ba-seed-float", "generate_ba-seed-bool", "run_sim-steps-float", "run_sim-steps-bool",
          "stationarity-window-float", "c_of_N-bool", "c_of_N-float", "complexity-float",
          "prevalence-m-float", "workers-float"],
 )
@@ -140,7 +157,7 @@ class TestNumpyIntegers:
         wide, plain = generate_ba(params), generate_ba(NetworkParams(n=200, m=3, seed=5))
         assert np.array_equal(wide.indptr, plain.indptr)
         assert np.array_equal(wide.indices, plain.indices)
-        edges = plain.edges()
+        edges = edges_oracle(plain)
         again = Graph.from_edges(np.int64(200), edges)
         assert type(again.n) is int
         assert np.array_equal(again.indices, plain.indices)
