@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Subcommands: gen-graph, omega, simulate, sweep, report. Exit code 0 on
+Subcommands: gen-graph, omega, simulate, sweep. Exit code 0 on
 success, 2 on usage or configuration errors, 1 on I/O failures.
 """
 
@@ -18,11 +18,8 @@ from .errors import ParameterError
 from .experiment import (
     ExperimentConfig,
     estimate_omega,
-    read_records_csv,
     run_sweep_to_dir,
     simulate_cell,
-    summarize,
-    write_summary_json,
 )
 from .graph import NetworkParams, generate_ba, write_edge_list
 
@@ -74,17 +71,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    with open(args.records) as fh:
-        records = read_records_csv(fh)
-    summary = summarize(records)
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "summary.json", "w") as fh:
-        write_summary_json(summary, fh)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bbnet",
@@ -118,11 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-graphs", action="store_true", dest="emit_graphs",
                    help="also write graph_<cell>_<seed>.edges per run")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("report", help="re-aggregate an existing records.csv")
-    p.add_argument("--records", type=str, required=True)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -9,14 +9,13 @@ break byte-for-byte reproducibility) and go to timings.csv instead.
 Each schema is written down once. ExperimentConfig's annotations give each
 field's kind, which validate checks on load, and the fields without a
 default are the required keys. _RECORD_SCHEMA lists the records.csv columns
-in order, and both writing and reading a row go through it.
+in order, and writing a row goes through it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -169,7 +168,7 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """One (cell, seed) result plus non-deterministic run metadata."""
+    """One (cell, seed) result plus its wall-clock duration."""
 
     cell_index: int
     seed_index: int
@@ -180,56 +179,37 @@ class RunRecord:
     lam: float
     c_exponent: float
     report: EmergenceReport
-    duration_s: float = 0.0
-    version: str = __version__
+    duration_s: float
 
     def csv_row(self) -> str:
-        return ",".join(to_text(attrgetter(attr)(self)) for _, attr, to_text, _ in _RECORD_SCHEMA)
-
-
-def _bool_from_text(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"must be true or false, got {text!r}")
-    return text == "true"
-
-
-def _finite_from_text(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {text!r}")
-    return x
+        return ",".join(to_text(attrgetter(attr)(self)) for _, attr, to_text in _RECORD_SCHEMA)
 
 
 _f9 = "{:.9f}".format
 
 # records.csv, one entry per column in order: (header, attribute of the
-# RunRecord, with "report." for its EmergenceReport, value -> text,
-# text -> value). A stationarity detector that never fired writes t_s as -1
-# and rho_hat as nan, and a delta = 0 cell writes lambda as inf. No other
-# float column reads a non-finite value back, so summary.json stays strict JSON.
+# RunRecord, with "report." for its EmergenceReport, value -> text). A
+# stationarity detector that never fired writes t_s as -1 and rho_hat as nan,
+# and a delta = 0 cell writes lambda as inf.
 _RECORD_SCHEMA = [
-    ("N", "n", str, int),
-    ("m", "m", str, int),
-    ("nu", "nu", _f9, _finite_from_text),
-    ("delta", "delta", _f9, _finite_from_text),
-    ("lambda", "lam", _f9, lambda s: math.inf if s == "inf" else _finite_from_text(s)),
-    ("C", "c_exponent", _f9, _finite_from_text),
-    ("c_of_N", "report.c_of_n", str, int),
-    ("t_s", "report.t_s",
-     lambda v: "-1" if v is None else str(v),
-     lambda s: None if int(s) < 0 else int(s)),
-    ("rho_hat", "report.rho_hat",
-     lambda v: "nan" if v is None else _f9(v),
-     lambda s: None if s == "nan" else _finite_from_text(s)),
-    ("rho_theory", "report.rho_theory", _f9, _finite_from_text),
-    ("tau_E", "report.tau_e", _f9, _finite_from_text),
-    ("omega_hat", "report.omega_hat", _f9, _finite_from_text),
-    ("condition_met", "report.condition_met", lambda v: "true" if v else "false", _bool_from_text),
-    ("c_best", "report.c_best", str, int),
-    ("c_bar_isolated", "report.c_bar_isolated", _f9, _finite_from_text),
-    ("eeac_proxy", "report.eeac_proxy", _f9, _finite_from_text),
+    ("N", "n", str),
+    ("m", "m", str),
+    ("nu", "nu", _f9),
+    ("delta", "delta", _f9),
+    ("lambda", "lam", _f9),
+    ("C", "c_exponent", _f9),
+    ("c_of_N", "report.c_of_n", str),
+    ("t_s", "report.t_s", lambda v: "-1" if v is None else str(v)),
+    ("rho_hat", "report.rho_hat", lambda v: "nan" if v is None else _f9(v)),
+    ("rho_theory", "report.rho_theory", _f9),
+    ("tau_E", "report.tau_e", _f9),
+    ("omega_hat", "report.omega_hat", _f9),
+    ("condition_met", "report.condition_met", lambda v: "true" if v else "false"),
+    ("c_best", "report.c_best", str),
+    ("c_bar_isolated", "report.c_bar_isolated", _f9),
+    ("eeac_proxy", "report.eeac_proxy", _f9),
 ]
-RECORD_COLUMNS = [header for header, _, _, _ in _RECORD_SCHEMA]
+RECORD_COLUMNS = [header for header, _, _ in _RECORD_SCHEMA]
 
 
 def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
@@ -341,8 +321,9 @@ def _round9(x: float) -> float:
     return round(x, 9)
 
 
-def summarize(records: Sequence[RunRecord], config: ExperimentConfig | None = None) -> dict:
-    """Per-N aggregation: median eeac proxy and condition_met fraction.
+def summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict:
+    """Per-N aggregation: median eeac proxy and condition_met fraction, with the
+    config and omega_hat echoed for provenance.
 
     Order-independent: records are grouped by N regardless of input order.
     """
@@ -360,11 +341,9 @@ def summarize(records: Sequence[RunRecord], config: ExperimentConfig | None = No
                 sum(1 for r in group if r.report.condition_met) / len(group)
             ),
         }
-    summary = {"version": __version__, "per_n": per_n, "n_records": len(records)}
-    if config is not None:
-        summary["config"] = config.to_dict()
-        summary["omega_hat"] = _round9(records[0].report.omega_hat) if records else None
-    return summary
+    return {"version": __version__, "per_n": per_n, "n_records": len(records),
+            "config": config.to_dict(),
+            "omega_hat": _round9(records[0].report.omega_hat) if records else None}
 
 
 def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
@@ -378,45 +357,13 @@ def write_timings_csv(records: Sequence[RunRecord], out: TextIO) -> None:
     out.write("cell_index,seed_index,N,duration_s,version\n")
     for rec in records:
         out.write(
-            f"{rec.cell_index},{rec.seed_index},{rec.n},{rec.duration_s:.6f},{rec.version}\n"
+            f"{rec.cell_index},{rec.seed_index},{rec.n},{rec.duration_s:.6f},{__version__}\n"
         )
 
 
 def write_summary_json(summary: dict, out: TextIO) -> None:
     out.write(json.dumps(summary, indent=2, sort_keys=True))
     out.write("\n")
-
-
-def read_records_csv(inp: TextIO) -> list[RunRecord]:
-    """Parse records.csv back into RunRecords (for re-aggregation)."""
-    try:
-        header, body = inp.readline().strip(), inp.read()
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"cannot decode records: {exc}") from None
-    if header != ",".join(RECORD_COLUMNS):
-        raise ParameterError(f"unexpected records header: {header!r}")
-    records = []
-    for i, line in enumerate(body.split("\n")):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(RECORD_COLUMNS):
-            raise ParameterError(f"row {i + 1} has {len(parts)} columns")
-        run: dict = {}
-        report: dict = {}
-        for (header, attr, _, from_text), text in zip(_RECORD_SCHEMA, parts):
-            owner, _, name = attr.rpartition(".")
-            try:
-                (report if owner else run)[name] = from_text(text)
-            except ValueError as exc:
-                raise ParameterError(f"row {i + 1}, column {header}: {exc}") from None
-        records.append(
-            RunRecord(cell_index=0, seed_index=i, report=EmergenceReport(**report), **run)
-        )
-    if not records:
-        raise ParameterError("records.csv holds no rows")
-    return records
 
 
 def run_sweep_to_dir(

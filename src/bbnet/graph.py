@@ -76,15 +76,19 @@ class Graph:
         """Build a graph from an edge list; rejects ids of a non-integer
         dtype, self-loops, ids outside 0..n-1 and duplicates, in that order.
 
-        Zero rows in any shape are no edges. Whole floats are refused, as by
-        ``check_int``, but not a bool inside a list of ints: numpy makes it an
-        int. Each check is one reduction; the first bad edge is found on failure.
+        Zero rows in any shape are no edges. Whole floats and bools are refused,
+        as by ``check_int``; a list is searched for bools element by element,
+        as numpy makes them ints. The other checks are one reduction each; the
+        first bad edge is found on failure.
         """
         n = check_int("n", n, 0, _MAX_NODES + 1)
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        rows = edges if isinstance(edges, np.ndarray) else list(edges)
+        e = np.asarray(rows)
         e = np.empty((0, 2), dtype=np.int64) if e.shape[:1] == (0,) else e
         if e.ndim != 2 or e.shape[1] != 2:
             raise ParameterError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        if rows is not edges and any(isinstance(x, (bool, np.bool_)) for r in rows for x in r):
+            raise ParameterError("node ids must be integers, got a bool")
         if e.dtype.kind not in "iu":
             raise ParameterError(f"node ids must be integers, got dtype {e.dtype}")
         u, v = e.T
@@ -357,17 +361,23 @@ def _id_text(ids: np.ndarray, width: int) -> str:
     return cells[x[:, None] >= floors].tobytes().decode("ascii")
 
 
+def _header_params(n: int, m: int, seed: int) -> NetworkParams:
+    """The params of an edge-list header "n m seed", for writer and reader alike:
+    the header holds no m0, so they carry m0 = min(m + 1, n)."""
+    m = check_int("m", m, -math.inf)  # the type before m + 1; NetworkParams has the range
+    return NetworkParams(n=n, m=m, m0=min(m + 1, n), seed=seed)
+
+
 def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
     """Emit the bit-exact edge-list format: header "N m seed", then "u v" rows.
 
-    m (>= 1) and seed pass ``check_int`` before anything is written; a header
-    with N < 2 or m > N is written but does not read back. Rows have u < v in
-    lexicographic order: the upper half of the CSR rows, ``_WRITE_CHUNK``
-    half-edge slots at a time, each block formatted by ``_id_text`` at once."""
-    m = check_int("m", m, 1)
-    seed = check_int("seed", seed, -math.inf)
-    out.write(f"{g.n} {m} {seed}\n")
-    width = len(str(max(g.n - 1, 0)))
+    The header passes ``_header_params`` before anything is written, so every
+    file written reads back. Rows have u < v in lexicographic order: the upper
+    half of the CSR rows, ``_WRITE_CHUNK`` half-edge slots at a time, each
+    block formatted by ``_id_text`` at once."""
+    p = _header_params(g.n, m, seed)
+    out.write(f"{p.n} {p.m} {p.seed}\n")
+    width = len(str(g.n - 1))
     slots = len(g.indices)
     for lo in range(0, slots, _WRITE_CHUNK):
         hi = min(lo + _WRITE_CHUNK, slots)
@@ -385,9 +395,9 @@ def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
     """Parse the edge-list format written by write_edge_list; blank lines are skipped.
 
-    The header holds no m0: the params carry m0 = min(m + 1, n), not read from the file.
-    ``np.loadtxt`` parses the body straight from the stream; an empty body is
-    zero rows, which ``Graph.from_edges`` reads as no edges."""
+    The header is checked by ``_header_params``. ``np.loadtxt`` parses the body
+    straight from the stream; an empty body is zero rows, which
+    ``Graph.from_edges`` reads as no edges."""
     try:
         header = inp.readline().split()
     except UnicodeDecodeError as exc:
@@ -398,7 +408,7 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
         n, m, seed = map(int, header)
     except ValueError:
         raise ParameterError(f"edge-list header fields must be integers, got {header}") from None
-    params = NetworkParams(n=n, m=m, m0=min(m + 1, n), seed=seed)
+    params = _header_params(n, m, seed)
     try:
         with warnings.catch_warnings():
             # an empty or all-blank body is no edges, not a warning

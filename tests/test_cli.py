@@ -255,21 +255,28 @@ class TestSweepReport:
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
         assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
-    def test_report_reaggregates(self, tmp_path):
+    def test_sweep_summary_is_strict_json(self, tmp_path):
         # a delta 0 cell writes lambda as inf, and summary.json stays strict JSON
         cfg = write_config(tmp_path, delta_values=[0.0, 1.0])
         d = tmp_path / "out"
-        main(["sweep", "--config", str(cfg), "--out", str(d)])
-        rep_dir = tmp_path / "rep"
-        assert main(["report", "--records", str(d / "records.csv"),
-                     "--out", str(rep_dir)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(d)]) == 0
+        rows = [line.split(",") for line in (d / "records.csv").read_text().splitlines()[1:]]
+        assert {row[4] == "inf" for row in rows} == {True, False}
 
         def refuse(constant):
             raise AssertionError(f"summary.json holds {constant}")
 
-        summary = json.loads((rep_dir / "summary.json").read_text(), parse_constant=refuse)
-        full = json.loads((d / "summary.json").read_text(), parse_constant=refuse)
-        assert summary["per_n"] == full["per_n"]
+        summary = json.loads((d / "summary.json").read_text(), parse_constant=refuse)
+        assert summary["n_records"] == len(rows)
+
+    def test_report_is_not_a_subcommand(self, tmp_path, monkeypatch, capsys):
+        # summary.json has one writer, the sweep
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--records", "records.csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_emit_graphs_writes_edge_lists(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -328,33 +335,6 @@ class TestSweepReport:
         assert f"need workers >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_report_bad_row_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        d = tmp_path / "out"
-        main(["sweep", "--config", str(cfg), "--out", str(d)])
-        good = (d / "records.csv").read_text().splitlines()
-        # N not a number; condition_met neither "true" nor "false"; a non-finite
-        # eeac_proxy or tau_E would be written into summary.json as NaN or Infinity
-        for column, value in ((0, "forty"), (12, "TRUE"), (15, "nan"), (10, "inf")):
-            lines = list(good)
-            row = lines[1].split(",")
-            row[column] = value
-            lines[1] = ",".join(row)
-            (d / "records.csv").write_text("\n".join(lines) + "\n")
-            assert main(["report", "--records", str(d / "records.csv"),
-                         "--out", str(tmp_path / "r")]) == 2
-            assert "row 1" in capsys.readouterr().err
-            assert not (tmp_path / "r").exists()
-
-    def test_report_header_only_exit_2(self, tmp_path, capsys):
-        # a sweep never writes zero rows, so a header alone is a truncated file
-        records = tmp_path / "records.csv"
-        records.write_text(",".join(experiment.RECORD_COLUMNS) + "\n")
-        out = tmp_path / "r"
-        assert main(["report", "--records", str(records), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: records.csv holds no rows\n"
-        assert not out.exists()
-
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         cfg.write_bytes(b"\xff\xfe" + cfg.read_bytes())
@@ -362,15 +342,6 @@ class TestSweepReport:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config is not valid JSON:")
-        assert not out.exists()
-
-    def test_non_utf8_records_exit_2(self, tmp_path, capsys):
-        records = tmp_path / "records.csv"
-        records.write_bytes(b"\xff\xfe" + ",".join(experiment.RECORD_COLUMNS).encode() + b"\n")
-        out = tmp_path / "r"
-        assert main(["report", "--records", str(records), "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: cannot decode records:")
         assert not out.exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path):

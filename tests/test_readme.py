@@ -33,7 +33,7 @@ def test_python_api_example_runs():
 def test_cli_lines_parse():
     # parsed only, not run: the sweep and the 1e6-sample omega take minutes
     lines = [line for line in readme_block("CLI", "sh").splitlines() if line.startswith("bbnet ")]
-    assert len(lines) == 6
+    assert len(lines) == 5
     for line in lines:
         words = shlex.split(line)[1:]
         assert build_parser().parse_args(words).command == words[0]
