@@ -21,10 +21,14 @@ from .errors import ParameterError, check_int
 from .rng import rng_from_seed
 
 
-# _from_half_edges sorts the keys a * n + b < n * n, which fit int64 while
+# _from_pairs sorts the keys u * n + v < n * n, which fit int64 while
 # n * n <= 2**63. NetworkParams and Graph.from_edges check a node count
 # against it before anything N-sized exists.
 _MAX_NODES = math.isqrt(2**63)
+
+# Rows that _from_pairs turns into keys at a time: the copy it takes of a
+# block stays small beside the (E, 2) array it rewrites.
+_KEY_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -79,16 +83,27 @@ class Graph:
         Zero rows in any shape are no edges. Whole floats and bools are refused,
         as by ``check_int``; a list is searched for bools element by element,
         as numpy makes them ints. The other checks are one reduction each; the
-        first bad edge is found on failure.
+        first bad edge is found on failure. ``edges`` is never written: the
+        CSR is built in a C-order copy of it.
         """
         n = check_int("n", n, 0, _MAX_NODES + 1)
         rows = edges if isinstance(edges, np.ndarray) else list(edges)
-        e = np.asarray(rows)
+        e = np.array(rows, order="C")
+        # (E, 2) lists only: any other shape gets the shape message of _from_rows
+        if rows is not edges and e.shape[1:] == (2,) and any(
+                isinstance(x, (bool, np.bool_)) for r in rows for x in r):
+            raise ParameterError("node ids must be integers, got a bool")
+        return cls._from_rows(n, e)
+
+    @classmethod
+    def _from_rows(cls, n: int, e: np.ndarray) -> "Graph":
+        """``from_edges`` on an array of (u, v) rows that this call may overwrite.
+
+        The checks run on ``e`` as it is, before any cast to int64 could wrap
+        an id; an int64 ``e`` then becomes the graph's ``indices``."""
         e = np.empty((0, 2), dtype=np.int64) if e.shape[:1] == (0,) else e
         if e.ndim != 2 or e.shape[1] != 2:
             raise ParameterError(f"edges must be (u, v) pairs, got shape {e.shape}")
-        if rows is not edges and any(isinstance(x, (bool, np.bool_)) for r in rows for x in r):
-            raise ParameterError("node ids must be integers, got a bool")
         if e.dtype.kind not in "iu":
             raise ParameterError(f"node ids must be integers, got dtype {e.dtype}")
         u, v = e.T
@@ -97,7 +112,7 @@ class Graph:
         if len(e) and (e.min() < 0 or e.max() >= n):
             bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))[0]
             raise ParameterError(f"edge ({u[bad]},{v[bad]}) outside 0..{n - 1}")
-        g = cls._from_half_edges(n, [e.astype(np.int64, copy=False).T])
+        g = cls._from_pairs(n, np.ascontiguousarray(e, dtype=np.int64))
         # A duplicate edge is the same neighbour twice in one sorted row:
         # slot i repeats slot i - 1, and no row starts at i.
         repeat = np.zeros(len(g.indices) + 1, dtype=bool)
@@ -110,22 +125,24 @@ class Graph:
         return g
 
     @classmethod
-    def _from_half_edges(cls, n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> "Graph":
-        """The graph of the edges (u[i], v[i]) of every block (u, v).
+    def _from_pairs(cls, n: int, pairs: np.ndarray) -> "Graph":
+        """The graph of the edges (u, v) in the rows of ``pairs``, a C-order
+        (E, 2) int64 array that becomes its ``indices``.
 
-        Sorting the keys a * n + b orders the half-edges by row, then by
-        neighbour, in one pass. Both directions' keys of every block are
-        written into one array, which the sort and ``key % n`` then turn into
-        ``indices`` in place. A node occurs there once per edge: its count there is its degree.
+        Each row (u, v) is rewritten as the keys (u * n + v, v * n + u) of its
+        two half-edges, ``_KEY_CHUNK`` rows at a time. Sorting the keys orders
+        the half-edges by row, then by neighbour, in one pass; ``key % n`` then
+        leaves each half-edge's neighbour in place. A node occurs there once per
+        edge: its count there is its degree.
         """
-        key = np.empty(2 * sum(len(u) for u, _ in blocks), dtype=np.int64)
-        lo = 0
-        for u, v in blocks:
-            for a, b in ((u, v), (v, u)):
-                part = key[lo:lo + len(a)]
-                np.multiply(a, n, out=part)
-                part += b
-                lo += len(a)
+        for lo in range(0, len(pairs), _KEY_CHUNK):
+            block = pairs[lo:lo + _KEY_CHUNK]
+            u = block[:, 0].copy()
+            np.multiply(u, n, out=block[:, 0])
+            block[:, 0] += block[:, 1]
+            block[:, 1] *= n
+            block[:, 1] += u
+        key = pairs.reshape(-1)
         key.sort()
         np.remainder(key, n, out=key)
         indptr = np.zeros(n + 1, dtype=np.int64)
@@ -227,12 +244,22 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
     up to and including that node's first m are taken again, and the node
     finishes with one draw at a time. The graph and the Generator's final
     state are the same as drawing one pick at a time.
+
+    The edges are the rows of one (E, 2) array, allocated first: the seed
+    clique's, then each new node's m picks beside its id. ``picks`` is a view
+    of that array's first column, and ``Graph._from_pairs`` builds the CSR
+    inside it.
     """
     if rng is None:
         rng = rng_from_seed(params.seed)
     n, m, m0 = params.n, params.m, params.m0
     base = m0 * (m0 - 1)
-    picks = np.empty((n - m0, m), dtype=np.int64)
+    clique = base // 2
+    pairs = np.empty((clique + m * (n - m0), 2), dtype=np.int64)
+    pairs[:clique, 0], pairs[:clique, 1] = np.triu_indices(m0, 1)
+    grown = pairs[clique:].reshape(n - m0, m, 2)
+    grown[:, :, 1] = np.arange(m0, n, dtype=np.int64)[:, None]
+    picks = grown[:, :, 0]
     start, length = m0, _SEGMENT
     while start < n:
         stop = min(start + length, n)
@@ -259,10 +286,7 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
         picks[d - m0] = chosen
         start, length = d + 1, max(_SEGMENT, length // 2)
 
-    return Graph._from_half_edges(n, [
-        np.triu_indices(m0, 1),
-        (picks.ravel(), np.repeat(np.arange(m0, n, dtype=np.int64), m)),
-    ])
+    return Graph._from_pairs(n, pairs)
 
 
 def degree_ccdf(g: Graph) -> list[tuple[int, float]]:
@@ -289,27 +313,48 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
     return DegreeFit(gamma_hat=1.0 + abs(float(slope)))
 
 
+# Half-edges per block of a BFS level: what _bfs_distances holds besides its
+# N-sized arrays stays bounded whatever the graph's size.
+_BFS_CHUNK = 1 << 14
+
+
 def _bfs_distances(g: Graph, src: int) -> np.ndarray:
     """Hops from ``src`` to every node (-1 if unreachable), one frontier per level.
 
-    A level keeps the frontier's neighbours not yet reached, once each: every
-    copy of a node writes its position into ``slot`` and the copy whose write
-    landed stays. A level so costs its frontier's half-edges, with no sort and
-    no N-sized scan.
+    ``queue`` lists the nodes reached so far, level after level. A level's
+    rows are gathered in blocks of at most ``_BFS_CHUNK`` half-edges (one row
+    at least), so what a level holds besides the N-sized arrays stays bounded.
+    A block keeps its neighbours not yet reached, once each: every copy of a
+    node writes its position into ``slot`` and the copy whose write landed
+    stays. It marks them in ``dist`` before the next block runs, so a node
+    joins the next level once. A level so costs its frontier's half-edges,
+    with no sort and no N-sized scan.
     """
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[src] = 0
     slot = np.empty(g.n, dtype=np.int64)
-    frontier = np.array([src], dtype=np.int64)
-    depth = 0
-    while len(frontier):
+    queue = np.empty(g.n, dtype=np.int64)
+    queue[0] = src
+    head, tail, depth = 0, 1, 0
+    while head < tail:
         depth += 1
-        nbrs, _ = g.gather(frontier)
-        new = nbrs[dist[nbrs] < 0]
-        idx = np.arange(len(new))
-        slot[new] = idx
-        frontier = new[slot[new] == idx]
-        dist[frontier] = depth
+        level = queue[head:tail]
+        ends = g.indptr[level + 1] - g.indptr[level]
+        np.cumsum(ends, out=ends)
+        head = tail
+        lo = 0
+        while lo < len(level):
+            done = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _BFS_CHUNK, side="right")))
+            nbrs, _ = g.gather(level[lo:hi])
+            new = nbrs[dist[nbrs] < 0]
+            idx = np.arange(len(new))
+            slot[new] = idx
+            new = new[slot[new] == idx]
+            dist[new] = depth
+            queue[tail:tail + len(new)] = new
+            tail += len(new)
+            lo = hi
     return dist
 
 
@@ -318,7 +363,9 @@ def approx_diameter(g: Graph) -> int:
 
     BFS from node 0 finds a farthest node u; BFS from u finds a farthest
     node v; a final BFS from v completes the sweep. The result is a lower
-    bound on the true diameter, reported as an estimate.
+    bound on the true diameter, reported as an estimate. The last BFS reaches
+    u at the second one's largest distance, so its own largest distance is
+    the larger of the two.
     """
     if g.n == 0:
         raise ParameterError("empty graph")
@@ -326,10 +373,9 @@ def approx_diameter(g: Graph) -> int:
     if (d0 < 0).any():
         raise ParameterError("graph is not connected")
     u = int(np.argmax(d0))
-    d1 = _bfs_distances(g, u)
-    v = int(np.argmax(d1))
-    d2 = _bfs_distances(g, v)
-    return int(max(d1.max(), d2.max()))
+    del d0
+    v = int(np.argmax(_bfs_distances(g, u)))
+    return int(_bfs_distances(g, v).max())
 
 
 # Half-edge slots per block of write_edge_list, so at most that many edges:
@@ -396,8 +442,9 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
     """Parse the edge-list format written by write_edge_list; blank lines are skipped.
 
     The header is checked by ``_header_params``. ``np.loadtxt`` parses the body
-    straight from the stream; an empty body is zero rows, which
-    ``Graph.from_edges`` reads as no edges."""
+    straight from the stream, and the CSR is built inside the array it returns,
+    after the checks of ``Graph.from_edges``; an empty body is zero rows, which
+    they read as no edges."""
     try:
         header = inp.readline().split()
     except UnicodeDecodeError as exc:
@@ -418,4 +465,4 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
         raise ParameterError(f"cannot decode edge list: {exc}") from None
     except ValueError as exc:
         raise ParameterError(f"malformed edge-list row: {exc}") from None
-    return Graph.from_edges(n, edges), params
+    return Graph._from_rows(n, edges), params

@@ -518,6 +518,22 @@ class TestEdgeList:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             Graph.from_edges(4, edges)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [np.array([[3, 1], [0, 2], [1, 0]]), np.asfortranarray([[3, 1], [0, 2], [1, 0]]),
+         np.array([[3, 1], [0, 2], [1, 0]], dtype=np.uint32), [[3, 1], [0, 2], [1, 0]]],
+        ids=["int64-C", "int64-F", "uint32", "list"],
+    )
+    def test_from_edges_leaves_its_input_unchanged(self, edges):
+        # the CSR is sorted inside an array of edge rows; never the caller's
+        saved = [list(row) for row in edges] if isinstance(edges, list) else edges.copy()
+        g = Graph.from_edges(4, edges)
+        assert edges_oracle(g) == [(0, 1), (0, 2), (1, 3)]
+        if isinstance(edges, list):
+            assert edges == saved
+        else:
+            assert edges.dtype == saved.dtype and np.array_equal(edges, saved)
+
     def test_from_edges_rejects_self_loop_and_duplicate(self):
         with pytest.raises(ParameterError):
             Graph.from_edges(3, [(0, 0)])
@@ -623,10 +639,10 @@ class TestArrayPathsMatchLoops:
         else:
             assert approx_diameter(g) == expected
 
-    def test_half_edge_sort_matches_lexsort(self):
-        # the keyed sort of _from_half_edges against a two-key lexsort, on
-        # edge lists with repeated pairs, both orientations, isolated nodes
-        # and no edges at all
+    def test_from_pairs_matches_lexsort(self):
+        # the keyed sort of _from_pairs against a two-key lexsort, on edge
+        # lists with repeated pairs, both orientations, isolated nodes and no
+        # edges at all
         rng = np.random.default_rng(11)
         cases = [(1, [], []), (5, [], []), (2, [0], [1])]
         for _ in range(200):
@@ -638,7 +654,8 @@ class TestArrayPathsMatchLoops:
             cases.append((g.n, u, v))
         for n, u, v in cases:
             u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-            got, expected = Graph._from_half_edges(n, [(u, v)]), lexsort_half_edges(n, u, v)
+            got = Graph._from_pairs(n, np.column_stack((u, v)))
+            expected = lexsort_half_edges(n, u, v)
             assert np.array_equal(got.indptr, expected.indptr)
             assert np.array_equal(got.indices, expected.indices)
             assert got.indices.dtype == np.int64
@@ -652,6 +669,14 @@ class TestArrayPathsMatchLoops:
         for name, g in ORACLE_GRAPHS:
             if g.n >= 2:  # test_bfs_edges_and_diameter covers the refused one-node graphs
                 assert written(g, 1, 0) == write_oracle(g, 1, 0), name
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_bfs_spans_chunks(self, monkeypatch, chunk):
+        # level blocks of one row, of a few rows and of many rows
+        monkeypatch.setattr(bbnet.graph, "_BFS_CHUNK", chunk)
+        for name, g in ORACLE_GRAPHS:
+            for src in {0, g.n // 2, g.n - 1}:
+                assert np.array_equal(_bfs_distances(g, src), bfs_oracle(g, src)), (name, src)
 
     def test_write_at_digit_width_boundaries(self):
         # each id one below and at a power of ten, up to the six digits of n - 1
@@ -757,10 +782,11 @@ class TestMemory:
         g = generate_ba(NetworkParams(n=20_000, m=3, seed=0))
         return g, g.indptr.nbytes + g.indices.nbytes
 
-    def test_half_edge_sort(self, grown):
+    def test_from_pairs(self, grown):
         g, csr = grown
-        u, v = (np.ascontiguousarray(col) for col in np.array(edges_oracle(g)).T)
-        assert traced_peak(lambda: Graph._from_half_edges(g.n, [(u, v)])) <= 1.5 * csr
+        edges = np.array(edges_oracle(g))
+        # the copy is the array that becomes indices
+        assert traced_peak(lambda: Graph._from_pairs(g.n, edges.copy())) <= 1.5 * csr
 
     def test_from_edges(self, grown):
         g, csr = grown
@@ -778,11 +804,15 @@ class TestMemory:
             with open(path) as fh:
                 return read_edge_list(fh)
 
-        assert traced_peak(read) <= 2.25 * csr
+        assert traced_peak(read) <= 1.5 * csr
 
     def test_generate_ba(self, grown):
         _, csr = grown
-        assert traced_peak(lambda: generate_ba(NetworkParams(n=20_000, m=3, seed=0))) <= 3 * csr
+        assert traced_peak(lambda: generate_ba(NetworkParams(n=20_000, m=3, seed=0))) <= 2.1 * csr
+
+    def test_approx_diameter(self, grown):
+        g, csr = grown
+        assert traced_peak(lambda: approx_diameter(g)) <= 1.8 * csr
 
     def test_write_peak_independent_of_n(self):
         peaks = []
