@@ -105,8 +105,10 @@ def c_of_N(n: int, c_exponent: float) -> int:
         raise ParameterError(f"need 0 < C <= 1, got {c_exponent}")
     x = float(n) ** c_exponent
     nearest = round(x)
-    if abs(x - nearest) <= 1e-9 * max(1.0, abs(nearest)):
-        return int(nearest)  # guard against float overshoot on exact powers
+    # float error leaves an exact power within a few ulps of its integer (3 at
+    # most on k**q with C = 1/q up to 3e9); a power any farther off rounds up
+    if abs(x - nearest) <= 8 * math.ulp(nearest):
+        return int(nearest)
     return math.ceil(x)
 
 

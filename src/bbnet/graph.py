@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -26,9 +26,22 @@ from .rng import rng_from_seed
 # against it before anything N-sized exists.
 _MAX_NODES = math.isqrt(2**63)
 
-# Rows that _from_pairs turns into keys at a time: the copy it takes of a
-# block stays small beside the (E, 2) array it rewrites.
-_KEY_CHUNK = 1 << 12
+# Nothing the graph layer holds beside a graph's N- and E-sized arrays is
+# larger than one block of this many half-edges, however large the graph.
+_BLOCK_HALF_EDGES = 1 << 14
+
+
+def _row_blocks(ends: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs ``(lo, hi)`` of consecutive rows, in order, where ``ends[i]``
+    counts the half-edges of rows 0..i. A run holds at most one block of rows
+    and of half-edges, or is one row that alone holds more half-edges."""
+    lo = 0
+    while lo < len(ends):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, done + _BLOCK_HALF_EDGES, side="right"))
+        hi = min(max(lo + 1, hi), lo + _BLOCK_HALF_EDGES)
+        yield lo, hi
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -130,13 +143,14 @@ class Graph:
         (E, 2) int64 array that becomes its ``indices``.
 
         Each row (u, v) is rewritten as the keys (u * n + v, v * n + u) of its
-        two half-edges, ``_KEY_CHUNK`` rows at a time. Sorting the keys orders
-        the half-edges by row, then by neighbour, in one pass; ``key % n`` then
-        leaves each half-edge's neighbour in place. A node occurs there once per
-        edge: its count there is its degree.
+        two half-edges, one block of half-edges at a time. Sorting the keys
+        orders the half-edges by row, then by neighbour, in one pass;
+        ``key % n`` then leaves each half-edge's neighbour in place. A node
+        occurs there once per edge: its count there is its degree.
         """
-        for lo in range(0, len(pairs), _KEY_CHUNK):
-            block = pairs[lo:lo + _KEY_CHUNK]
+        rows = max(1, _BLOCK_HALF_EDGES // 2)
+        for lo in range(0, len(pairs), rows):
+            block = pairs[lo:lo + rows]
             u = block[:, 0].copy()
             np.multiply(u, n, out=block[:, 0])
             block[:, 0] += block[:, 1]
@@ -188,9 +202,6 @@ class DegreeFit:
 
 # Nodes in the first segment of BA growth, and the fewest after a duplicate pick.
 _SEGMENT = 64
-# The most nodes in one segment: a segment's draws and _pool_nodes' arrays
-# stay bounded however large the graph.
-_SEGMENT_CAP = 1 << 14
 
 
 def _pool_nodes(q: np.ndarray, picks: np.ndarray, m0: int, start: int,
@@ -239,7 +250,8 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
     Node i draws from a pool of m0(m0-1) + 2m(i-m0) entries whatever it picks,
     so the first m draws of a whole segment of nodes are taken in one
     ``rng.integers`` call over those bounds and resolved to node ids by index
-    arithmetic (``_pool_nodes``). At the first node of a segment whose picks
+    arithmetic (``_pool_nodes``). A segment holds at most one block of picks,
+    however large the graph. At the first node of a segment whose picks
     repeat a node, the Generator is rewound to the segment's start, the draws
     up to and including that node's first m are taken again, and the node
     finishes with one draw at a time. The graph and the Generator's final
@@ -262,6 +274,7 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
     picks = grown[:, :, 0]
     start, length = m0, _SEGMENT
     while start < n:
+        length = min(length, max(1, _BLOCK_HALF_EDGES // m))
         stop = min(start + length, n)
         saved = rng.bit_generator.state
         bounds = np.repeat(base + 2 * m * np.arange(start - m0, stop - m0, dtype=np.int64), m)
@@ -271,7 +284,7 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
         dup = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
         if not len(dup):
             picks[start - m0:stop - m0] = seg
-            start, length = stop, min(2 * length, _SEGMENT_CAP)
+            start, length = stop, 2 * length
             continue
         d = start + int(dup[0])
         picks[start - m0:d - m0] = seg[:d - start]
@@ -313,17 +326,12 @@ def fit_power_law(ccdf: Sequence[tuple[int, float]], k_min: int) -> DegreeFit:
     return DegreeFit(gamma_hat=1.0 + abs(float(slope)))
 
 
-# Half-edges per block of a BFS level: what _bfs_distances holds besides its
-# N-sized arrays stays bounded whatever the graph's size.
-_BFS_CHUNK = 1 << 14
-
-
 def _bfs_distances(g: Graph, src: int) -> np.ndarray:
     """Hops from ``src`` to every node (-1 if unreachable), one frontier per level.
 
     ``queue`` lists the nodes reached so far, level after level. A level's
-    rows are gathered in blocks of at most ``_BFS_CHUNK`` half-edges (one row
-    at least), so what a level holds besides the N-sized arrays stays bounded.
+    rows are gathered through ``_row_blocks``, one block of half-edges at a
+    time, so what a level holds besides the N-sized arrays stays bounded.
     A block keeps its neighbours not yet reached, once each: every copy of a
     node writes its position into ``slot`` and the copy whose write landed
     stays. It marks them in ``dist`` before the next block runs, so a node
@@ -342,10 +350,7 @@ def _bfs_distances(g: Graph, src: int) -> np.ndarray:
         ends = g.indptr[level + 1] - g.indptr[level]
         np.cumsum(ends, out=ends)
         head = tail
-        lo = 0
-        while lo < len(level):
-            done = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, done + _BFS_CHUNK, side="right")))
+        for lo, hi in _row_blocks(ends):
             nbrs, _ = g.gather(level[lo:hi])
             new = nbrs[dist[nbrs] < 0]
             idx = np.arange(len(new))
@@ -354,7 +359,6 @@ def _bfs_distances(g: Graph, src: int) -> np.ndarray:
             dist[new] = depth
             queue[tail:tail + len(new)] = new
             tail += len(new)
-            lo = hi
     return dist
 
 
@@ -376,11 +380,6 @@ def approx_diameter(g: Graph) -> int:
     del d0
     v = int(np.argmax(_bfs_distances(g, u)))
     return int(_bfs_distances(g, v).max())
-
-
-# Half-edge slots per block of write_edge_list, so at most that many edges:
-# what it holds besides its output stays bounded whatever the graph's size.
-_WRITE_CHUNK = 1 << 16
 
 
 def _id_text(ids: np.ndarray, width: int) -> str:
@@ -419,21 +418,15 @@ def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
 
     The header passes ``_header_params`` before anything is written, so every
     file written reads back. Rows have u < v in lexicographic order: the upper
-    half of the CSR rows, ``_WRITE_CHUNK`` half-edge slots at a time, each
-    block formatted by ``_id_text`` at once."""
+    half of the CSR rows, taken whole through ``_row_blocks``, each block
+    formatted by ``_id_text`` at once."""
     p = _header_params(g.n, m, seed)
     out.write(f"{p.n} {p.m} {p.seed}\n")
     width = len(str(g.n - 1))
-    slots = len(g.indices)
-    for lo in range(0, slots, _WRITE_CHUNK):
-        hi = min(lo + _WRITE_CHUNK, slots)
-        first = int(np.searchsorted(g.indptr, lo, side="right")) - 1
-        last = int(np.searchsorted(g.indptr, hi, side="left"))
-        # rows first..last-1 hold the slots lo..hi-1; their bounds
-        # clipped to [lo, hi] give each row's share
-        lengths = np.diff(np.clip(g.indptr[first:last + 1], lo, hi))
-        rows = np.repeat(np.arange(first, last, dtype=np.int64), lengths)
-        nbrs = g.indices[lo:hi]
+    for lo, hi in _row_blocks(g.indptr[1:]):
+        lengths = np.diff(g.indptr[lo:hi + 1])
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), lengths)
+        nbrs = g.indices[g.indptr[lo]:g.indptr[hi]]
         upper = rows < nbrs
         out.write(_id_text(np.column_stack((rows[upper], nbrs[upper])).ravel(), width))
 

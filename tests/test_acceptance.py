@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance suite: one test per criterion, each at its stated tolerance;
+criterion 1 has a second, against BA growth's exact degree law.
 
 Each test prints one ACCEPTANCE line on success (visible with -s and collected
 into the terminal summary); run the whole module with
@@ -6,6 +7,7 @@ into the terminal summary); run the whole module with
     pytest tests/test_acceptance.py -v
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -45,6 +47,40 @@ def test_criterion_1_ba_topology():
         fit = fit_power_law(degree_ccdf(g), k_min=2 * m)
         assert 2.6 <= fit.gamma_hat <= 3.4, f"seed {seed}: gamma {fit.gamma_hat:.3f}"
     record_criterion(1, "BA topology: exponent band, edge identity, min degree, <=10s/graph")
+
+
+def degree_law_z(degrees, m, tail=40):
+    """z = (chi2 - dof) / sqrt(2 dof) of the counts of degrees k = m..tail-1
+    and k >= tail against N p(k), where p(k) = 2m(m+1) / (k(k+1)(k+2)) is BA
+    growth's exact degree law at finite m (Dorogovtsev, Mendes & Samukhin,
+    PRL 85, 4633, 2000), whose tail P(K >= k) is m(m+1) / (k(k+1))."""
+    assert int(degrees.min()) >= m
+    counts = np.bincount(np.minimum(degrees, tail), minlength=tail + 1)[m:]
+    k = np.arange(m, tail, dtype=float)
+    p = np.append(2 * m * (m + 1) / (k * (k + 1) * (k + 2)), m * (m + 1) / (tail * (tail + 1)))
+    expected = len(degrees) * p
+    dof = len(p) - 1
+    return (float(((counts - expected) ** 2 / expected).sum()) - dof) / math.sqrt(2 * dof)
+
+
+def test_criterion_1_exact_degree_law():
+    """N 1e4 and 1e5, m 2 and 3, seeds 0-3, m0 = m + 1: |z| <= 4 on every graph
+    against the exact law (-1.20..+1.20 when set); uniform attachment fails it."""
+    zs = []
+    for n in (10_000, 100_000):
+        for m in (2, 3):
+            for seed in range(4):
+                g = generate_ba(NetworkParams(n=n, m=m, m0=m + 1, seed=seed))
+                zs.append(degree_law_z(g.degrees, m))
+    assert max(abs(z) for z in zs) <= 4, [round(z, 2) for z in zs]
+    # each new node joins m distinct nodes chosen uniformly, not by degree
+    n, m = 10_000, 3
+    rng = np.random.default_rng(0)
+    uniform = np.full(n, m, dtype=np.int64)
+    for j in range(m + 1, n):
+        uniform[rng.choice(j, size=m, replace=False)] += 1
+    assert degree_law_z(uniform, m) > 100
+    record_criterion(1, f"BA exact degree law: |z| <= 4 on 16 graphs (max {max(map(abs, zs)):.2f})")
 
 
 @pytest.mark.slow

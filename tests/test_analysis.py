@@ -132,7 +132,12 @@ class TestStationarity:
 class TestCOfN:
     @pytest.mark.parametrize(
         "n,c,expected",
-        [(10_000, 1.0, 10_000), (10_000, 0.5, 100), (2, 0.3, 2), (1, 0.5, 1), (1000, 0.5, 32)],
+        [(10_000, 1.0, 10_000), (10_000, 0.5, 100), (2, 0.3, 2), (1, 0.5, 1), (1000, 0.5, 32),
+         # exact powers whose float power misses the integer by an ulp or so
+         (1000, 1 / 3, 10), (2**30, 0.1, 8), (1024, 0.1, 2),
+         # powers a few millionths or less past an integer round up
+         (47439, 0.9, 16164), (72153, 0.8, 7703), (900_000_001, 0.5, 30001),
+         (10**9 + 1, 1 / 3, 1001)],
     )
     def test_values(self, n, c, expected):
         assert c_of_N(n, c) == expected

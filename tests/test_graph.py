@@ -164,6 +164,28 @@ def oracle_graphs():
 ORACLE_GRAPHS = list(oracle_graphs())
 
 
+def assert_from_pairs_matches_lexsort():
+    """The keyed sort of _from_pairs against a two-key lexsort, on edge lists
+    with repeated pairs, both orientations, isolated nodes and no edges at
+    all, then on the edges of every oracle graph."""
+    rng = np.random.default_rng(11)
+    cases = [(1, [], []), (5, [], []), (2, [0], [1])]
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        e = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        cases.append((n, e[:, 0], e[:, 1]))
+    for name, g in ORACLE_GRAPHS:
+        u, v = np.array(edges_oracle(g), dtype=np.int64).reshape(-1, 2).T
+        cases.append((g.n, u, v))
+    for n, u, v in cases:
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        got = Graph._from_pairs(n, np.column_stack((u, v)))
+        expected = lexsort_half_edges(n, u, v)
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert got.indices.dtype == np.int64
+
+
 class TestParams:
     def test_default_m0(self):
         p = NetworkParams(n=10, m=3, seed=1)
@@ -330,20 +352,6 @@ class TestSegmentGrowthMatchesLoop:
         assert len(segments) > 50
         assert any(d == first for d, (first, _) in redrawn)
         assert any(d == last for d, (_, last) in redrawn)
-
-    def test_capped_segments_draw_like_the_loop(self, monkeypatch):
-        lengths = []
-        resolve = bbnet.graph._pool_nodes
-
-        def spy(q, picks, m0, start, raw):
-            if q is raw:
-                lengths.append(len(raw) // picks.shape[1])
-            return resolve(q, picks, m0, start, raw)
-
-        monkeypatch.setattr(bbnet.graph, "_SEGMENT_CAP", 100)
-        monkeypatch.setattr(bbnet.graph, "_pool_nodes", spy)
-        assert_ba_matches_reference(NetworkParams(n=6_000, m=2, seed=4))
-        assert max(lengths) == 100 and lengths.count(100) > 10
 
     @given(
         n=st.integers(2, 250),
@@ -640,43 +648,39 @@ class TestArrayPathsMatchLoops:
             assert approx_diameter(g) == expected
 
     def test_from_pairs_matches_lexsort(self):
-        # the keyed sort of _from_pairs against a two-key lexsort, on edge
-        # lists with repeated pairs, both orientations, isolated nodes and no
-        # edges at all
-        rng = np.random.default_rng(11)
-        cases = [(1, [], []), (5, [], []), (2, [0], [1])]
-        for _ in range(200):
-            n = int(rng.integers(2, 60))
-            e = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
-            cases.append((n, e[:, 0], e[:, 1]))
-        for name, g in ORACLE_GRAPHS:
-            u, v = np.array(edges_oracle(g), dtype=np.int64).reshape(-1, 2).T
-            cases.append((g.n, u, v))
-        for n, u, v in cases:
-            u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-            got = Graph._from_pairs(n, np.column_stack((u, v)))
-            expected = lexsort_half_edges(n, u, v)
-            assert np.array_equal(got.indptr, expected.indptr)
-            assert np.array_equal(got.indices, expected.indices)
-            assert got.indices.dtype == np.int64
+        assert_from_pairs_matches_lexsort()
 
-    def test_write_spans_chunks(self, monkeypatch):
+    def test_write_spans_chunks(self):
         g = generate_ba(NetworkParams(n=40_000, m=2, seed=3))
-        assert g.num_edges > bbnet.graph._WRITE_CHUNK
+        assert len(g.indices) > 8 * bbnet.graph._BLOCK_HALF_EDGES
         assert written(g, 2, 3) == write_oracle(g, 2, 3)
-        # chunk boundaries that fall inside, at and past the small graphs' edges
-        monkeypatch.setattr(bbnet.graph, "_WRITE_CHUNK", 7)
-        for name, g in ORACLE_GRAPHS:
-            if g.n >= 2:  # test_bfs_edges_and_diameter covers the refused one-node graphs
-                assert written(g, 1, 0) == write_oracle(g, 1, 0), name
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_bfs_spans_chunks(self, monkeypatch, chunk):
-        # level blocks of one row, of a few rows and of many rows
-        monkeypatch.setattr(bbnet.graph, "_BFS_CHUNK", chunk)
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, 200])
+    def test_small_blocks_match_oracles(self, monkeypatch, block):
+        # Blocks of one half-edge, of a few and of many, so that block bounds
+        # fall inside, at and past rows, key rows, BFS levels and segments;
+        # 200 half-edges cap the m = 2 segments at 100 nodes.
+        monkeypatch.setattr(bbnet.graph, "_BLOCK_HALF_EDGES", block)
+        assert_from_pairs_matches_lexsort()
+
+        lengths = []
+        resolve = bbnet.graph._pool_nodes
+
+        def spy(q, picks, m0, start, raw):
+            if q is raw:
+                lengths.append(len(raw) // picks.shape[1])
+            return resolve(q, picks, m0, start, raw)
+
+        monkeypatch.setattr(bbnet.graph, "_pool_nodes", spy)
+        assert_ba_matches_reference(NetworkParams(n=6_000, m=2, seed=4))
+        cap = max(1, block // 2)
+        assert max(lengths) == cap and lengths.count(cap) > 10
+
         for name, g in ORACLE_GRAPHS:
             for src in {0, g.n // 2, g.n - 1}:
                 assert np.array_equal(_bfs_distances(g, src), bfs_oracle(g, src)), (name, src)
+            if g.n >= 2:  # test_bfs_edges_and_diameter covers the refused one-node graphs
+                assert written(g, 1, 0) == write_oracle(g, 1, 0), name
 
     def test_write_at_digit_width_boundaries(self):
         # each id one below and at a power of ten, up to the six digits of n - 1
@@ -821,3 +825,10 @@ class TestMemory:
             with open(os.devnull, "w") as sink:
                 peaks.append(traced_peak(lambda: write_edge_list(g, sink, 2, 0)))
         assert peaks[1] < 1.25 * peaks[0], peaks
+        assert max(peaks) <= 2 * 2**20, peaks  # one block of text, not the whole graph
+
+    def test_write_peak_on_empty_rows(self):
+        # a long run of empty rows is cut into blocks too
+        g = Graph.from_edges(1_000_000, [(0, 999_999), (5, 6)])
+        with open(os.devnull, "w") as sink:
+            assert traced_peak(lambda: write_edge_list(g, sink, 1, 0)) <= 2**20
