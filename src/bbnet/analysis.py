@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import Sequence
 
 import numpy as np
@@ -98,18 +99,19 @@ def detect_stationarity(
 
 
 def c_of_N(n: int, c_exponent: float) -> int:
-    """Cycle bound ceil(N^C) for 0 < C <= 1."""
+    """Cycle bound ceil(N^C) for 0 < C <= 1, with C taken as written.
+
+    C is the decimal ``repr(float(C))`` shows: 0.1 is 1/10, so
+    ``c_of_N(2**30, 0.1)`` is 8. N^C is rounded up from 60 significant digits.
+    """
     n = check_int("N", n, 1)
     check_real("C", c_exponent)
     if not 0.0 < c_exponent <= 1.0:
         raise ParameterError(f"need 0 < C <= 1, got {c_exponent}")
-    x = float(n) ** c_exponent
-    nearest = round(x)
-    # float error leaves an exact power within a few ulps of its integer (3 at
-    # most on k**q with C = 1/q up to 3e9); a power any farther off rounds up
-    if abs(x - nearest) <= 8 * math.ulp(nearest):
-        return int(nearest)
-    return math.ceil(x)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(n) ** Decimal(repr(float(c_exponent)))
+        return int(x.to_integral_value(rounding=ROUND_CEILING))
 
 
 def measure_tau_E(traj: Trajectory, t0: int, c_n: int) -> float:

@@ -204,13 +204,11 @@ def run_sim(
     once, with ``count_infected_neighbours``; from then on each ``step``
     hands the next counts on. Each round draws an (N, 3) uniform matrix
     from ``rng``. Row 0 is the initial condition; row t is the state after
-    round t. Raises ``ParameterError`` unless ``own`` is a 1-D integer
-    array (or list) of N values.
+    round t; a ``Graph`` has a node to infect. Raises ``ParameterError``
+    unless ``own`` is a 1-D integer array (or list) of N values.
     """
     t_max_steps = check_int("t_max_steps", t_max_steps, 1)
     n = g.n
-    if n < 1:
-        raise ParameterError("empty graph")
     own = np.asarray(own)
     if own.ndim != 1 or own.dtype.kind not in "iu" or not np.can_cast(own.dtype, np.int64):
         raise ParameterError(f"need a 1-D integer own, got {_form(own)}")

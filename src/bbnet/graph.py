@@ -2,10 +2,11 @@
 
 Graphs are grown by preferential attachment: a complete seed clique on m0
 nodes, then each new node attaches to m distinct existing nodes chosen with
-probability proportional to current degree. The grown graph is immutable and
-stored in CSR form (indptr/indices) so simulation code can share it read-only
-across runs. Only this module reads the CSR arrays; the dynamics step and the
-diameter's frontier BFS walk rows through one primitive, ``Graph.gather``.
+probability proportional to current degree. A ``Graph`` is CSR (indptr/indices)
+with at least one node, and neither its fields nor its arrays can be written, so
+runs share it and no consumer re-checks it. Only this module reads the CSR
+arrays; the dynamics step and the diameter's BFS walk rows through one
+primitive, ``Graph.gather``.
 """
 
 from __future__ import annotations
@@ -74,19 +75,22 @@ class NetworkParams:
             )
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Graph:
-    """Immutable simple undirected graph in CSR form.
+    """Immutable simple undirected graph in CSR form, with at least one node.
 
     adjacency lists are sorted by neighbor id; edges are stored twice
-    (once per endpoint).
+    (once per endpoint). The CSR arrays are made read-only in place, not copied.
     """
 
-    __slots__ = ("n", "indptr", "indices")
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
-        self.n = n
-        self.indptr = indptr
-        self.indices = indices
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", check_int("n", self.n, 1))
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -96,8 +100,9 @@ class Graph:
         Zero rows in any shape are no edges. Whole floats and bools are refused,
         as by ``check_int``; a list is searched for bools element by element,
         as numpy makes them ints. The other checks are one reduction each; the
-        first bad edge is found on failure. ``edges`` is never written: the
-        CSR is built in a C-order copy of it.
+        first bad edge is found on failure; a node count below 1 is then
+        refused by ``Graph`` itself. ``edges`` is never written: the CSR is
+        built in a C-order copy of it.
         """
         n = check_int("n", n, 0, _MAX_NODES + 1)
         rows = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -304,8 +309,6 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
 
 def degree_ccdf(g: Graph) -> list[tuple[int, float]]:
     """Complementary CDF of the degree sequence: (k, fraction of nodes with degree >= k)."""
-    if g.n == 0:
-        raise ParameterError("empty graph")
     ks, counts = np.unique(g.degrees, return_counts=True)
     tail = np.cumsum(counts[::-1])[::-1]
     return [(int(k), float(t) / g.n) for k, t in zip(ks, tail)]
@@ -371,8 +374,6 @@ def approx_diameter(g: Graph) -> int:
     u at the second one's largest distance, so its own largest distance is
     the larger of the two.
     """
-    if g.n == 0:
-        raise ParameterError("empty graph")
     d0 = _bfs_distances(g, 0)
     if (d0 < 0).any():
         raise ParameterError("graph is not connected")

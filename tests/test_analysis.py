@@ -133,11 +133,15 @@ class TestCOfN:
     @pytest.mark.parametrize(
         "n,c,expected",
         [(10_000, 1.0, 10_000), (10_000, 0.5, 100), (2, 0.3, 2), (1, 0.5, 1), (1000, 0.5, 32),
-         # exact powers whose float power misses the integer by an ulp or so
+         # exact powers; C as written, so 1000 ** 0.3333333333333333 lies just below 10
          (1000, 1 / 3, 10), (2**30, 0.1, 8), (1024, 0.1, 2),
          # powers a few millionths or less past an integer round up
          (47439, 0.9, 16164), (72153, 0.8, 7703), (900_000_001, 0.5, 30001),
-         (10**9 + 1, 1 / 3, 1001)],
+         (10**9 + 1, 1 / 3, 1001),
+         # non-integer powers within 8 ulps of an integer, and an N past 2**53
+         (1054970459, 0.99, 857053428), (1157003502, 0.9, 143549343),
+         (1572551938, 0.95, 545474872), (2988570391, 0.95, 1003899679),
+         (2749564735, 0.99, 2212439022), (10**16 + 1, 0.5, 100000001)],
     )
     def test_values(self, n, c, expected):
         assert c_of_N(n, c) == expected

@@ -189,6 +189,15 @@ class TestSimulate:
         tau_e = sum(float(r[1]) for r in rows[1:11]) / 10  # rows t0 = 1 .. c(N) = 10
         assert f"{tau_e:.9f}" == row["tau_E"] == "0.219000000"
 
+    def test_reports_a_run_too_short_for_stationarity(self, tmp_path, capsys):
+        # 50 steps < 2 * stat_window: the detector cannot fire
+        cfg = write_config(tmp_path, n_values=[100], stat_window=100, t_max_steps=50, t0=1)
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "stationarity not detected within the run\n"
+        # max(t_max_steps, c(100) = 10) + 1 rows
+        assert len(out.read_text().splitlines()[1:]) == 51
+
     def test_seed_overrides_master_seed(self, tmp_path):
         # the default config has master_seed 5, so --seed 11 must run as master_seed 11
         (tmp_path / "seeded").mkdir()

@@ -225,9 +225,9 @@ class TestInit:
             assert np.array_equal(traj.max_displayed, runs[0].max_displayed)
 
     def test_empty_graph(self):
-        with pytest.raises(ParameterError, match="^empty graph$"):
-            run_sim(Graph.from_edges(0, []), np.ones(0, dtype=np.int64),
-                    EpidemicParams(nu=0.5, delta=0.5), 1, rng_from_seed(0))
+        # run_sim holds no node-count check: a graph without nodes is refused when made
+        with pytest.raises(ParameterError, match="^need n >= 1, got 0$"):
+            Graph.from_edges(0, [])
 
 
 class TestStep:

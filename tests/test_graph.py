@@ -1,5 +1,6 @@
 """Graph construction, degree statistics, and edge-list round trips."""
 
+import dataclasses
 import io
 import os
 import re
@@ -243,6 +244,26 @@ class TestParams:
             NetworkParams(n=bound + 1, m=1)
 
 
+class TestGraphContract:
+    """A ``Graph`` is checked once, when made: at least one node, nothing writable."""
+
+    def test_fields_and_arrays_read_only(self):
+        edges = np.array([(0, 1), (1, 2), (0, 3)], dtype=np.int32)
+        before = edges.copy()
+        p = NetworkParams(n=60, m=2, seed=5)
+        grown, buf = generate_ba(p), io.StringIO()
+        write_edge_list(grown, buf, p.m, p.seed)
+        graphs = [grown, Graph.from_edges(4, edges.tolist()),
+                  Graph.from_edges(4, edges), read_edge_list(io.StringIO(buf.getvalue()))[0]]
+        for g in graphs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.n = 3
+            for array in (g.indptr, g.indices):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[1] = 0
+        assert edges.flags.writeable and np.array_equal(edges, before)
+
+
 class TestGenerate:
     def test_n_equals_m0_gives_seed_clique(self):
         g = generate_ba(NetworkParams(n=3, m=2, m0=3, seed=7))
@@ -413,8 +434,9 @@ class TestDiameter:
             approx_diameter(g)
 
     def test_empty_graph_raises(self):
-        with pytest.raises(ParameterError, match="empty graph"):
-            approx_diameter(Graph.from_edges(0, []))
+        # no graph without nodes reaches approx_diameter: Graph itself refuses it
+        with pytest.raises(ParameterError, match="^need n >= 1, got 0$"):
+            Graph.from_edges(0, [])
 
     def test_growth_with_n(self):
         means = []
@@ -692,6 +714,10 @@ class TestArrayPathsMatchLoops:
     @pytest.mark.parametrize("n,edges", [(2, [(0, 1)]), (0, []), (1, []), (5, [])],
                              ids=["two-nodes", "empty", "one-node", "no-edges"])
     def test_write_small_and_edgeless(self, n, edges):
+        if n == 0:  # a graph without nodes is refused before there is anything to write
+            with pytest.raises(ParameterError, match="^need n >= 1, got 0$"):
+                Graph.from_edges(n, edges)
+            return
         g = Graph.from_edges(n, edges)
         if n >= 2:
             assert written(g, 1, 9) == write_oracle(g, 1, 9)
