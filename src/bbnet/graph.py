@@ -101,10 +101,10 @@ class Graph:
         as by ``check_int``; a list is searched for bools element by element,
         as numpy makes them ints. The other checks are one reduction each; the
         first bad edge is found on failure; a node count below 1 is then
-        refused by ``Graph`` itself. ``edges`` is never written: the CSR is
-        built in a C-order copy of it.
+        refused, with the message of ``Graph`` itself. ``edges`` is never
+        written: the CSR is built in a C-order copy of it.
         """
-        n = check_int("n", n, 0, _MAX_NODES + 1)
+        n = check_int("n", n, -math.inf, _MAX_NODES + 1)
         rows = edges if isinstance(edges, np.ndarray) else list(edges)
         e = np.array(rows, order="C")
         # (E, 2) lists only: any other shape gets the shape message of _from_rows
@@ -130,6 +130,7 @@ class Graph:
         if len(e) and (e.min() < 0 or e.max() >= n):
             bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1))[0]
             raise ParameterError(f"edge ({u[bad]},{v[bad]}) outside 0..{n - 1}")
+        check_int("n", n, 1)  # before _from_pairs, whose bincount refuses a negative n bare
         g = cls._from_pairs(n, np.ascontiguousarray(e, dtype=np.int64))
         # A duplicate edge is the same neighbour twice in one sorted row:
         # slot i repeats slot i - 1, and no row starts at i.

@@ -36,7 +36,15 @@ counts and pair fields alike, passes ``check_int`` before any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
-score: the number of 1-cells on the tape at halt, 0 for non-halters.
+score: the number of 1-cells on the tape at halt, 0 for non-halters. A run
+holds only a window of the tape: w and a margin of blank cells either side
+at first, doubled whenever the head steps past an end, so what a run costs
+follows the cells it visits, not the budget.
+
+A partial-table run that reads an unfixed entry pauses there: it reports
+the entry, and where it stands (the step, the state, the head cell and the
+window), and each child of the branch resumes from that pause with the
+entry fixed, rather than replaying its parent's steps.
 
 Most machines never halt, and ``run`` proves many of them so before they
 spend the budget, with three exact checks (Marxen & Buntrock, "Attacking
@@ -61,14 +69,20 @@ the Busy Beaver 5", 1990; the decider catalogue of bbchallenge.org):
   machine that runs off over blank tape is one with a window of one cell.
 
 The last two are checked after every step that does not halt, in the one
-step loop, so a proof ends the run on the step where it holds. All three
-are proofs, never guesses, so a proven non-halter reports exactly what the
-budget would have: ``halted=False, steps=t_max, score=0``.
+step loop, so a proof ends the run on the step where it holds. A resumed
+run takes them up afresh from its pause: before the pause no proof can hold
+(the parent run would have ended there, and after a proof a machine only
+repeats entries it has read), so starting afresh can only delay a proof.
+A fourth bound is known, not checked: from a blank tape no halting k-state
+machine runs more than S(k) steps, so for k <= 4 a run on a w with no 1
+stops there. All four are proofs, never guesses, so a proven non-halter
+reports exactly what the budget would have: ``halted=False, steps=t_max,
+score=0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import collections
@@ -99,18 +113,35 @@ def encoding_length(k: int) -> int:
     return k + table_bits(k)
 
 
+# Where a run stands before a step: (steps taken, state row, head cell, the
+# tape window, lowest and highest cell visited, the last cell that may hold
+# a 1 of w). Cells are window indices.
+Pause = tuple[int, int, int, bytes, int, int, int]
+
+# S(k): the most steps a halting k-state, 2-symbol machine takes from a blank
+# tape, its halting step included. S(1) = 1, S(2) = 6 (Rado 1962), S(3) = 21
+# (Lin & Rado, J. ACM 12, 1965), S(4) = 107 (Brady, Math. Comp. 40, 1983).
+_BUSY_BEAVER_STEPS = {1: 1, 2: 6, 3: 21, 4: 107}
+
+# Blank cells either side of w in the window a run starts from.
+_MARGIN = 8
+
+
 @dataclass(frozen=True)
 class MachineOutcome:
     """Result of one run; score is the busy-beaver score, 0 unless halted.
 
     ``unfixed`` is the entry that a run of a partial table read while it was
-    still unfixed, after ``steps`` steps; it is None for every other run.
+    still unfixed, after ``steps`` steps, and ``pause`` where that run stood
+    (``Pause``); both are None for every other run. The pause is not
+    compared: outcomes are equal when they report the same.
     """
 
     halted: bool
     steps: int
     score: int
     unfixed: int | None = None
+    pause: Pause | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -243,22 +274,26 @@ def check_input(w: str, t_max: int) -> int:
 class _Input:
     """Input w under a step budget, checked once and shared by every run of one call.
 
-    Holds the initial tape (w from cell ``origin`` rightward, with room for
-    ``t_max`` moves either way), the tape cell of w's last 1, the outcome of
-    a run that does not halt, and the root of each state count's tree
-    (``_cached_outcome``).
+    Holds ``start``, the ``Pause`` every run of a whole table resumes from
+    (step 0, state 0, the head on w's first cell in a window of w and
+    ``_MARGIN`` blank cells either side), the window cell of w's last 1 (-1
+    when w holds none), ``stops``, the last step of a run of 2k rows where
+    S(k) comes before t_max (only on a w with no 1), the outcome of a run
+    that does not halt, and the root of each state count's tree
+    (``_cached_outcome``). Nothing it holds grows with t_max.
     """
 
-    __slots__ = ("t_max", "tape", "origin", "last1", "never", "roots")
+    __slots__ = ("t_max", "last1", "start", "stops", "never", "roots")
 
     def __init__(self, w: str, t_max: int):
         self.t_max = t_max = check_input(w, t_max)
-        self.origin = origin = t_max + 1
-        tape = bytearray(2 * t_max + len(w) + 3)
-        tape[origin:origin + len(w)] = bytes(int(c) for c in w)
-        self.tape = bytes(tape)
-        self.last1 = origin + w.rfind("1") if "1" in w else -1
+        origin = _MARGIN
+        tape = bytes(_MARGIN) + bytes(int(c) for c in w) + bytes(_MARGIN)
+        self.last1 = last1 = origin + w.rfind("1") if "1" in w else -1
+        self.start: Pause = (0, 0, origin, tape, origin, origin, last1)
         self.never = MachineOutcome(halted=False, steps=t_max, score=0)
+        self.stops = {} if last1 >= 0 else {
+            2 * k: min(t_max, s) for k, s in _BUSY_BEAVER_STEPS.items()}
         self.roots: dict[int, MachineOutcome | _Branch] = {}
 
 
@@ -276,7 +311,7 @@ def _halt_reachable(rows: Sequence[Row]) -> bool:
     return False
 
 
-def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
+def run(rows: Sequence[Row], inp: _Input, pause: Pause | None = None) -> MachineOutcome:
     """Execute a program's interpreter rows on a two-way-infinite binary tape.
 
     ``rows`` are a table's entries as ``Row``s; ``inp`` is the input w and
@@ -287,11 +322,24 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
     step. A machine proven never to halt returns on the step its proof
     holds, with the outcome of a spent budget: HALT unreachable before the
     first step, a cycler or translated cycler after any step that does not
-    halt (see the module docstring). In a partial table, reading an
-    ``_unfixed`` row ends the run before that step, reporting the entry.
+    halt (see the module docstring). On a w with no 1, a table of k <= 4
+    states stops after S(k) steps (``_BUSY_BEAVER_STEPS``) with that outcome
+    too, as no completion of it halts later.
 
-    The proofs keep references, retaken at steps 1, 2, 4, 8, ... (Brent's
-    cycle finding), so the work per step is bounded:
+    In a partial table, reading an ``_unfixed`` row pauses the run before
+    that step: the outcome reports the entry and the ``Pause``, with the bit
+    read left in place. A run resumes from ``pause``, which is
+    ``inp.start`` when not given, so a whole table's run is a resumed one.
+
+    The tape is a window of the cells visited and w; the head leaves it
+    only on a record step, which then doubles it on that side. A left
+    growth shifts every cell index the run holds, and every live snapshot
+    is padded to match, so the checks compare what they would on the whole
+    tape.
+
+    The proofs keep references, retaken 1, 2, 4, 8, ... steps after the
+    step the run starts from (Brent's cycle finding), so the work per step
+    is bounded:
 
     * cycler: the configuration at the last reference step;
     * translated cycler: per side, the first record-breaking configuration
@@ -300,29 +348,37 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
     """
     if not _halt_reachable(rows):
         return inp.never
-    tape, last1 = bytearray(inp.tape), inp.last1
-    state, pos = 0, inp.origin
-    lo = hi = pos  # lowest and highest cell visited
-    c_state, c_pos, c_tape = state, pos, inp.tape
+    start, state, pos, c_tape, lo, hi, last1 = pause or inp.start
+    stop = inp.stops.get(len(rows), inp.t_max)
+    tape = bytearray(c_tape)
+    c_state, c_pos = state, pos
     # per side (state, pos, tape, farthest cell back since); state -1: none yet
-    r_state, r_pos, r_tape, r_back = l_state, l_pos, l_tape, l_back = -1, 0, b"", 0
+    r_state, r_pos, r_tape, r_back = l_state, l_pos, l_tape, l_back = -1, 0, c_tape, 0
     # per side, whether the next record becomes the reference
     r_armed = l_armed = True
-    next_ref = 1
-    for step in range(1, inp.t_max + 1):
+    next_ref = start + 1
+    for step in range(start + 1, stop + 1):
         write, move, state = rows[state + tape[pos]]
         tape[pos] = write
         pos += move
         if state < 0:
             if state == 2 * HALT:
-                return MachineOutcome(halted=True, steps=step, score=tape.count(1))
-            return MachineOutcome(halted=False, steps=step - 1, score=0, unfixed=2 * HALT - 1 - state)
+                return MachineOutcome(True, step, tape.count(1))
+            entry = 2 * HALT - 1 - state
+            tape[pos] = entry & 1  # the unfixed row wrote 0 and stayed: put back the bit read
+            # positional: the keywords cost a third of building the outcome
+            return MachineOutcome(False, step - 1, 0, entry,
+                                  (step - 1, entry & ~1, pos, bytes(tape), lo, hi, last1))
         if pos < r_back:
             r_back = pos
         if pos > l_back:
             l_back = pos
         if pos > hi:
             hi = pos
+            if pos == len(tape):  # past the window's right end: double the window
+                pad = bytes(pos)
+                tape += pad
+                c_tape, r_tape, l_tape = c_tape + pad, r_tape + pad, l_tape + pad
             # a right record; with a 1 of w ahead it proves nothing
             if pos > last1:
                 d = pos - r_pos
@@ -332,6 +388,16 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
                     r_state, r_pos, r_tape, r_back = state, pos, bytes(tape), pos
                     r_armed = False
         elif pos < lo:
+            if pos < 0:
+                # past the left end: double the window, and every cell index
+                # moves with its start (with no 1 in w, last1 stays left of
+                # every cell visited)
+                n = len(tape)
+                pad = bytes(n)
+                tape[:0] = pad
+                c_tape, r_tape, l_tape = pad + c_tape, pad + r_tape, pad + l_tape
+                pos, hi, last1, c_pos, r_pos, r_back, l_pos, l_back = (
+                    i + n for i in (pos, hi, last1, c_pos, r_pos, r_back, l_pos, l_back))
             # a left record: w starts at the first head cell, so only 0s lie ahead
             lo = pos
             d = pos - l_pos
@@ -345,21 +411,22 @@ def run(rows: Sequence[Row], inp: _Input) -> MachineOutcome:
         if step == next_ref:
             c_state, c_pos, c_tape = state, pos, bytes(tape)
             r_armed = l_armed = True
-            next_ref *= 2
+            next_ref += next_ref - start
     return inp.never
 
 
 class _Branch:
-    """A partial table whose run read ``entry`` while it was unfixed.
+    """A partial table whose run read ``entry`` while it was unfixed, and paused at ``pause``.
 
     ``children`` maps each row that entry has been fixed to so far to the
     node of that table; field values that decode to the same row share it.
+    Each child's run resumes from ``pause``.
     """
 
-    __slots__ = ("entry", "children")
+    __slots__ = ("entry", "pause", "children")
 
-    def __init__(self, entry: int):
-        self.entry, self.children = entry, {}
+    def __init__(self, out: MachineOutcome):
+        self.entry, self.pause, self.children = out.unfixed, out.pause, {}
 
 
 def _cached_outcome(inp: _Input, k: int, t_int: int) -> MachineOutcome:
@@ -367,22 +434,23 @@ def _cached_outcome(inp: _Input, k: int, t_int: int) -> MachineOutcome:
 
     A lookup starts from the blank table and, at each branch, fixes the entry
     the branch's run read to t_int's row, which keys the child to take; a
-    child not built yet runs the table as fixed so far. The leaf reached is the
+    child not built yet runs the table as fixed so far, resuming from the
+    branch's pause (the root from ``inp.start``). The leaf reached is the
     outcome of every table that agrees with t_int on those entries, since a
     run applies only the entries it reads. The pair is not checked here.
     """
     shifts, mask, rows, blank = _field_codes(k)
     table = list(blank)
-    children, key = inp.roots, k
+    branch, children, key = None, inp.roots, k
     while True:
         node = children.get(key)
         if node is None:
-            out = run(table, inp)
-            node = children[key] = out if out.unfixed is None else _Branch(out.unfixed)
+            out = run(table, inp, branch and branch.pause)
+            node = children[key] = out if out.unfixed is None else _Branch(out)
         if type(node) is not _Branch:
             return node
         key = table[node.entry] = rows[t_int >> shifts[node.entry] & mask]
-        children = node.children
+        branch, children = node, node.children
 
 
 def population_fitness(
@@ -412,23 +480,25 @@ def _halting_encodings(k: int, inp: _Input) -> int:
 
     Walks partial tables: a run starts with every entry unfixed, and a run
     that reads an unfixed entry branches over the rows it decodes to, each
-    weighing as many field values as decode to it. A branch that halts
-    counts every completion of its free entries; one proven non-halting or
-    out of budget counts none. Either verdict used only the entries the run
-    read, so it holds for every completion.
+    weighing as many field values as decode to it and resuming from the
+    run's pause. A branch that halts counts every completion of its free
+    entries; one proven non-halting or out of budget counts none. Either
+    verdict used only the entries the run read, so it holds for every
+    completion.
     """
     entries = 2 * k
     ew = table_bits(k) // entries
     _, _, rows, blank = _field_codes(k)
     options = collections.Counter(rows).items()
     total = 0
-    todo = [(blank, 1, entries)]
+    todo = [(blank, 1, entries, None)]
     while todo:
-        table, weight, free = todo.pop()
-        out = run(table, inp)
+        table, weight, free, pause = todo.pop()
+        out = run(table, inp, pause)
         if out.unfixed is not None:
             head, tail = table[:out.unfixed], table[out.unfixed + 1:]
-            todo.extend((head + (row,) + tail, weight * n, free - 1) for row, n in options)
+            todo.extend((head + (row,) + tail, weight * n, free - 1, out.pause)
+                        for row, n in options)
         elif out.halted:
             total += weight << (ew * free)
     return total

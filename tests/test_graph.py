@@ -745,6 +745,15 @@ class TestArrayPathsMatchLoops:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             Graph.from_edges(n, edges)
 
+    @pytest.mark.parametrize("n", [0, -1, -(2**40)])
+    def test_from_edges_refuses_fewer_than_one_node(self, n):
+        # one message for every node count below 1, given after the edge checks
+        for edges in ([], np.empty((0, 2), dtype=np.int64)):
+            with pytest.raises(ParameterError, match=f"^need n >= 1, got {n}$"):
+                Graph.from_edges(n, edges)
+        with pytest.raises(ParameterError, match=rf"^edge \(0,1\) outside 0\.\.{n - 1}$"):
+            Graph.from_edges(n, [(0, 1)])
+
     @pytest.mark.parametrize("n,edges", [(4, [(0, 2), (1, 2)]), (7, [(2, 5), (3, 5), (5, 6)])],
                              ids=["rows-0-1", "empty-rows-around"])
     def test_equal_neighbours_across_a_row_start_accepted(self, n, edges):

@@ -581,6 +581,186 @@ class TestDeciders:
         assert 3 < steps <= 5
 
 
+# The step champions: each halts from a blank tape after exactly S(k) steps.
+STEP_CHAMPIONS = {
+    2: (2, ((1, 1, 1), (1, 0, 1), (1, 0, 0), (1, 1, HALT))),
+    3: (3, ((1, 1, 2), (0, 1, HALT), (1, 0, 1), (1, 0, 0), (1, 0, 2), (0, 1, 1))),
+    4: (4, ((1, 1, 1), (1, 0, 1), (1, 0, 0), (0, 0, 2), (1, 1, HALT), (1, 0, 3),
+            (1, 1, 3), (0, 1, 0))),
+}
+# Widens a block of 1s by one cell on the left, then one on the right, and so
+# on: state 0 runs right over the 1s, state 1 left, and state 2, on the cell
+# right of the new left end, reads the 1 there and hands back to state 0. Its
+# halting entry (state 2 reads 0) never fires, and no decider proves it.
+WIDENING = (3, ((1, 0, 1), (1, 1, 0), (1, 1, 2), (1, 0, 1), (1, 1, HALT), (1, 1, 0)))
+# WIDENING mirrored: its block grows on the right first.
+WIDENING_MIRRORED = (3, ((1, 1, 1), (1, 0, 0), (1, 0, 2), (1, 1, 1), (1, 0, HALT), (1, 0, 0)))
+# A sampled cycler whose first proof, from a window of w and one blank cell
+# either side, compares a reference taken before the window grew on the right.
+CYCLER_ACROSS_A_GROWTH = (6, ((0, 0, 5), (0, 1, HALT), (1, 0, 0), (1, 1, HALT), (0, 0, 4),
+                              (0, 1, HALT), (0, 1, 4), (0, 0, HALT), (0, 0, 3), (0, 0, 2),
+                              (1, 1, 3), (0, 1, 1)))
+# A sampled left translated cycler whose first proof, from the same window,
+# compares a left window that reaches past where the window grew on the right.
+LEFT_CYCLER_ACROSS_A_GROWTH = (5, ((1, 0, 4), (0, 0, HALT), (0, 1, 1), (1, 1, 0), (1, 1, 0),
+                                   (1, 0, 1), (1, 0, 4), (1, 1, 4), (0, 1, 2), (0, 0, 0)))
+
+
+def out_and_back(left, right):
+    """A (left + right + 2)-state table that writes 1s ``left`` cells leftward, runs back
+    right over them and the 1s of w, writes 1s ``right`` cells on and halts."""
+    k = left + right + 2
+    entries = [None] * (2 * k)
+    for s in range(left):
+        entries[2 * s] = entries[2 * s + 1] = (1, 0, s + 1)
+    # state left turns at the far end; state left + 1 runs right over the 1s
+    entries[2 * left] = entries[2 * left + 1] = (1, 1, left + 1)
+    entries[2 * left + 2], entries[2 * left + 3] = (1, 1, left + 2), (1, 1, left + 1)
+    for s in range(left + 2, k):
+        entries[2 * s] = entries[2 * s + 1] = (1, 1, s + 1 if s + 1 < k else HALT)
+    return k, tuple(entries)
+
+
+def margin_crossings(table, w, t_max):
+    """The first step on which ``reference_run``'s head stands left of a run's first tape
+    window, and the first on which it stands right of it (None if it never does)."""
+    _, entries = table
+    tape = {i: int(c) for i, c in enumerate(w)}
+    pos, state = 0, 0
+    left = right = None
+    for step in range(1, t_max + 1):
+        write, move, state = entries[2 * state + tape.get(pos, 0)]
+        tape[pos] = write
+        pos += 1 if move else -1
+        if left is None and pos < -machines._MARGIN:
+            left = step
+        if right is None and pos >= len(w) + machines._MARGIN:
+            right = step
+        if state == HALT:
+            break
+    return left, right
+
+
+class TestBusyBeaverCap:
+    """A run from a tape with no 1 stops after S(k) steps for k <= 4."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_step_champion_halts_at_s_k(self, k):
+        m, s_k = STEP_CHAMPIONS[k], machines._BUSY_BEAVER_STEPS[k]
+        assert reference_run(m, "", 10 * s_k).steps == s_k
+        for t_max in (s_k, 10 * s_k):
+            assert outcome(m, "", t_max) == reference_run(m, "", t_max)
+            assert outcome(m, "", t_max).halted
+        assert outcome(m, "", s_k - 1) == MachineOutcome(halted=False, steps=s_k - 1, score=0)
+
+    def test_a_1_in_w_takes_no_cap(self):
+        # S(1) = 1, but w holds 1s: the walk over them halts on the first 0, at step 4
+        m = (1, ((1, 1, HALT), (1, 1, 0)))
+        assert outcome(m, "111", 100) == MachineOutcome(halted=True, steps=4, score=4)
+        assert outcome(m, "111", 100) == reference_run(m, "111", 100)
+
+    def test_cap_ends_an_unproven_run(self):
+        # no decider proves WIDENING: from a blank tape it stops at S(3) = 21
+        # steps, and with a 1 in w it spends the budget
+        never = MachineOutcome(halted=False, steps=1000, score=0)
+        assert executed_steps(WIDENING, "", 1000) == (never, 21)
+        assert executed_steps(WIDENING, "000", 1000) == (never, 21)
+        assert executed_steps(WIDENING, "1", 1000) == (never, 1000)
+        assert reference_run(WIDENING, "", 1000) == never
+
+    def test_cap_applies_to_partial_tables(self):
+        # WIDENING with its halting entry unfixed: it is never read, so the cap ends the run
+        rows = list(rows_of(WIDENING))
+        rows[4] = machines._unfixed(4)
+        assert run(rows, _Input("", 1000)) == _Input("", 1000).never
+        assert run(rows, _Input("1", 1000)) == _Input("1", 1000).never
+
+
+class TestWindowAndPause:
+    """The tape window grows past either end, and partial-table runs resume from their pause."""
+
+    @pytest.mark.parametrize("w", ["", "1", "0110111"])
+    def test_head_crosses_the_margin_left_then_right(self, w):
+        t_max = 10**4
+        margin = machines._MARGIN
+        for m in (WIDENING, WIDENING_MIRRORED, out_and_back(20, 40),
+                  out_and_back(3 * margin, 3 * margin)):
+            left, right = margin_crossings(m, w, t_max)
+            assert left is not None and right is not None, (m, w)
+            assert outcome(m, w, t_max) == reference_run(m, w, t_max), (m, w)
+        # an out-and-back table crosses on the left first, then on the right, and halts
+        left, right = margin_crossings(out_and_back(20, 40), w, t_max)
+        assert left < right
+        assert outcome(out_and_back(20, 40), w, t_max).halted
+
+    def test_window_moves_no_proof(self, monkeypatch):
+        # a margin of 1 grows the window on most records; one of t_max + 1
+        # never grows it, as the whole tape of 2 t_max cells did not. Every
+        # outcome, and the step on which each proof holds, must be the same.
+        t_max = 1000
+        tables = every_table(1) + every_table(2)
+        tables += [CYCLER_ACROSS_A_GROWTH, LEFT_CYCLER_ACROSS_A_GROWTH]
+        tables += [table_from_int(*p) for p in set(sample_programs(rng_from_seed(4), 5000))]
+        for w in ("", "101", "0110111"):
+            runs = []
+            for margin in (1, machines._MARGIN, t_max + 1):
+                monkeypatch.setattr(machines, "_MARGIN", margin)
+                runs.append([executed_steps(m, w, t_max) for m in tables])
+            assert runs[0] == runs[2], w
+            assert runs[1] == runs[2], w
+
+    def test_pause_puts_back_the_bit_read(self):
+        # test_unfixed_entry_read_is_reported's table: state 0 reads the 1 it wrote
+        rows = [(1, 1, 2), machines._unfixed(1), (0, -1, 0), machines._unfixed(3)]
+        inp = _Input("", 10)
+        out = run(rows, inp)
+        step, state, pos, tape, lo, hi, last1 = out.pause
+        origin = inp.start[2]
+        assert (step, state, pos, lo, hi, last1) == (2, 0, origin, origin, origin + 1, -1)
+        assert tape[origin] == 1 and tape.count(1) == 1
+        # fixing the entry and resuming gives the run of the whole table
+        rows[1] = (1, 1, HALT * 2)
+        assert run(rows, inp, out.pause) == run(rows, inp) == MachineOutcome(True, 3, 1)
+
+    @pytest.mark.parametrize("w", ["", "1", "101", "0110111"])
+    def test_tree_matches_full_table_runs_at_large_budgets(self, w):
+        # test_tree_matches_full_table_runs at budgets that the tape window,
+        # not the budget, now sizes: each resumed leaf against a fresh run of
+        # the whole table
+        programs = []
+        for seed, k_max in enumerate((1, 2, 3, 6)):
+            programs += sample_programs(rng_from_seed(500 + seed), 5000, k_max)
+        distinct = dict.fromkeys(programs)
+        for t_max in (10**4, 10**5):
+            inp = _Input(w, t_max)
+            for p in distinct:
+                assert _cached_outcome(inp, *p) == run(_rows_from_int(*p), inp), (p, t_max)
+
+    @pytest.mark.parametrize("t_max", [10**2, 10**3, 10**4, 10**5, 10**6])
+    def test_monte_carlo_at_every_budget(self, t_max, monkeypatch):
+        calls = []
+
+        def counted(rows, inp, *args):
+            calls.append(1)
+            return run(rows, inp, *args)
+
+        monkeypatch.setattr(machines, "run", counted)
+        assert omega_monte_carlo(50_000, "", t_max, rng_from_seed(0), 6).value == 0.42848
+        assert len(calls) <= 7100
+
+    def test_short_run_at_a_huge_budget_allocates_little(self):
+        # nothing of size t_max is built: not by _Input, not by the run
+        w = "0" * 20 + "1"
+        tracemalloc.start()
+        try:
+            out = run(rows_of(RIGHT_WRITER), _Input(w, 10**7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out == MachineOutcome(halted=True, steps=21, score=21)
+        assert peak < 64 * 1024
+
+
 class TestFitness:
     def test_halted_scores(self):
         assert outcome(HALTER_TABLE, "", 10).score == 1
@@ -753,9 +933,9 @@ class TestOmega:
         # one run per partial table the walk reaches; one per distinct table is 20,800
         calls = []
 
-        def counted(rows, inp):
+        def counted(rows, inp, *args):
             calls.append(1)
-            return run(rows, inp)
+            return run(rows, inp, *args)
 
         monkeypatch.setattr(machines, "run", counted)
         assert omega_enumerate(18, "101", 1000, 6).numerator == 133040
@@ -765,9 +945,9 @@ class TestOmega:
         # one run per partial table the trees reach; one per distinct table is 23,948
         calls = []
 
-        def counted(rows, inp):
+        def counted(rows, inp, *args):
             calls.append(1)
-            return run(rows, inp)
+            return run(rows, inp, *args)
 
         monkeypatch.setattr(machines, "run", counted)
         assert omega_monte_carlo(50_000, "", 1000, rng_from_seed(0), 6).value == 0.42848
