@@ -35,7 +35,7 @@ def _output(path: str | None) -> AbstractContextManager[TextIO]:
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
-    params = NetworkParams(n=args.n, m=args.m, m0=args.m0, seed=args.seed)
+    params = NetworkParams(n=args.n, m=args.m, seed=args.seed)
     g = generate_ba(params)
     with _output(args.out) as fh:
         write_edge_list(g, fh, args.m, args.seed)
@@ -66,7 +66,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args.seed)
     out_dir = args.out or "."
-    run_sweep_to_dir(config, out_dir, workers=args.workers, emit_graphs=args.emit_graphs)
+    run_sweep_to_dir(config, out_dir, workers=args.workers)
     print(f"wrote {Path(out_dir) / 'records.csv'} and summary.json", file=sys.stderr)
     return 0
 
@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-graph", help="emit a Barabasi-Albert graph as an edge list")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m0", type=int, default=-1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_gen_graph)
@@ -101,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[config_run],
                        help="run the full experiment grid from a config file")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--emit-graphs", action="store_true", dest="emit_graphs",
-                   help="also write graph_<cell>_<seed>.edges per run")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -4,7 +4,8 @@ Every run derives its own 64-bit seed from (master seed, cell index, seed
 index), so cells and repeats can execute in parallel without changing a
 single output byte. Records are buffered and written sorted by (cell, seed).
 Wall-clock durations are intentionally kept out of records.csv (they would
-break byte-for-byte reproducibility) and go to timings.csv instead.
+break byte-for-byte reproducibility) and go to timings.csv instead, beside
+each run's seed: ``bbnet gen-graph`` with it writes the run's graph.
 
 Each schema is written down once. ExperimentConfig's annotations give each
 field's kind, which validate checks on load, and the fields without a
@@ -30,7 +31,7 @@ from .analysis import (EmergenceReport, StationarityResult, c_of_N, detect_stati
                        emergence_report)
 from .dynamics import EpidemicParams, Trajectory, run_sim
 from .errors import ParameterError, check_int
-from .graph import NetworkParams, generate_ba, write_edge_list
+from .graph import NetworkParams, generate_ba
 from .machines import (
     ENUM_LENGTH_GUARD,
     K_MAX_DEFAULT,
@@ -98,11 +99,11 @@ class ExperimentConfig:
     imitate_infected_only: bool = False
 
     def __post_init__(self) -> None:
+        self.validate()  # first, so that its messages show each value as given
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type.startswith("list[") and isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
-        self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
@@ -229,27 +230,21 @@ def estimate_omega(config: ExperimentConfig) -> OmegaEstimate:
 
 
 def simulate_cell(
-    config: ExperimentConfig,
-    cell_index: int,
-    seed_index: int,
-    graph_dir: str | Path | None = None,
+    config: ExperimentConfig, cell_index: int, seed_index: int
 ) -> tuple[np.ndarray, EpidemicParams, Trajectory, StationarityResult]:
     """One run of one grid cell: (own fitness, SIS params, trajectory, stationarity).
 
     The one place that sets a run's length, max(t_max_steps, c(N)) steps, and
     its stationarity verdict, for ``bbnet sweep`` and ``bbnet simulate`` alike.
     The run's Generator is drawn in a fixed order: graph growth, program bits,
-    initial infected set, step uniforms; scoring draws nothing. With graph_dir
-    set, the topology is exported as graph_<cell>_<seed>.edges, which no other run writes.
+    initial infected set, step uniforms; scoring draws nothing. The graph is
+    the one ``bbnet gen-graph --n N --m m --seed S`` writes, with S the run's
+    ``derive_seed(master_seed, cell_index, seed_index)``.
     """
     n, m, nu, delta = config.cells()[cell_index]
     seed = derive_seed(config.master_seed, cell_index, seed_index)
     rng = rng_from_seed(seed)
     g = generate_ba(NetworkParams(n=n, m=m, seed=seed), rng)
-    if graph_dir is not None:
-        path = Path(graph_dir) / f"graph_{cell_index}_{seed_index}.edges"
-        with open(path, "w") as fh:
-            write_edge_list(g, fh, m, seed)
     own = population_fitness(sample_programs(rng, n, config.k_max), config.w, config.t_max)
     params = EpidemicParams(
         nu=nu,
@@ -269,12 +264,11 @@ def run_cell_seed(
     cell_index: int,
     seed_index: int,
     omega_hat: float,
-    graph_dir: str | Path | None = None,
 ) -> RunRecord:
     """Score one grid cell's run with one derived seed (``simulate_cell``) against omega_hat."""
     n, m, nu, delta = config.cells()[cell_index]
     started = time.perf_counter()
-    own, params, traj, stat = simulate_cell(config, cell_index, seed_index, graph_dir)
+    own, params, traj, stat = simulate_cell(config, cell_index, seed_index)
     lam = params.spreading_rate
     report = emergence_report(
         traj, omega_hat, m, lam, n, config.c_exponent, config.t0, own, stat
@@ -294,16 +288,13 @@ def run_cell_seed(
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    workers: int = 1,
-    graph_dir: str | Path | None = None,
+    config: ExperimentConfig, workers: int = 1
 ) -> tuple[list[RunRecord], dict]:
     """Run the full grid; returns records sorted by (cell, seed) and the summary."""
     workers = check_int("workers", workers, 1)
     omega_hat = estimate_omega(config).value
     cells, seeds = zip(*itertools.product(range(len(config.cells())), range(config.n_seeds)))
-    args = (itertools.repeat(config), cells, seeds,
-            itertools.repeat(omega_hat), itertools.repeat(graph_dir))
+    args = (itertools.repeat(config), cells, seeds, itertools.repeat(omega_hat))
     workers = min(workers, len(cells))  # a pool starts all its workers at its first submit
     if workers > 1:
         # imported here: the pool's modules cost every other call their load time
@@ -352,13 +343,13 @@ def write_records_csv(records: Sequence[RunRecord], out: TextIO) -> None:
         out.write(rec.csv_row() + "\n")
 
 
-def write_timings_csv(records: Sequence[RunRecord], out: TextIO) -> None:
-    """Wall-clock per run; excluded from the determinism contract."""
-    out.write("cell_index,seed_index,N,duration_s,version\n")
+def write_timings_csv(records: Sequence[RunRecord], master_seed: int, out: TextIO) -> None:
+    """Wall-clock per run and the run's seed; excluded from the determinism contract."""
+    out.write("cell_index,seed_index,N,seed,duration_s,version\n")
     for rec in records:
-        out.write(
-            f"{rec.cell_index},{rec.seed_index},{rec.n},{rec.duration_s:.6f},{__version__}\n"
-        )
+        seed = derive_seed(master_seed, rec.cell_index, rec.seed_index)
+        out.write(f"{rec.cell_index},{rec.seed_index},{rec.n},{seed},"
+                  f"{rec.duration_s:.6f},{__version__}\n")
 
 
 def write_summary_json(summary: dict, out: TextIO) -> None:
@@ -370,19 +361,16 @@ def run_sweep_to_dir(
     config: ExperimentConfig,
     out_dir: str | Path,
     workers: int = 1,
-    emit_graphs: bool = False,
 ) -> tuple[list[RunRecord], dict]:
     """run_experiment plus artifact emission into out_dir, made only once workers is accepted."""
     workers = check_int("workers", workers, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records, summary = run_experiment(
-        config, workers=workers, graph_dir=out if emit_graphs else None
-    )
+    records, summary = run_experiment(config, workers=workers)
     with open(out / "records.csv", "w") as fh:
         write_records_csv(records, fh)
     with open(out / "summary.json", "w") as fh:
         write_summary_json(summary, fh)
     with open(out / "timings.csv", "w") as fh:
-        write_timings_csv(records, fh)
+        write_timings_csv(records, config.master_seed, fh)
     return records, summary

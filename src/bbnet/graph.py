@@ -1,8 +1,10 @@
 """Barabasi-Albert scale-free graphs and topology diagnostics.
 
-Graphs are grown by preferential attachment: a complete seed clique on m0
+Graphs are grown by preferential attachment: a complete seed clique on m + 1
 nodes, then each new node attaches to m distinct existing nodes chosen with
-probability proportional to current degree. A ``Graph`` is CSR (indptr/indices)
+probability proportional to current degree. (N, m, seed) names the whole
+graph, and the edge-list header "N m seed" holds exactly those, so every
+file written regrows from its header. A ``Graph`` is CSR (indptr/indices)
 with at least one node, and neither its fields nor its arrays can be written, so
 runs share it and no consumer re-checks it. Only this module reads the CSR
 arrays; the dynamics step and the diameter's BFS walk rows through one
@@ -49,30 +51,19 @@ def _row_blocks(ends: np.ndarray) -> Iterator[tuple[int, int]]:
 class NetworkParams:
     """Parameters of the preferential-attachment growth process.
 
-    m0 defaults to m + 1, the smallest clique in which every seed node
-    already has degree >= m. seed takes any integer; it is masked to 64 bits.
+    Growth starts from an (m + 1)-clique, the smallest in which every seed
+    node already has degree >= m, so m < n. seed takes any integer; it is
+    masked to 64 bits.
     """
 
     n: int
     m: int
-    m0: int = -1
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", check_int("n", self.n, 2, _MAX_NODES + 1))
-        object.__setattr__(self, "m", check_int("m", self.m, 1))
-        # no bound of its own: -1 stands for m + 1, and the range has the two rules below
-        m0 = check_int("m0", self.m0, -math.inf)
-        object.__setattr__(self, "m0", self.m + 1 if m0 == -1 else m0)
+        object.__setattr__(self, "m", check_int("m", self.m, 1, self.n))
         object.__setattr__(self, "seed", check_int("seed", self.seed, -math.inf))
-        if not (self.m <= self.m0 <= self.n):
-            raise ParameterError(
-                f"need m <= m0 <= n, got m={self.m}, m0={self.m0}, n={self.n}"
-            )
-        if self.m0 < 2:
-            raise ParameterError(
-                f"need m0 >= 2 (a one-node seed has no degree to attach to), got m0={self.m0}"
-            )
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -248,7 +239,7 @@ def _pool_nodes(q: np.ndarray, picks: np.ndarray, m0: int, start: int,
 def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -> Graph:
     """Grow a Barabasi-Albert graph.
 
-    Starts from a complete graph on m0 >= 2 nodes; each subsequent node picks
+    Starts from a complete graph on m0 = m + 1 nodes; each subsequent node picks
     m distinct targets by sampling uniformly from a flat multiset in which
     every node id is repeated once per unit of degree (duplicates within one
     node's picks are rejected and redrawn). Deterministic given the seed.
@@ -270,7 +261,8 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
     """
     if rng is None:
         rng = rng_from_seed(params.seed)
-    n, m, m0 = params.n, params.m, params.m0
+    n, m = params.n, params.m
+    m0 = m + 1
     base = m0 * (m0 - 1)
     clique = base // 2
     pairs = np.empty((clique + m * (n - m0), 2), dtype=np.int64)
@@ -408,21 +400,15 @@ def _id_text(ids: np.ndarray, width: int) -> str:
     return cells[x[:, None] >= floors].tobytes().decode("ascii")
 
 
-def _header_params(n: int, m: int, seed: int) -> NetworkParams:
-    """The params of an edge-list header "n m seed", for writer and reader alike:
-    the header holds no m0, so they carry m0 = min(m + 1, n)."""
-    m = check_int("m", m, -math.inf)  # the type before m + 1; NetworkParams has the range
-    return NetworkParams(n=n, m=m, m0=min(m + 1, n), seed=seed)
-
-
 def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
     """Emit the bit-exact edge-list format: header "N m seed", then "u v" rows.
 
-    The header passes ``_header_params`` before anything is written, so every
-    file written reads back. Rows have u < v in lexicographic order: the upper
-    half of the CSR rows, taken whole through ``_row_blocks``, each block
-    formatted by ``_id_text`` at once."""
-    p = _header_params(g.n, m, seed)
+    The header passes ``NetworkParams`` before anything is written, so every
+    file written reads back, as the params ``generate_ba`` grows the graph
+    from. Rows have u < v in lexicographic order: the upper half of the CSR
+    rows, taken whole through ``_row_blocks``, each block formatted by
+    ``_id_text`` at once."""
+    p = NetworkParams(n=g.n, m=m, seed=seed)
     out.write(f"{p.n} {p.m} {p.seed}\n")
     width = len(str(g.n - 1))
     for lo, hi in _row_blocks(g.indptr[1:]):
@@ -436,7 +422,8 @@ def write_edge_list(g: Graph, out: TextIO, m: int, seed: int) -> None:
 def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
     """Parse the edge-list format written by write_edge_list; blank lines are skipped.
 
-    The header is checked by ``_header_params``. ``np.loadtxt`` parses the body
+    The header is checked by ``NetworkParams``, so it accepts exactly the
+    headers ``write_edge_list`` writes. ``np.loadtxt`` parses the body
     straight from the stream, and the CSR is built inside the array it returns,
     after the checks of ``Graph.from_edges``; an empty body is zero rows, which
     they read as no edges."""
@@ -450,7 +437,7 @@ def read_edge_list(inp: TextIO) -> tuple[Graph, NetworkParams]:
         n, m, seed = map(int, header)
     except ValueError:
         raise ParameterError(f"edge-list header fields must be integers, got {header}") from None
-    params = _header_params(n, m, seed)
+    params = NetworkParams(n=n, m=m, seed=seed)
     try:
         with warnings.catch_warnings():
             # an empty or all-blank body is no edges, not a warning

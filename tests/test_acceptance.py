@@ -64,13 +64,13 @@ def degree_law_z(degrees, m, tail=40):
 
 
 def test_criterion_1_exact_degree_law():
-    """N 1e4 and 1e5, m 2 and 3, seeds 0-3, m0 = m + 1: |z| <= 4 on every graph
+    """N 1e4 and 1e5, m 2 and 3, seeds 0-3: |z| <= 4 on every graph
     against the exact law (-1.20..+1.20 when set); uniform attachment fails it."""
     zs = []
     for n in (10_000, 100_000):
         for m in (2, 3):
             for seed in range(4):
-                g = generate_ba(NetworkParams(n=n, m=m, m0=m + 1, seed=seed))
+                g = generate_ba(NetworkParams(n=n, m=m, seed=seed))
                 zs.append(degree_law_z(g.degrees, m))
     assert max(abs(z) for z in zs) <= 4, [round(z, 2) for z in zs]
     # each new node joins m distinct nodes chosen uniformly, not by degree

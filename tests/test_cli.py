@@ -1,14 +1,19 @@
 """CLI subcommands: wiring, exit codes, and output formats."""
 
+import hashlib
+import io
 import json
+import math
+from contextlib import redirect_stderr
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbnet import cli, experiment
 from bbnet.cli import main
-from bbnet.graph import NetworkParams, generate_ba, read_edge_list
-from bbnet.machines import omega_enumerate, omega_monte_carlo
+from bbnet.experiment import OMEGA_METHODS
+from bbnet.graph import read_edge_list
+from bbnet.machines import ENUM_LENGTH_GUARD, omega_enumerate, omega_monte_carlo
 from bbnet.rng import OMEGA_STREAM_TAG, derive_seed, rng_from_seed
 
 
@@ -58,23 +63,6 @@ class TestGenGraph:
     def test_invalid_params_exit_2(self, capsys):
         assert main(["gen-graph", "--n", "1", "--m", "2"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_one_node_seed_exit_2(self, capsys):
-        assert main(["gen-graph", "--n", "10", "--m", "1", "--m0", "1"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("n,m,m0", [(3, 3, 3), (6, 2, 5), (10, 1, 2)])
-    def test_round_trip_any_m0(self, tmp_path, n, m, m0):
-        # the header holds no m0, so every admitted m0 must read back
-        out = tmp_path / "g.edges"
-        assert main(["gen-graph", "--n", str(n), "--m", str(m), "--m0", str(m0),
-                     "--seed", "7", "--out", str(out)]) == 0
-        with open(out) as fh:
-            g, params = read_edge_list(fh)
-        grown = generate_ba(NetworkParams(n=n, m=m, m0=m0, seed=7))
-        assert np.array_equal(g.indptr, grown.indptr)
-        assert np.array_equal(g.indices, grown.indices)
-        assert (g.n, params.n, params.m, params.seed) == (n, n, m, 7)
 
     def test_missing_out_dir_exit_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.edges"
@@ -287,16 +275,32 @@ class TestSweepReport:
         assert "invalid choice: 'report'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_emit_graphs_writes_edge_lists(self, tmp_path):
-        cfg = write_config(tmp_path)
-        d = tmp_path / "with_graphs"
-        assert main(["sweep", "--config", str(cfg), "--out", str(d), "--emit-graphs"]) == 0
-        files = sorted(p.name for p in d.glob("graph_*.edges"))
-        assert files == ["graph_0_0.edges", "graph_0_1.edges"]
-        with open(d / "graph_0_0.edges") as fh:
-            g, params = read_edge_list(fh)
-        assert g.n == 40
-        assert g.num_edges == 3 + 2 * 37
+    def test_gen_graph_with_the_timings_seed_writes_each_run_graph(self, tmp_path):
+        # SHA-256 of graph_<cell>_<seed>.edges as `sweep --emit-graphs` wrote
+        # them for this config, before (N, m, seed) named every graph
+        emitted = {
+            (0, 0): "c4fd24bcea6cc7943dacf470dca8f6eb0ff58fe0e54ceec149cab576bc3c60df",
+            (0, 1): "3948e644f1f3b32d1f0322cd4184f5cd047f059af448027f24f4c7fe043993a1",
+            (1, 0): "137cf0f167a72def76de46763666d31b5b8b34271e9b774e1c2601efc02f33f6",
+            (1, 1): "fed8d6a71387c00422cbb50ac904ed5d115c5b54eb9d8f4a31abd2996490779e",
+        }
+        cfg = write_config(tmp_path, m_values=[1, 3])
+        d = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(d)]) == 0
+        assert sorted(p.name for p in d.iterdir()) == ["records.csv", "summary.json",
+                                                       "timings.csv"]
+        lines = (d / "timings.csv").read_text().splitlines()
+        assert lines[0] == "cell_index,seed_index,N,seed,duration_s,version"
+        digests = {}
+        for line in lines[1:]:
+            cell, seed_index, n, seed = map(int, line.split(",")[:4])
+            assert seed == derive_seed(5, cell, seed_index)
+            m = (1, 3)[cell]
+            out = tmp_path / f"graph_{cell}_{seed_index}.edges"
+            assert main(["gen-graph", "--n", str(n), "--m", str(m), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            digests[cell, seed_index] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == emitted
 
     def test_seed_override_changes_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -361,11 +365,111 @@ class TestSweepReport:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def ints(least, most):
+    """(valid, refused) values of an integer field whose range starts at
+    ``least``: [least, most], then below it, a bool, a whole float, NaN and inf."""
+    return (st.integers(least, most),
+            st.sampled_from([least - 1, True, float(least), math.nan, math.inf]))
+
+
+def reals(least, most):
+    """(valid, refused) values of a real field in [least, most]: the range with
+    its ends, then past each end, a bool, NaN and the infinities."""
+    return (st.floats(least, most),
+            st.sampled_from([least - 0.25, most + 0.25, False, math.nan, math.inf, -math.inf]))
+
+
+def grid(kind):
+    """(valid, refused) values of a grid list of ``kind``: one or two valid
+    entries, then an empty list, refused entries, or a bare entry."""
+    valid, refused = kind
+    return (st.lists(valid, min_size=1, max_size=2),
+            st.one_of(st.just([]), st.lists(refused, min_size=1, max_size=2), valid))
+
+
+# Every field of ExperimentConfig, drawn small: N <= 64, t_max <= 50 and
+# omega_samples <= 500 keep a sweep of up to 32 runs in tens of milliseconds,
+# so these three and t_max_steps are always given; the others may take their
+# defaults. Values in range may still break a rule between fields (m >= N, t0 >= c(N)).
+GIVEN_FIELDS = dict(
+    n_values=grid(ints(2, 64)),
+    m_values=grid(ints(1, 6)),
+    nu_values=grid(reals(0, 1)),
+    delta_values=grid(reals(0, 1)),
+    t_max=ints(1, 50),
+    t_max_steps=ints(1, 40),
+    omega_samples=ints(1, 500),
+)
+DEFAULTED_FIELDS = dict(
+    rho0=reals(0, 1),
+    c_exponent=reals(0, 1),
+    k_max=ints(1, 6),
+    w=(st.text(alphabet="01", max_size=3), st.sampled_from(["012", ["01"], 1])),
+    t0=ints(0, 8),
+    stat_window=ints(2, 12),
+    stat_tol=reals(0, 0.1),
+    n_seeds=ints(1, 2),
+    master_seed=(st.integers(), st.sampled_from([True, 1.0])),
+    omega_method=(st.sampled_from(OMEGA_METHODS), st.sampled_from(["guess", 1])),
+    omega_max_len=(st.integers(0, 14), st.sampled_from([-1, ENUM_LENGTH_GUARD + 1, True])),
+    reimitation=(st.booleans(), st.sampled_from([1, "true", None])),
+    imitate_infected_only=(st.booleans(), st.sampled_from([0, "false", None])),
+)
+CONFIG_FIELDS = {**GIVEN_FIELDS, **DEFAULTED_FIELDS}
+
+
+class TestEveryConfigThatLoadsRuns:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_sweep_runs_or_refuses_in_one_line(self, tmp_path_factory, data):
+        # a config either sweeps to its three files or is refused before the first run
+        values = data.draw(st.fixed_dictionaries(
+            {k: valid for k, (valid, _) in GIVEN_FIELDS.items()},
+            optional={k: valid for k, (valid, _) in DEFAULTED_FIELDS.items()}))
+        for name in data.draw(st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=2,
+                                       unique=True)):
+            values[name] = data.draw(CONFIG_FIELDS[name][1])
+        d = tmp_path_factory.mktemp("config")
+        cfg = d / "config.json"
+        cfg.write_text(json.dumps(values))
+        out = d / "out"
+        with redirect_stderr(io.StringIO()) as err:
+            code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not (out / "records.csv").exists()
+            return
+        assert code == 0
+        config = experiment.ExperimentConfig.from_json_file(cfg)
+        runs = len(config.cells()) * config.n_seeds
+        assert len((out / "records.csv").read_text().splitlines()) == 1 + runs
+        assert json.loads((out / "summary.json").read_text())["n_records"] == runs
+        timings = [line.split(",") for line in (out / "timings.csv").read_text().splitlines()]
+        assert timings[0][:4] == ["cell_index", "seed_index", "N", "seed"]
+        assert [int(row[3]) for row in timings[1:]] == [
+            derive_seed(config.master_seed, int(row[0]), int(row[1])) for row in timings[1:]]
+
+
 class TestUsage:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen-graph", "--n", "10", "--m", "1", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-graph", "--n", "10", "--m", "2", "--m0", "5"],
+         ["sweep", "--config", "config.json", "--emit-graphs"]],
+        ids=["m0", "emit-graphs"],
+    )
+    def test_flags_beside_the_graph_header_exit_2(self, tmp_path, monkeypatch, argv):
+        # a graph is named by "N m seed" alone, so no flag may grow or write another
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,19 @@ class TestConfig:
         with pytest.raises(ParameterError) as config:
             tiny_config(**overrides)
         assert str(config.value) == str(owner.value)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [(dict(n_values=[20.0]), "n_values must be a nonempty list, each entry an integer, "
+                                 "got [20.0]"),
+         (dict(m_values=[True]), "m_values must be a nonempty list, each entry an integer, "
+                                 "got [True]"),
+         (dict(n_values=[50], m_values=[50]), "need m < 50, got 50")],
+        ids=["float-N", "bool-m", "m-ge-N"],
+    )
+    def test_message_shows_the_value_as_given(self, overrides, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            tiny_config(**overrides)
 
     @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
     def test_wrong_type_rejected(self, field):

@@ -30,8 +30,9 @@ from bbnet.rng import rng_from_seed
 
 
 def expected_edge_count(params):
-    """Edge count forced by the construction: m0(m0-1)/2 + m(n-m0)."""
-    return params.m0 * (params.m0 - 1) // 2 + params.m * (params.n - params.m0)
+    """Edge count forced by the construction: m0(m0-1)/2 + m(n-m0), with m0 = m + 1."""
+    m0 = params.m + 1
+    return m0 * (m0 - 1) // 2 + params.m * (params.n - m0)
 
 
 def check_invariants(g):
@@ -49,8 +50,10 @@ def check_invariants(g):
 
 def _generate_ba_reference(params, rng):
     """BA growth one pick at a time: a Python list pool with one entry per unit
-    of degree, one ``rng.integers(0, len(pool))`` call per draw."""
-    n, m, m0 = params.n, params.m, params.m0
+    of degree, one ``rng.integers(0, len(pool))`` call per draw, from a seed
+    clique on m0 = m + 1 nodes."""
+    n, m = params.n, params.m
+    m0 = m + 1
     us, vs = [], []
     for i in range(m0):
         for j in range(i + 1, m0):
@@ -146,13 +149,13 @@ def random_edge_list(rng, n, p):
 
 
 def oracle_graphs():
-    """Seeded BA graphs over several (n, m, m0), random graphs with isolated
-    nodes and several components, then a deep path, a star and a complete
-    graph; the star and the complete graph reach nodes many times per level."""
-    for n, m, m0 in [(2, 1, 2), (3, 2, 3), (12, 1, 2), (60, 2, 3), (80, 3, 6), (150, 2, 2),
-                     (3000, 2, 3), (4000, 3, 4)]:
+    """Seeded BA graphs over several (n, m), named with their seed clique's
+    m0 = m + 1, random graphs with isolated nodes and several components, then
+    a deep path, a star and a complete graph; the star and the complete graph
+    reach nodes many times per level."""
+    for n, m in [(2, 1), (3, 2), (12, 1), (60, 2), (80, 5), (150, 1), (3000, 2), (4000, 3)]:
         for seed in (0, 1):
-            yield f"ba-{n}-{m}-{m0}-{seed}", generate_ba(NetworkParams(n=n, m=m, m0=m0, seed=seed))
+            yield f"ba-{n}-{m}-{m + 1}-{seed}", generate_ba(NetworkParams(n=n, m=m, seed=seed))
     rng = np.random.default_rng(2024)
     for n, p in [(1, 0.0), (5, 0.0), (30, 0.04), (60, 0.03), (120, 0.02), (200, 0.05)]:
         for rep in range(3):
@@ -188,46 +191,23 @@ def assert_from_pairs_matches_lexsort():
 
 
 class TestParams:
-    def test_default_m0(self):
-        p = NetworkParams(n=10, m=3, seed=1)
-        assert p.m0 == 4
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(n=1, m=1),
             dict(n=10, m=0),
-            dict(n=10, m=5, m0=4),
-            dict(n=3, m=2, m0=5),
-            dict(n=10, m=1, m0=1),
+            dict(n=10, m=10),
+            dict(n=3, m=5),
+            dict(n=2, m=2),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             NetworkParams(seed=0, **kwargs)
 
-    @pytest.mark.parametrize("m0", [3.0, "3", True], ids=["float", "str", "bool"])
-    def test_non_integer_m0_rejected(self, m0):
-        with pytest.raises(ParameterError, match=re.escape(f"need an integer m0, got {m0!r}")):
-            NetworkParams(n=10, m=2, m0=m0)
-
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [(dict(n=10, m=5, m0=4), "need m <= m0 <= n, got m=5, m0=4, n=10"),
-         (dict(n=10, m=2, m0=-5), "need m <= m0 <= n, got m=2, m0=-5, n=10"),
-         (dict(n=10, m=1, m0=1),
-          "need m0 >= 2 (a one-node seed has no degree to attach to), got m0=1")],
-        ids=["below-m", "negative", "one-node-seed"],
-    )
-    def test_integer_m0_keeps_its_messages(self, kwargs, message):
-        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            NetworkParams(**kwargs)
-
-    def test_numpy_m0_grows_the_same_graph(self):
-        p = NetworkParams(n=50, m=2, m0=np.int64(3), seed=4)
-        assert type(p.m0) is int
-        a, b = generate_ba(p), generate_ba(NetworkParams(n=50, m=2, m0=3, seed=4))
-        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+    def test_fields_are_the_header(self):
+        # (n, m, seed) name the graph: no other field can grow another one
+        assert [f.name for f in dataclasses.fields(NetworkParams)] == ["n", "m", "seed"]
 
     def test_seed_takes_any_integer(self):
         # numpy's and negative seeds are Python ints, masked to 64 bits by the Generator
@@ -266,13 +246,13 @@ class TestGraphContract:
 
 class TestGenerate:
     def test_n_equals_m0_gives_seed_clique(self):
-        g = generate_ba(NetworkParams(n=3, m=2, m0=3, seed=7))
+        g = generate_ba(NetworkParams(n=3, m=2, seed=7))
         assert g.num_edges == 3
         assert edges_oracle(g) == [(0, 1), (0, 2), (1, 2)]
 
     def test_edge_count_identity_m1(self):
         for seed in range(5):
-            g = generate_ba(NetworkParams(n=5, m=1, m0=2, seed=seed))
+            g = generate_ba(NetworkParams(n=5, m=1, seed=seed))
             assert g.num_edges == 1 + 1 * 3
 
     def test_determinism(self):
@@ -291,10 +271,9 @@ class TestGenerate:
     )
     @settings(max_examples=40, deadline=None)
     def test_invariants_property(self, n, m, seed):
-        m0 = m + 1
-        if m0 > n:
+        if m >= n:
             return
-        p = NetworkParams(n=n, m=m, m0=m0, seed=seed)
+        p = NetworkParams(n=n, m=m, seed=seed)
         g = generate_ba(p)
         check_invariants(g)
         assert g.num_edges == expected_edge_count(p)
@@ -321,12 +300,11 @@ class TestGenerate:
             assert 2.6 <= fit.gamma_hat <= 3.4
 
 
-# (n, m, m0): n = m0 and n = m0 + 1, m = 1, m0 = m, m0 > m + 1, and small
-# pools where m is close to m0, so that many nodes draw again.
+# (n, m), grown from an (m + 1)-clique: n = m + 1 and n = m + 2, m = 1 and
+# m >= 4, where the pool is small beside m, so that many nodes draw again.
 BA_ORACLE_CASES = [
-    (2, 1, 2), (3, 1, 2), (5, 2, 5), (6, 2, 5), (3, 2, 2), (4, 3, 3),
-    (60, 1, 2), (400, 1, 5), (200, 2, 7), (60, 2, 2), (300, 4, 4),
-    (500, 5, 6), (1000, 6, 6), (2000, 2, 3),
+    (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 4),
+    (60, 1), (400, 1), (200, 2), (300, 4), (500, 5), (1000, 6), (2000, 2),
 ]
 
 
@@ -349,11 +327,11 @@ class TestSegmentGrowthMatchesLoop:
                     "rng.integers(0, highs) leaves another Generator state than the scalar draws"
                 )
 
-    @pytest.mark.parametrize("n,m,m0", BA_ORACLE_CASES,
-                             ids=[f"{n}-{m}-{m0}" for n, m, m0 in BA_ORACLE_CASES])
-    def test_grid(self, n, m, m0):
+    @pytest.mark.parametrize("n,m", BA_ORACLE_CASES,
+                             ids=[f"{n}-{m}-{m + 1}" for n, m in BA_ORACLE_CASES])
+    def test_grid(self, n, m):
         for seed in range(3):
-            assert_ba_matches_reference(NetworkParams(n=n, m=m, m0=m0, seed=seed))
+            assert_ba_matches_reference(NetworkParams(n=n, m=m, seed=seed))
 
     def test_long_graph_redraws_at_segment_edges(self, monkeypatch):
         # A segment call resolves the segment's own draws; a node's
@@ -369,28 +347,26 @@ class TestSegmentGrowthMatchesLoop:
             return resolve(q, picks, m0, start, raw)
 
         monkeypatch.setattr(bbnet.graph, "_pool_nodes", spy)
-        assert_ba_matches_reference(NetworkParams(n=20_000, m=3, m0=4, seed=9))
+        assert_ba_matches_reference(NetworkParams(n=20_000, m=3, seed=9))
         assert len(segments) > 50
         assert any(d == first for d, (first, _) in redrawn)
         assert any(d == last for d, (_, last) in redrawn)
 
     @given(
         n=st.integers(2, 250),
-        m=st.integers(1, 5),
-        extra=st.integers(0, 4),
+        m=st.integers(1, 9),
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=60, deadline=None)
-    def test_property(self, n, m, extra, seed):
-        m0 = max(2, m) + extra
-        if m0 > n:
+    def test_property(self, n, m, seed):
+        if m >= n:
             return
-        assert_ba_matches_reference(NetworkParams(n=n, m=m, m0=m0, seed=seed))
+        assert_ba_matches_reference(NetworkParams(n=n, m=m, seed=seed))
 
 
 class TestCcdf:
     def test_k3(self):
-        g = generate_ba(NetworkParams(n=3, m=2, m0=3, seed=0))
+        g = generate_ba(NetworkParams(n=3, m=2, seed=0))
         assert degree_ccdf(g) == [(2, 1.0)]
 
     def test_star(self):
@@ -422,7 +398,7 @@ class TestFit:
 
 class TestDiameter:
     def test_complete_graph(self):
-        g = generate_ba(NetworkParams(n=3, m=2, m0=3, seed=0))
+        g = generate_ba(NetworkParams(n=3, m=2, seed=0))
         assert approx_diameter(g) == 1
 
     def test_path(self):
@@ -467,6 +443,18 @@ class TestEdgeList:
         write_edge_list(g2, buf2, p2.m, p2.seed)
         assert buf2.getvalue() == text
 
+    @given(n=st.integers(2, 300), data=st.data(), seed=st.integers())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_header_regrows_its_graph(self, n, data, seed):
+        # every header the writer accepts reads back as the params it was
+        # grown from, so generate_ba of them (deterministic) is the graph read
+        p = NetworkParams(n=n, m=data.draw(st.integers(1, n - 1)), seed=seed)
+        grown = generate_ba(p)
+        g, read = read_edge_list(io.StringIO(written(grown, p.m, p.seed)))
+        assert read == p
+        assert np.array_equal(grown.indptr, g.indptr)
+        assert np.array_equal(grown.indices, g.indices)
+
     def test_rows_sorted_with_u_less_than_v(self):
         g = generate_ba(NetworkParams(n=50, m=2, seed=1))
         buf = io.StringIO()
@@ -480,7 +468,7 @@ class TestEdgeList:
         [(10, 2.5, 0, "need an integer m, got 2.5"), (10, True, 0, "need an integer m, got True"),
          (10, 0, 0, "need m >= 1, got 0"), (10, 2, 1.5, "need an integer seed, got 1.5"),
          (10, 2, "7", "need an integer seed, got '7'"), (1, 1, 0, "need n >= 2, got 1"),
-         (3, 5, 0, "need m <= m0 <= n, got m=5, m0=3, n=3")],
+         (3, 5, 0, "need m < 3, got 5")],
         ids=["m-float", "m-bool", "m-zero", "seed-float", "seed-str", "n-one", "m-past-n"],
     )
     def test_write_refuses_a_header_that_does_not_read_back(self, n, m, seed, message):
@@ -598,8 +586,9 @@ class TestEdgeList:
             ("3 2.5 0", "header fields must be integers"),
             ("-1 2 0", "need n >= 2, got -1"),
             ("4 1", "edge-list header must be 'N m seed'"),
+            ("4 4 0", "need m < 4, got 4"),
         ],
-        ids=["word", "float", "negative-n", "two-fields"],
+        ids=["word", "float", "negative-n", "two-fields", "m-ge-n"],
     )
     def test_malformed_header_rejected(self, header, message):
         # a bad N or m gets the message of NetworkParams, the rule's owner
@@ -658,7 +647,7 @@ class TestArrayPathsMatchLoops:
         for src in sources:
             assert np.array_equal(_bfs_distances(g, int(src)), bfs_oracle(g, int(src)))
         if g.n >= 2:
-            assert written(g, 2, 7) == write_oracle(g, 2, 7)
+            assert written(g, 1, 7) == write_oracle(g, 1, 7)
         else:  # a one-node header does not read back
             with pytest.raises(ParameterError, match="^need n >= 2, got 1$"):
                 written(g, 2, 7)
