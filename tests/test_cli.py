@@ -6,13 +6,14 @@ import json
 import math
 from contextlib import redirect_stderr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbnet import cli, experiment
 from bbnet.cli import main
 from bbnet.experiment import OMEGA_METHODS
-from bbnet.graph import read_edge_list
+from bbnet.graph import NetworkParams, generate_ba, read_edge_list
 from bbnet.machines import ENUM_LENGTH_GUARD, omega_enumerate, omega_monte_carlo
 from bbnet.rng import OMEGA_STREAM_TAG, derive_seed, rng_from_seed
 
@@ -63,6 +64,30 @@ class TestGenGraph:
     def test_invalid_params_exit_2(self, capsys):
         assert main(["gen-graph", "--n", "1", "--m", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n,m,m0", [(3, 3, 3), (6, 2, 5), (10, 1, 2)])
+    def test_round_trip_any_m0(self, tmp_path, capsys, n, m, m0):
+        # the header holds no m0, so gen-graph takes none: each m0 once admitted
+        # is refused, and what (n, m) names either reads back or fails m < n
+        out = tmp_path / "g.edges"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-graph", "--n", str(n), "--m", str(m), "--m0", str(m0), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m0" in capsys.readouterr().err
+        assert not out.exists()
+
+        code = main(["gen-graph", "--n", str(n), "--m", str(m), "--seed", "7", "--out", str(out)])
+        if m >= n:
+            assert code == 2 and not out.exists()
+            assert f"need m < {n}, got {m}" in capsys.readouterr().err
+            return
+        assert code == 0
+        with open(out) as fh:
+            g, params = read_edge_list(fh)
+        grown = generate_ba(NetworkParams(n=n, m=m, seed=7))
+        assert np.array_equal(g.indptr, grown.indptr)
+        assert np.array_equal(g.indices, grown.indices)
+        assert (g.n, params.n, params.m, params.seed) == (n, n, m, 7)
 
     def test_missing_out_dir_exit_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "g.edges"
