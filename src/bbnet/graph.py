@@ -197,10 +197,6 @@ class DegreeFit:
             raise ParameterError(f"fitted exponent must exceed 1, got {self.gamma_hat}")
 
 
-# Nodes in the first segment of BA growth, and the fewest after a duplicate pick.
-_SEGMENT = 64
-
-
 def _pool_nodes(q: np.ndarray, picks: np.ndarray, m0: int, start: int,
                 raw: np.ndarray) -> np.ndarray:
     """Node ids at the BA pool positions ``q``.
@@ -247,12 +243,15 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
     Node i draws from a pool of m0(m0-1) + 2m(i-m0) entries whatever it picks,
     so the first m draws of a whole segment of nodes are taken in one
     ``rng.integers`` call over those bounds and resolved to node ids by index
-    arithmetic (``_pool_nodes``). A segment holds at most one block of picks,
-    however large the graph. At the first node of a segment whose picks
-    repeat a node, the Generator is rewound to the segment's start, the draws
-    up to and including that node's first m are taken again, and the node
-    finishes with one draw at a time. The graph and the Generator's final
-    state are the same as drawing one pick at a time.
+    arithmetic (``_pool_nodes``). Segments start at one node, double after a
+    segment with no repeat and halve after one, and hold at most one block of
+    picks. At the first node of a segment whose picks repeat a node, the
+    Generator is rewound to the segment's start, the draws up to and including
+    that node's first m are taken again, and the node finishes in rounds that
+    each draw all of its missing picks and keep the new nodes in the order
+    drawn. A node completes only on a round's last draw, so no round draws past
+    its last needed pick. The graph and the Generator's final state are the
+    same as drawing one pick at a time.
 
     The edges are the rows of one (E, 2) array, allocated first: the seed
     clique's, then each new node's m picks beside its id. ``picks`` is a view
@@ -270,7 +269,7 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
     grown = pairs[clique:].reshape(n - m0, m, 2)
     grown[:, :, 1] = np.arange(m0, n, dtype=np.int64)[:, None]
     picks = grown[:, :, 0]
-    start, length = m0, _SEGMENT
+    start, length = m0, 1
     while start < n:
         length = min(length, max(1, _BLOCK_HALF_EDGES // m))
         stop = min(start + length, n)
@@ -288,14 +287,12 @@ def generate_ba(params: NetworkParams, rng: np.random.Generator | None = None) -
         picks[start - m0:d - m0] = seg[:d - start]
         rng.bit_generator.state = saved
         rng.integers(0, bounds[:(d - start + 1) * m])
-        chosen = list(dict.fromkeys(seg[d - start].tolist()))
+        chosen = dict.fromkeys(seg[d - start].tolist())
         while len(chosen) < m:
-            q = rng.integers(0, bounds[(d - start) * m], size=1)
-            t = int(_pool_nodes(q, picks, m0, d, raw)[0])
-            if t not in chosen:
-                chosen.append(t)
-        picks[d - m0] = chosen
-        start, length = d + 1, max(_SEGMENT, length // 2)
+            q = rng.integers(0, np.full(m - len(chosen), bounds[(d - start) * m]))
+            chosen.update(dict.fromkeys(_pool_nodes(q, picks, m0, d, raw).tolist()))
+        picks[d - m0] = list(chosen)
+        start, length = d + 1, max(1, length // 2)
 
     return Graph._from_pairs(n, pairs)
 

@@ -269,7 +269,7 @@ class TestGenerate:
         m=st.integers(1, 4),
         seed=st.integers(0, 2**32),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_invariants_property(self, n, m, seed):
         if m >= n:
             return
@@ -301,10 +301,13 @@ class TestGenerate:
 
 
 # (n, m), grown from an (m + 1)-clique: n = m + 1 and n = m + 2, m = 1 and
-# m >= 4, where the pool is small beside m, so that many nodes draw again.
+# m >= 4, where the pool is small beside m, so that many nodes draw again,
+# and m near n, where most nodes repeat picks many times, so that a round
+# draws several picks and repeats within itself.
 BA_ORACLE_CASES = [
     (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 4),
     (60, 1), (400, 1), (200, 2), (300, 4), (500, 5), (1000, 6), (2000, 2),
+    (60, 50), (120, 100), (200, 190), (300, 150),
 ]
 
 
@@ -334,8 +337,8 @@ class TestSegmentGrowthMatchesLoop:
             assert_ba_matches_reference(NetworkParams(n=n, m=m, seed=seed))
 
     def test_long_graph_redraws_at_segment_edges(self, monkeypatch):
-        # A segment call resolves the segment's own draws; a node's
-        # one-at-a-time finish resolves single draws from that node on.
+        # A segment call resolves the segment's own draws; a repeating node's
+        # rounds resolve its missing picks from that node on.
         segments, redrawn = [], []
         resolve = bbnet.graph._pool_nodes
 
@@ -352,15 +355,25 @@ class TestSegmentGrowthMatchesLoop:
         assert any(d == first for d, (first, _) in redrawn)
         assert any(d == last for d, (_, last) in redrawn)
 
-    @given(
-        n=st.integers(2, 250),
-        m=st.integers(1, 9),
-        seed=st.integers(0, 2**32),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property(self, n, m, seed):
-        if m >= n:
-            return
+    def test_dense_graph_finishes_in_rounds(self, monkeypatch):
+        # At m = n / 2 most nodes repeat picks. Each of their rounds is one
+        # call past the segment calls; one call per draw would make 19,399.
+        rounds = []
+        resolve = bbnet.graph._pool_nodes
+
+        def spy(q, picks, m0, start, raw):
+            if q is not raw:
+                rounds.append(len(q))
+            return resolve(q, picks, m0, start, raw)
+
+        monkeypatch.setattr(bbnet.graph, "_pool_nodes", spy)
+        generate_ba(NetworkParams(n=300, m=150, seed=0))
+        assert len(rounds) <= 19_399 // 5
+
+    @given(n=st.integers(2, 250), data=st.data(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_property(self, n, data, seed):
+        m = data.draw(st.integers(1, n - 1))
         assert_ba_matches_reference(NetworkParams(n=n, m=m, seed=seed))
 
 
@@ -444,7 +457,7 @@ class TestEdgeList:
         assert buf2.getvalue() == text
 
     @given(n=st.integers(2, 300), data=st.data(), seed=st.integers())
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     def test_header_regrows_its_graph(self, n, data, seed):
         # every header the writer accepts reads back as the params it was
         # grown from, so generate_ba of them (deterministic) is the graph read

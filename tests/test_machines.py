@@ -190,7 +190,7 @@ class TestEncoding:
                 assert e[:7] not in encs
 
     @given(st.integers(0, 2**66 - 1))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_every_long_enough_bit_string_decodes(self, word):
         # the mod mapping makes every prefix of fair bits a valid program
         bits = format(word, "066b")
