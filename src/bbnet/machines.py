@@ -17,10 +17,12 @@ code is complete: summing 2^-|p| over all programs gives exactly 1, and fair
 coin flips fed to the reader sample programs with probability 2^-|p|.
 The total encoding length is k + 2k * (2 + b).
 
-Programs exist only as (k, table bits as an integer) pairs, read in turn by
-one generator, ``_programs``, from any iterator of '0'/'1' blocks:
+Programs exist only as their bit strings, header and table, read in turn
+by one generator, ``_programs``, from any iterator of '0'/'1' blocks:
 ``sample_programs`` and ``omega_monte_carlo`` feed it a Generator's 4096-bit
-blocks (``_blocks``), and the tests feed it chosen strings.
+blocks (``_blocks``), and the tests feed it chosen strings. It splits the
+bits it holds with one ``findall`` of a compiled pattern (``_reader``),
+which covers the state counts up to the largest header read so far.
 All three scorers run partial tables (Brady's tree normal form, "The
 determination of the value of Rado's noncomputable function Sigma(k) for
 four-state Turing machines", 1983): a run starts with no entry fixed and
@@ -28,11 +30,13 @@ branches over an entry's rows when it reads it, so only tables that some
 run reaches are run, and one run decides every table that agrees on the
 entries it read. Exact enumeration walks every branch, each partial table
 on its stack. ``population_fitness`` and ``omega_monte_carlo`` score each
-distinct pair once through the per-k trees of the call's ``_Input``
-(``_cached_outcome``): a lookup follows the pair's fields down from the run
-with no entry fixed, and runs only a node that no earlier lookup built, on
-the pair's rows of the entries read on the way. Every integer argument,
-counts and pair fields alike, passes ``check_int`` before any program runs.
+distinct string once through the per-k trees of the call's ``_Input``
+(``_cached_outcome``): a lookup takes k from the string's length and
+follows the string's fields, read as slices of it, down from the run with
+no entry fixed, and runs only a node that no earlier lookup built, on the
+string's rows of the entries read on the way. ``population_fitness``
+checks every program string, and every integer argument passes
+``check_int``, before any program runs.
 
 Execution is on a two-way-infinite binary tape under a step budget; "halts"
 always means halts within the budget. Fitness is the busy-beaver sigma
@@ -85,10 +89,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import bisect
 import collections
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -181,45 +187,57 @@ def _blocks(rng: np.random.Generator) -> Iterator[str]:
         yield (rng.integers(0, 2, size=_BLOCK, dtype=np.uint8) + 48).tobytes().decode("ascii")
 
 
-def _programs(blocks: Iterator[str], k_max: int) -> Iterator[tuple[int, int]]:
-    """(k, table bits as an MSB-first integer) of each program read in turn from the blocks.
+@functools.cache
+def _reader(top: int, k_max: int):
+    """``findall`` of a pattern splitting bits that end in a newline into programs of <= top states.
 
-    The blocks are read as one string, so a program may straddle them. A
-    block is taken only when a program reaches past the bits taken so far,
-    and consumed bits are dropped, so about one block is held. When the
-    blocks run out the programs end; a partial program is not yielded.
+    A k-state program is k - 1 ones, a zero and its table; at k_max the
+    header's last bit may be either. The last alternative takes the rest of
+    the bits, newline included, from the first place where no program of at
+    most ``top`` states is complete, so no bit is skipped and the last match
+    is always that tail.
     """
-    lengths = [0]  # encoding_length(k) at index k, for every k read so far
-    bits, i = "", 0
+    zero_ended = range(1, min(top, k_max - 1) + 1)
+    alternatives = ["1{%d}0.{%d}" % (k - 1, table_bits(k)) for k in zero_ended]
+    if top == k_max:
+        alternatives.append("1{%d}[01].{%d}" % (k_max - 1, table_bits(k_max)))
+    return re.compile("|".join(alternatives + [".*\n"])).findall
+
+
+def _programs(blocks: Iterator[str], k_max: int) -> Iterator[str]:
+    """The bit string, header and table, of each program read in turn from the blocks.
+
+    The blocks are read as one string, so a program may straddle them. The
+    bits held are split by ``_reader``'s pattern, which covers the state
+    counts up to the largest header read so far; a tail whose header is
+    larger grows it and is read again. A block is taken only when no
+    further complete program lies in the bits held, and consumed bits are
+    dropped, so about one block is held. When the blocks run out the
+    programs end; a partial program is not yielded.
+    """
+    top, tail = 0, ""
     for block in blocks:
-        bits, i = bits[i:] + block, 0
-        n = len(bits)
+        bits = tail + block + "\n"
         while True:
-            z = bits.find("0", i, i + k_max)
+            programs = _reader(top, k_max)(bits)
+            tail = programs.pop()[:-1]
+            yield from programs
+            z = tail.find("0", 0, k_max)
             # the header is k bits long: k - 1 ones and a zero, or k_max ones
-            if z >= 0:
-                k = z + 1 - i
-            elif i + k_max <= n:
-                k = k_max
-            else:
-                break  # ones to the end of the bits taken: the header runs on
-            if k >= len(lengths):
-                lengths.extend(map(encoding_length, range(len(lengths), k + 1)))
-            end = i + lengths[k]
-            if end > n:
-                break
-            yield k, int(bits[i + k:end], 2)
-            i = end
+            k = z + 1 if z >= 0 else k_max if len(tail) >= k_max else 0
+            if k <= top:
+                break  # the tail's program reaches past the bits held
+            top, bits = k, tail + "\n"
 
 
 def sample_programs(
     rng: np.random.Generator, count: int, k_max: int = K_MAX_DEFAULT
-) -> list[tuple[int, int]]:
-    """Read ``count`` programs in turn from one fair-coin bit stream, as (k, table_int).
+) -> list[str]:
+    """Read ``count`` programs in turn from one fair-coin bit stream, as bit strings.
 
-    Each program p is drawn with probability 2^-|p|. The stream is the
-    Generator's 4096-bit blocks, concatenated; the blocks drawn are exactly
-    those that the bits consumed reach into.
+    Each program p, header and table, is drawn with probability 2^-|p|.
+    The stream is the Generator's 4096-bit blocks, concatenated; the blocks
+    drawn are exactly those that the bits consumed reach into.
     """
     count = check_int("count", count, 1)
     k_max = check_int("k_max", k_max, 1)
@@ -247,20 +265,30 @@ def _unfixed(entry: int) -> Row:
 
 
 @functools.cache
-def _field_codes(k: int) -> tuple[range, int, list[Row], tuple[Row, ...]]:
-    """Where the 2k table fields of a k-state program sit, and what each field value means.
+def _field_codes(k: int) -> tuple[tuple[slice, ...], dict[str, Row], tuple[Row, ...]]:
+    """Where the 2k table fields of a k-state program sit, and what each field string means.
 
-    Returns the fields' right shifts (first entry first), the field mask, every
-    field value decoded as an interpreter ``Row``, and the table with no entry fixed.
+    Returns the slices of the program string that hold the fields (first
+    entry first), every field string decoded as an interpreter ``Row``, and
+    the table with no entry fixed.
     """
     b_width = k.bit_length()
     ew = 2 + b_width
-    rows = []
+    rows = {}
     for code in range(1 << ew):
         nxt = (code & ((1 << b_width) - 1)) % (k + 1)
-        rows.append(_row(code >> (1 + b_width), (code >> b_width) & 1, HALT if nxt == k else nxt))
+        rows[format(code, f"0{ew}b")] = _row(
+            code >> (1 + b_width), (code >> b_width) & 1, HALT if nxt == k else nxt)
+    fields = tuple(slice(start, start + ew) for start in range(k, k + table_bits(k), ew))
     blank = tuple(_unfixed(e) for e in range(2 * k))
-    return range(table_bits(k) - ew, -1, -ew), (1 << ew) - 1, rows, blank
+    return fields, rows, blank
+
+
+@functools.cache
+def _layout(length: int) -> tuple | None:
+    """(k, *_field_codes(k)) of the state count k whose programs are ``length`` bits, or None."""
+    k = bisect.bisect_left(range(1, length + 1), length, key=encoding_length) + 1
+    return (k, *_field_codes(k)) if encoding_length(k) == length else None
 
 
 def check_input(w: str, t_max: int) -> int:
@@ -429,17 +457,20 @@ class _Branch:
         self.entry, self.pause, self.children = out.unfixed, out.pause, {}
 
 
-def _cached_outcome(inp: _Input, k: int, t_int: int) -> MachineOutcome:
-    """Outcome of program (k, t_int) on ``inp``, through the partial-table tree ``inp.roots[k]``.
+def _cached_outcome(inp: _Input, bits: str) -> MachineOutcome:
+    """Outcome of program ``bits`` on ``inp``, through the partial-table tree ``inp.roots[k]``.
 
-    A lookup starts from the blank table and, at each branch, fixes the entry
-    the branch's run read to t_int's row, which keys the child to take; a
-    child not built yet runs the table as fixed so far, resuming from the
-    branch's pause (the root from ``inp.start``). The leaf reached is the
-    outcome of every table that agrees with t_int on those entries, since a
-    run applies only the entries it reads. The pair is not checked here.
+    k is the state count of the string's length. A lookup starts from the
+    blank table and, at each branch, fixes the entry the branch's run read
+    to the row of that entry's field, a slice of the string; the row keys
+    the child to take, so field strings that decode to the same row share
+    it. A child not built yet runs the table as fixed so far, resuming from
+    the branch's pause (the root from ``inp.start``). The leaf reached is
+    the outcome of every table that agrees with the string on those
+    entries, since a run applies only the entries it reads. The string is
+    not checked here.
     """
-    shifts, mask, rows, blank = _field_codes(k)
+    k, fields, rows, blank = _layout(len(bits))
     table = list(blank)
     branch, children, key = None, inp.roots, k
     while True:
@@ -449,30 +480,35 @@ def _cached_outcome(inp: _Input, k: int, t_int: int) -> MachineOutcome:
             node = children[key] = out if out.unfixed is None else _Branch(out)
         if type(node) is not _Branch:
             return node
-        key = table[node.entry] = rows[t_int >> shifts[node.entry] & mask]
+        key = table[node.entry] = rows[bits[fields[node.entry]]]
         branch, children = node, node.children
 
 
 def population_fitness(
-    programs: Sequence[tuple[int, int]], w: str = "", t_max: int = T_MAX_DEFAULT
+    programs: Sequence[str], w: str = "", t_max: int = T_MAX_DEFAULT
 ) -> np.ndarray:
-    """Busy-beaver score of each (k, table_int) program on input w under the step budget.
+    """Busy-beaver score of each program bit string on input w under the step budget.
 
-    Each distinct program is checked (``check_int``) and scored once,
+    A program is a string of '0'/'1' as ``sample_programs`` reads it: its
+    length is that of some state count k >= 1 (``encoding_length``), and
+    its first k - 1 bits are ones. Anything else raises ``ParameterError``
+    before any program runs. Each distinct string is then scored once,
     through one partial-table tree per state count (``_cached_outcome``):
     identical programs recur constantly when sampling, and most runs decide
     their table after reading a few of its entries.
     """
     inp = _Input(w, t_max)
-    # The field types are part of the key, so a bool or a float that equals
-    # an int field is checked even when an equal int pair came first.
-    keys = [(k, t_int, type(k), type(t_int)) for k, t_int in programs]
-    scores = dict.fromkeys(keys)
-    for key in scores:
-        k = check_int("k", key[0], 1)
-        t_int = check_int("table_int", key[1], 0, 1 << table_bits(k))
-        scores[key] = _cached_outcome(inp, k, t_int).score
-    return np.array([scores[key] for key in keys], dtype=np.int64)
+    try:
+        scores = dict.fromkeys(programs)
+    except TypeError:  # not iterable, or an unhashable element: no bit string is either
+        raise ParameterError("need a sequence of program bit strings") from None
+    for bits in scores:
+        layout = _layout(len(bits)) if isinstance(bits, str) else None
+        if layout is None or bits.strip("01") or bits.count("1", 0, layout[0] - 1) < layout[0] - 1:
+            raise ParameterError(f"need a program bit string, got {bits!r}")
+    for bits in scores:
+        scores[bits] = _cached_outcome(inp, bits).score
+    return np.array([scores[bits] for bits in programs], dtype=np.int64)
 
 
 def _halting_encodings(k: int, inp: _Input) -> int:
@@ -488,8 +524,8 @@ def _halting_encodings(k: int, inp: _Input) -> int:
     """
     entries = 2 * k
     ew = table_bits(k) // entries
-    _, _, rows, blank = _field_codes(k)
-    options = collections.Counter(rows).items()
+    _, rows, blank = _field_codes(k)
+    options = collections.Counter(rows.values()).items()
     total = 0
     todo = [(blank, 1, entries, None)]
     while todo:
@@ -550,14 +586,15 @@ def omega_monte_carlo(
 ) -> OmegaEstimate:
     """Fraction of sampled programs that halt within t_max on w.
 
-    Programs are read from the Generator's bit stream as in sample_programs,
-    and each distinct program is scored once, as in population_fitness.
+    Programs are read from the Generator's bit stream as in sample_programs
+    and counted as strings; each distinct string is scored once, as in
+    population_fitness, with no check, since the reader makes only programs.
     """
     n_samples = check_int("n_samples", n_samples, 1)
     k_max = check_int("k_max", k_max, 1)
     inp = _Input(w, t_max)
     counts = collections.Counter(itertools.islice(_programs(_blocks(rng), k_max), n_samples))
-    hits = sum(n for (k, t_int), n in counts.items() if _cached_outcome(inp, k, t_int).halted)
+    hits = sum(n for bits, n in counts.items() if _cached_outcome(inp, bits).halted)
     value = hits / n_samples
     stderr = math.sqrt(value * (1.0 - value) / n_samples)
     return OmegaEstimate("monte-carlo", value, stderr, n_samples=n_samples, t_max=inp.t_max)

@@ -82,6 +82,16 @@ def table_from_int(k, t_int):
     return read_table(map(int, format(t_int, f"0{table_bits(k)}b")), k)
 
 
+def program_table(bits):
+    """The (k, entries) table of a program bit string: k is the state count of its length,
+    and the table is what follows the k header bits."""
+    k = 1
+    while encoding_length(k) < len(bits):
+        k += 1
+    assert encoding_length(k) == len(bits), bits
+    return read_table(map(int, bits[k:]), k)
+
+
 def rows_of(table):
     """The interpreter rows of a (k, entries) table: (write, -1 or +1, 2 * next state)."""
     _, entries = table

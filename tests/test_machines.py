@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import iter_encodings, kraft_sum, outcome, read_table, rows_of, table_from_int
+from conftest import (iter_encodings, kraft_sum, outcome, program_table, read_table, rows_of,
+                      table_from_int)
 from bbnet.errors import ParameterError
 from bbnet.machines import (
     HALT,
@@ -33,30 +34,35 @@ from bbnet import machines
 from bbnet.rng import rng_from_seed
 
 # k=1, both entries (write 1, move right, v=1 -> HALT): header "0" + "111" + "111"
-HALTER_BITS = "0111111"
+HALTER = "0111111"
 # k=1, both entries (write 1, move left, v=0 -> state 0): provably loops
-SPINNER_BITS = "0100100"
-# the same two programs as (k, table_int), and their (k, entries) tables
-HALTER = (1, 0b111111)
-SPINNER = (1, 0b100100)
+SPINNER = "0100100"
+# a k=4 program: header "1110", then 39 zeros and a one
+K4 = "1110" + "0" * 39 + "1"
+# the (k, entries) tables of HALTER and SPINNER
 HALTER_TABLE = (1, ((1, 1, HALT), (1, 1, HALT)))
 SPINNER_TABLE = (1, ((1, 0, 0), (1, 0, 0)))
 
 
-def _rows_from_int(k, t_int):
-    """The interpreter rows of the whole table whose bits ``t_int`` holds, MSB first: the
-    full-table oracle beside the partial-table trees of ``_cached_outcome``."""
-    shifts, mask, rows, _ = _field_codes(k)
-    return tuple([rows[t_int >> s & mask] for s in shifts])
+def program(k, t_int):
+    """The k-state program, with a zero-ended header, whose table bits ``t_int`` holds."""
+    return "1" * (k - 1) + "0" + format(t_int, f"0{table_bits(k)}b")
+
+
+def _rows_of_program(bits):
+    """The interpreter rows of a program string's whole table, by the production field codes:
+    the full-table oracle beside the partial-table trees of ``_cached_outcome``."""
+    _, fields, rows, _ = machines._layout(len(bits))
+    return tuple([rows[bits[f]] for f in fields])
 
 
 def read_program(bits, k_max=6):
-    """(k, table_int) of the program at the front of a string of '0'/'1', by the production reader."""
+    """The program at the front of a string of '0'/'1', by the production reader."""
     return next(_programs(iter([bits]), k_max))
 
 
 def read_all(blocks, k_max=6):
-    """Every (k, table_int) the production reader yields from a list of '0'/'1' blocks."""
+    """Every program the production reader yields from a list of '0'/'1' blocks."""
     return list(_programs(iter(blocks), k_max))
 
 
@@ -93,10 +99,9 @@ def all_encodings(k_max, max_len):
     """Bit strings of every valid encoding with |p| <= max_len."""
     out = []
     for k, t_int, length, _ in iter_encodings(k_max, max_len):
-        table = format(t_int, f"0{table_bits(k)}b")
-        out.append("1" * (k - 1) + "0" + table)
+        out.append(program(k, t_int))
         if k == k_max:
-            out.append("1" * k + table)
+            out.append("1" * k + out[-1][k:])
     return out
 
 
@@ -127,32 +132,34 @@ class TestEncoding:
         assert [encoding_length(k) for k in range(1, 7)] == [7, 18, 27, 44, 55, 66]
 
     def test_decode_worked_example(self):
-        assert read_program(HALTER_BITS) == HALTER
-        assert table_from_int(*HALTER) == HALTER_TABLE
-        assert reference_decode(map(int, HALTER_BITS), 6) == HALTER_TABLE
+        assert read_program(HALTER + SPINNER) == HALTER
+        assert program_table(HALTER) == HALTER_TABLE
+        assert reference_decode(map(int, HALTER), 6) == HALTER_TABLE
 
     def test_header_cap_rule(self):
         # six ones (k_max=6) go straight to a k=6 table, no terminating zero:
         # the seventh 1 is the table's first bit
         bits = "1" * 6 + "1" + "0" * 59
-        assert read_program(bits) == (6, 1 << 59)
-        assert len(table_from_int(*read_program(bits))[1]) == 12
+        assert read_program(bits + HALTER) == bits
+        assert program_table(bits) == table_from_int(6, 1 << 59)
+        assert len(program_table(bits)[1]) == 12
         assert read_all([bits[:-1]]) == []
 
     def test_both_k_max_headers_decode_to_same_k(self):
         table = "0" * 16
-        assert read_program("10" + table, k_max=2) == (2, 0)
-        assert read_program("11" + table, k_max=2) == (2, 0)
+        assert read_program("10" + table + HALTER, k_max=2) == "10" + table
+        assert read_program("11" + table + HALTER, k_max=2) == "11" + table
+        assert program_table("10" + table) == program_table("11" + table) == (2, ((0, 0, 0),) * 4)
 
     def test_incomplete_stream(self):
         # a stream that ends mid-program yields the programs before it and no partial one
         assert read_all(["011"]) == []
-        assert read_all([HALTER_BITS + SPINNER_BITS[:-1]]) == [HALTER]
-        assert read_all([HALTER_BITS, "01"]) == [HALTER]
+        assert read_all([HALTER + SPINNER[:-1]]) == [HALTER]
+        assert read_all([HALTER, "01"]) == [HALTER]
 
     def test_program_straddles_blocks(self):
-        bits = HALTER_BITS + SPINNER_BITS + "1" * 6 + "1" + "0" * 59 + HALTER_BITS
-        programs = [HALTER, SPINNER, (6, 1 << 59), HALTER]
+        bits = HALTER + SPINNER + "1" * 6 + "1" + "0" * 59 + HALTER
+        programs = [HALTER, SPINNER, "1" * 6 + "1" + "0" * 59, HALTER]
         for cut in range(1, len(bits)):
             assert read_all([bits[:cut], bits[cut:]]) == programs
         assert read_all(list(bits)) == programs
@@ -160,18 +167,36 @@ class TestEncoding:
     def test_k_max_header_split_across_blocks(self):
         table = "0" * 15 + "1"
         # two ones at k_max=2: the header ends without a zero in the second block
-        assert read_all(["1", "1" + table], k_max=2) == [(2, 1)]
-        assert read_all(["1", "", "1", table], k_max=2) == [(2, 1)]
+        assert read_all(["1", "1" + table], k_max=2) == ["11" + table]
+        assert read_all(["1", "", "1", table], k_max=2) == ["11" + table]
         # a k=4 header ("1110") split 2 + 2: its zero lies past the boundary
-        assert read_all(["11", "10" + "0" * 39 + "1"]) == [(4, 1)]
+        assert read_all(["11", K4[2:]]) == [K4]
 
     def test_block_taken_only_when_a_program_reaches_past_the_bits_held(self):
-        blocks = iter([HALTER_BITS + SPINNER_BITS[:3], SPINNER_BITS[3:], HALTER_BITS])
+        blocks = iter([HALTER + SPINNER[:3], SPINNER[3:], HALTER])
         programs = _programs(blocks, 6)
         assert next(programs) == HALTER
         assert next(programs) == SPINNER
-        assert next(blocks) == HALTER_BITS
+        assert next(blocks) == HALTER
         assert next(programs, None) is None
+
+    def test_cover_grows_without_taking_a_block(self):
+        # the reader's pattern covers k = 1 after the first header, then
+        # grows to k = 4 on K4's header and reads the rest of the block again
+        blocks = iter([HALTER + K4 + HALTER, SPINNER])
+        programs = _programs(blocks, 6)
+        assert [next(programs) for _ in range(3)] == [HALTER, K4, HALTER]
+        assert next(blocks) == SPINNER
+
+    @pytest.mark.parametrize("k_max", [4, 6])
+    def test_cover_grows_at_a_block_cut(self, k_max):
+        # the first header past the cover (k = 1) starts the second block, or
+        # is split across the cut; at k_max = 4 it may be four ones
+        start = 3 * len(HALTER)
+        for k4 in [K4, "1111" + K4[4:]] if k_max == 4 else [K4]:
+            bits = HALTER * 3 + k4 + HALTER
+            for cut in range(start, start + 5):
+                assert read_all([bits[:cut], bits[cut:]], k_max) == [HALTER] * 3 + [k4, HALTER]
 
     def test_prefix_free_k_le_2(self):
         encs = set(all_encodings(k_max=6, max_len=18))
@@ -195,10 +220,10 @@ class TestEncoding:
         # the mod mapping makes every prefix of fair bits a valid program
         bits = format(word, "066b")
         for k_max in (6, 2):
-            k, t_int = read_program(bits, k_max)
-            assert 1 <= k <= k_max
-            assert 0 <= t_int < 1 << table_bits(k)
-            assert table_from_int(k, t_int) == reference_decode(map(int, bits), k_max)
+            p = read_program(bits, k_max)
+            assert bits.startswith(p)
+            assert 1 <= program_table(p)[0] <= k_max
+            assert program_table(p) == reference_decode(map(int, bits), k_max)
 
 
 class TestArguments:
@@ -216,28 +241,46 @@ class TestArguments:
             [(1.0, 63)],
             [("1", 63)],
             np.array([[1.0, 63.0]]),
+            [HALTER, b"0111111"],
+            [HALTER, None],
+            [HALTER, list(HALTER)],
+            [HALTER, "0121111"],
+            [HALTER, " 111111"],
+            [HALTER, ""],
+            [HALTER, "01111110"],
+            [HALTER, "1" + "0" * 16],
+            [HALTER, "01" + "0" * 25],
+            [HALTER, "10" + "0" * 25],
+            [HALTER, "11110" + "1" * 61],
+            5,
         ],
         ids=["k-0", "table-negative", "table-too-wide",
              "table-negative-after-k2", "table-too-wide-after-k2",
              "k-bool", "k-bool-after-equal-int", "table-float-after-equal-int",
-             "k-float", "k-str", "float-array"],
+             "k-float", "k-str", "float-array",
+             "bytes", "none", "list-of-bits", "char-2", "char-space", "empty",
+             "length-8", "length-17", "k3-header-01", "k3-header-10", "k6-header-11110",
+             "not-a-sequence"],
     )
-    def test_malformed_program_rejected(self, programs):
-        # a k=2 table has 16 bits; wider integers must not be masked into range,
-        # even once a k=2 tree exists that their masked fields would walk. A
-        # bool or float field is refused even where it equals an int pair's.
+    def test_malformed_program_rejected(self, programs, monkeypatch):
+        # A program is a string of '0'/'1' whose length is some k's encoding
+        # length and whose first k - 1 bits are ones; a (k, table_int) pair,
+        # in any shape, is no string. Nothing runs, not even the well-formed
+        # HALTER before it.
+        def work(*args):
+            raise AssertionError("a program ran before every program was checked")
+
+        for name in ("_halt_reachable", "run"):
+            monkeypatch.setattr(machines, name, work)
         with pytest.raises(ParameterError):
             population_fitness(programs, "", 10)
 
-    def test_numpy_integer_pairs_score(self):
-        # earlier tests warm the field cache under int keys that equal these
-        machines._field_codes.cache_clear()
-        assert population_fitness(np.array([[1, 63]]), "", 10).tolist() == [1]
-        machines._field_codes.cache_clear()
-        assert population_fitness([(np.int64(1), 63)], "", np.int64(10)).tolist() == [1]
-        # 1 << table_bits(7) overflows int64, so the bound must be taken on ints
-        expected = outcome(table_from_int(7, 1), "", 10).score
-        assert population_fitness([(np.int64(7), 1)], "", 10).tolist() == [expected]
+    def test_numpy_arguments_score(self):
+        assert population_fitness(np.array([HALTER, SPINNER]), "", np.int64(10)).tolist() == [1, 0]
+        # a k=7 program, past the default k_max
+        k7 = program(7, 1)
+        expected = outcome(program_table(k7), "", 10).score
+        assert population_fitness([k7], "", 10).tolist() == [expected]
         est = omega_monte_carlo(np.int64(10), "", np.int64(10), rng_from_seed(1), np.int64(2))
         assert json.loads(json.dumps(est.to_record()))["params"] == {"t_max": 10, "n_samples": 10}
 
@@ -308,13 +351,13 @@ class TestSampling:
     def test_probability_of_k1_is_half(self):
         rng = rng_from_seed(202)
         progs = sample_programs(rng, 100_000)
-        freq = sum(1 for k, _ in progs if k == 1) / len(progs)
+        freq = sum(1 for p in progs if len(p) == encoding_length(1)) / len(progs)
         assert abs(freq - 0.5) < 0.005  # ~3 binomial stderr
 
     @pytest.mark.parametrize(
         "k_max, at_boundary",
-        [(1, 4096), (2, 658), (6, 717), (7, 705)],
-        ids=["k_max-1", "k_max-2", "k_max-6", "k_max-7"],
+        [(1, 4096), (2, 658), (6, 717), (7, 705), (64, 713), (10**6, 713)],
+        ids=["k_max-1", "k_max-2", "k_max-6", "k_max-7", "k_max-64", "k_max-1000000"],
     )
     def test_stream_is_sequential_decode_of_4096_bit_blocks(self, k_max, at_boundary):
         # The Generator stream contract: programs are decoded in turn from
@@ -323,22 +366,23 @@ class TestSampling:
         # omega_monte_carlo alike. Later draws from the same Generator
         # (infected set, step uniforms) depend on it. ``at_boundary``
         # programs from seed 77 end exactly on a block boundary, so no
-        # further block may be drawn; 1500 end mid-block. A k_max=7 table
-        # has 70 bits, more than an int64 holds.
+        # further block may be drawn; 1500 end mid-block. No header of seed
+        # 77's stream reaches 64 ones, so k_max 64 and 10**6 read alike.
         t_max = 100
         for count in (at_boundary, 1500):
             rng = rng_from_seed(77)
             programs = sample_programs(rng, count, k_max)
-            used = sum(encoding_length(k) for k, _ in programs)
+            used = sum(map(len, programs))
             n_blocks = -(-used // 4096)
 
             oracle = rng_from_seed(77)
             bits = np.concatenate(
                 [oracle.integers(0, 2, size=4096, dtype=np.uint8) for _ in range(n_blocks)]
             )
+            assert "".join(programs) == "".join(map(str, bits[:used].tolist()))
             stream = iter(bits.tolist())
             decoded = [reference_decode(stream, k_max) for _ in range(count)]
-            assert decoded == [table_from_int(*p) for p in programs]
+            assert decoded == [program_table(p) for p in programs]
             assert len(list(stream)) == n_blocks * 4096 - used
             after = oracle.random()
             assert rng.random() == after
@@ -391,7 +435,7 @@ class TestRun:
         rng = rng_from_seed(40)
         checked = 0
         for p in sample_programs(rng, 300):
-            rows = _rows_from_int(*p)
+            rows = _rows_of_program(p)
             out = run(rows, _Input("", 60))
             if out.halted:
                 assert run(rows, _Input("", 600)) == out
@@ -402,7 +446,7 @@ class TestRun:
         rng = rng_from_seed(41)
         inp = _Input("", 200)
         for p in sample_programs(rng, 50):
-            assert run(_rows_from_int(*p), inp) == run(_rows_from_int(*p), inp)
+            assert run(_rows_of_program(p), inp) == run(_rows_of_program(p), inp)
 
 
 # Named (k, entries) tables for the deciders; entries[2*state + read] = (write, move, next).
@@ -465,7 +509,7 @@ class TestDeciders:
 
     def test_sampled_k_le_6_programs(self):
         for p in set(sample_programs(rng_from_seed(3), 20_000, k_max=6)):
-            m = table_from_int(*p)
+            m = program_table(p)
             for w in ("", "101", "0110111"):
                 for t_max in (1000, 200):
                     assert outcome(m, w, t_max) == reference_run(m, w, t_max), (m, w, t_max)
@@ -700,7 +744,7 @@ class TestWindowAndPause:
         t_max = 1000
         tables = every_table(1) + every_table(2)
         tables += [CYCLER_ACROSS_A_GROWTH, LEFT_CYCLER_ACROSS_A_GROWTH]
-        tables += [table_from_int(*p) for p in set(sample_programs(rng_from_seed(4), 5000))]
+        tables += [program_table(p) for p in set(sample_programs(rng_from_seed(4), 5000))]
         for w in ("", "101", "0110111"):
             runs = []
             for margin in (1, machines._MARGIN, t_max + 1):
@@ -734,7 +778,7 @@ class TestWindowAndPause:
         for t_max in (10**4, 10**5):
             inp = _Input(w, t_max)
             for p in distinct:
-                assert _cached_outcome(inp, *p) == run(_rows_from_int(*p), inp), (p, t_max)
+                assert _cached_outcome(inp, p) == run(_rows_of_program(p), inp), (p, t_max)
 
     @pytest.mark.parametrize("t_max", [10**2, 10**3, 10**4, 10**5, 10**6])
     def test_monte_carlo_at_every_budget(self, t_max, monkeypatch):
@@ -770,23 +814,31 @@ class TestFitness:
 
     def test_population_max_matches_recomputation(self):
         programs = sample_programs(rng_from_seed(8), 2000)
-        recomputed = max(outcome(table_from_int(*p), "", 300).score for p in programs)
+        recomputed = max(outcome(program_table(p), "", 300).score for p in programs)
         assert population_fitness(programs, "", 300).max() == recomputed
 
     def test_own_fitness_from_programs(self):
         # the memoized population path against the plain interpreter, element-wise
-        assert [read_program(HALTER_BITS), read_program(SPINNER_BITS)] == [HALTER, SPINNER]
-        assert [table_from_int(*HALTER), table_from_int(*SPINNER)] == [HALTER_TABLE, SPINNER_TABLE]
+        assert [program_table(HALTER), program_table(SPINNER)] == [HALTER_TABLE, SPINNER_TABLE]
         programs = [HALTER, SPINNER] + sample_programs(rng_from_seed(3), 300)
         for w in ("", "101"):
             own = population_fitness(programs, w, 100)
             assert own.dtype == np.int64
-            assert own.tolist() == [outcome(table_from_int(*p), w, 100).score for p in programs]
+            assert own.tolist() == [outcome(program_table(p), w, 100).score for p in programs]
 
-    def test_pairs_given_as_lists(self):
-        # pairs read back from JSON are lists; they score as the tuples do
-        programs = [HALTER, SPINNER, HALTER]
-        assert population_fitness([list(p) for p in programs], "", 10).tolist() == [1, 0, 1]
+    def test_equal_strings_scored_once(self, monkeypatch):
+        # equal strings that are distinct objects are one program
+        looked_up = []
+
+        def counted(inp, bits):
+            looked_up.append(bits)
+            return _cached_outcome(inp, bits)
+
+        monkeypatch.setattr(machines, "_cached_outcome", counted)
+        twin = "".join(list(HALTER))
+        assert twin == HALTER and twin is not HALTER
+        assert population_fitness([HALTER, SPINNER, twin], "", 10).tolist() == [1, 0, 1]
+        assert looked_up == [HALTER, SPINNER]
 
     def test_memo_is_per_call(self):
         # k=2 entries are write, move and a 2-bit next-state field v; v = 0
@@ -794,13 +846,13 @@ class TestFitness:
         # On "101" the machine halts at step 2 with score 3; on "" it runs
         # away to the right.
         table_int = 0b1100_1101_1010_1100
-        twin = table_int | 0b0011 << 12
-        assert table_from_int(2, table_int) == table_from_int(2, twin)
-        programs = [(2, table_int), (2, twin)] + sample_programs(rng_from_seed(9), 300, k_max=2)
+        twin = program(2, table_int | 0b0011 << 12)
+        assert program_table(program(2, table_int)) == program_table(twin)
+        programs = [program(2, table_int), twin] + sample_programs(rng_from_seed(9), 300, k_max=2)
         programs += programs[:50]
         for w, t_max in (("", 5), ("101", 100), ("", 100)):
             own = population_fitness(programs, w, t_max)
-            assert own.tolist() == [outcome(table_from_int(*p), w, t_max).score
+            assert own.tolist() == [outcome(program_table(p), w, t_max).score
                                     for p in programs], (w, t_max)
         assert population_fitness(programs[:2], "101", 100).tolist() == [3, 3]
 
@@ -808,17 +860,17 @@ class TestFitness:
     def test_tree_matches_full_table_runs(self, w):
         # one partial-table tree per (w, t_max), each leaf against the run of the whole table
         table_int = 0b1100_1101_1010_1100
-        programs = [(2, table_int), (2, table_int | 0b0011 << 12)]
+        programs = [program(2, table_int), program(2, table_int | 0b0011 << 12)]
         for seed, k_max in enumerate((1, 2, 3, 6)):
             programs += sample_programs(rng_from_seed(500 + seed), 5000, k_max)
         distinct = dict.fromkeys(programs)
-        for k, t_int in distinct:
-            assert _rows_from_int(k, t_int) == rows_of(table_from_int(k, t_int))
+        for p in distinct:
+            assert _rows_of_program(p) == rows_of(program_table(p))
         for t_max in (1, 5, 37, 1000):
             inp = _Input(w, t_max)
-            expected = {p: run(_rows_from_int(*p), inp) for p in distinct}
+            expected = {p: run(_rows_of_program(p), inp) for p in distinct}
             for p in programs:
-                assert _cached_outcome(inp, *p) == expected[p], (p, t_max)
+                assert _cached_outcome(inp, p) == expected[p], (p, t_max)
 
 
 def _distinct_tables(k):
@@ -826,7 +878,7 @@ def _distinct_tables(k):
 
     An entry weighs as many field values as decode to its row.
     """
-    options = Counter(_field_codes(k)[2]).items()
+    options = Counter(_field_codes(k)[1].values()).items()
     for choice in itertools.product(options, repeat=2 * k):
         yield tuple(entry for entry, _ in choice), math.prod(n for _, n in choice)
 
@@ -899,7 +951,7 @@ class TestOmega:
         # the weights count every table encoding of each k exactly once
         tables = {(k, t_int): table_from_int(k, t_int) for k, t_int, _, _ in iter_encodings(2, 18)}
         for k in (1, 2):
-            rows = [_rows_from_int(k, t_int) for t_int in range(1 << table_bits(k))]
+            rows = [_rows_of_program(program(k, t_int)) for t_int in range(1 << table_bits(k))]
             assert rows == [rows_of(tables[k, t_int]) for t_int in range(1 << table_bits(k))]
             decoded = Counter(rows)
             weights = dict(_distinct_tables(k))
@@ -942,16 +994,27 @@ class TestOmega:
         assert len(calls) <= 2442
 
     def test_monte_carlo_runs_only_reached_tables(self, monkeypatch):
-        # one run per partial table the trees reach; one per distinct table is 23,948
-        calls = []
+        # one lookup per distinct program and one run per partial table the
+        # trees reach: a walk that stopped sharing a child between field
+        # strings of the same row would run more tables and steps
+        looked_up, steps = [], []
 
-        def counted(rows, inp, *args):
-            calls.append(1)
-            return run(rows, inp, *args)
+        def counted_lookup(inp, bits):
+            looked_up.append(bits)
+            return _cached_outcome(inp, bits)
 
-        monkeypatch.setattr(machines, "run", counted)
+        def counted_run(rows, inp, *args):
+            rows = CountingRows(rows)
+            out = run(rows, inp, *args)
+            steps.append(rows.reads)
+            return out
+
+        monkeypatch.setattr(machines, "_cached_outcome", counted_lookup)
+        monkeypatch.setattr(machines, "run", counted_run)
         assert omega_monte_carlo(50_000, "", 1000, rng_from_seed(0), 6).value == 0.42848
-        assert len(calls) <= 7100
+        assert (len(looked_up), len(set(looked_up))) == (23_948, 23_948)
+        assert len(steps) == 7046
+        assert sum(steps) == 26_317
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monte_carlo_matches_full_table_runs(self, seed):
@@ -959,7 +1022,7 @@ class TestOmega:
         rng, oracle = rng_from_seed(seed), rng_from_seed(seed)
         inp = _Input("", 1000)
         programs = itertools.islice(_programs(_blocks(oracle), 6), 20_000)
-        hits = sum(run(_rows_from_int(k, t_int), inp).halted for k, t_int in programs)
+        hits = sum(run(_rows_of_program(p), inp).halted for p in programs)
         assert omega_monte_carlo(20_000, "", 1000, rng, 6).value == hits / 20_000
         assert rng.bit_generator.state == oracle.bit_generator.state
 
